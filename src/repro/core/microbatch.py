@@ -10,12 +10,16 @@ planning-time experiment and by tests).
 The default (vectorized) path precomputes the padded shape of every
 candidate ``[start, start + size)`` window with sliding maxima over the
 ordered sample lengths — O(1) per window when the ordering is monotone, as
-under SORT ordering — dedupes the windows to their unique shapes, costs all
-unique shapes in one batched cost-model query, and hands the resulting
-dense :class:`~repro.core.dp_solver.WindowCostTable` to the DP.  The window
-*geometry* (shapes and their dedup indices) does not depend on the
-recomputation mode, so it is cached and reused across the planner's
-recomputation-mode retries; only the (cached, batched) cost query is
+under SORT ordering — dedupes the windows to their unique shapes with a 1-D
+``np.unique`` over one packed int64 key per window, costs the unique shapes
+in batched cost-model queries, and hands the resulting dense
+:class:`~repro.core.dp_solver.WindowCostTable` to the DP.  The size-1
+shapes are costed first; when a sample alone breaks the memory limit (the
+usual fate of the planner's first recomputation mode on large models) the
+table stops there and the DP rejects it without the larger shapes ever
+being costed.  The window *geometry* (shapes and their dedup indices) does
+not depend on the recomputation mode, so it is cached and reused across the
+planner's recomputation-mode retries; only the batched cost query is
 re-issued per mode.  ``vectorized=False`` selects the scalar reference path,
 which produces identical partitions one cost-model call at a time.
 """
@@ -69,8 +73,13 @@ class _WindowGeometry:
     """Unique window shapes of one ordered mini-batch (mode-independent).
 
     ``unique`` holds one ``(batch_size, enc_seq_len, dec_seq_len)`` row per
-    distinct window shape; ``inverse`` maps each valid ``(start, size)``
-    window (flattened per ``start_index`` / ``size_index``) to its row.
+    distinct window shape, in lexicographic (size-major) order, so the
+    size-1 shapes form its leading block; ``inverse`` maps each valid
+    ``(start, size)`` window (flattened per ``start_index`` /
+    ``size_index``) to its row.  Rows are deduped as packed keys
+    (``np.ravel_multi_index`` in ``(size, enc, dec)`` order, which sorts
+    like the rows); lengths whose key space overflows int64 raise
+    ``ValueError``.
     """
 
     def __init__(
@@ -191,15 +200,20 @@ class DynamicMicroBatcher(BatchingStrategy):
         starts = np.arange(n)[:, None]
         valid = starts + sizes <= n
         start_index, size_index = np.nonzero(valid)
-        triples = np.stack(
-            [
+        # Row-major packing in (size, enc, dec) order sorts like the rows
+        # themselves, so a 1-D unique over the keys yields the same rows and
+        # inverse as ``np.unique(triples, axis=0)`` without its void-view sort.
+        dims = (window + 1, int(enc.max()) + 1, int(dec.max()) + 1)
+        keys = np.ravel_multi_index(
+            (
                 size_index + 1,
                 enc_max[start_index, size_index],
                 dec_max[start_index, size_index],
-            ],
-            axis=1,
+            ),
+            dims,
         )
-        unique, inverse = np.unique(triples, axis=0, return_inverse=True)
+        unique_keys, inverse = np.unique(keys, return_inverse=True)
+        unique = np.stack(np.unravel_index(unique_keys, dims), axis=1)
         geometry = _WindowGeometry(
             unique=unique,
             inverse=inverse.reshape(-1),
@@ -216,18 +230,29 @@ class DynamicMicroBatcher(BatchingStrategy):
     ) -> WindowCostTable:
         """Dense window time/feasibility tables for the DP fast path.
 
-        One batched cost-model query covers every unique window shape; the
-        results are scattered back to dense ``(start, size)`` tables.
+        Batched cost-model queries cover the unique window shapes; the
+        results are scattered back to dense ``(start, size)`` tables.  The
+        size-1 shapes (the leading block of the size-major ``unique``) are
+        costed first: if any sample alone breaks the memory limit, only
+        column 0 is filled and :func:`solve_partition` rejects the table
+        without the larger shapes ever being costed.
         """
         mode = self.recompute if recompute is None else recompute
         geometry = self._window_geometry(ordered)
-        times_unique, activation_unique = self.cost_model.window_costs_arrays(
-            geometry.unique[:, 0],
-            geometry.unique[:, 1],
-            geometry.unique[:, 2],
-            mode,
-        )
-        feasible_unique = activation_unique <= self.per_microbatch_memory_bytes
+        unique = geometry.unique
+        num_singletons = int(np.searchsorted(unique[:, 0], 2))
+        times_unique = np.full(len(unique), np.inf)
+        feasible_unique = np.zeros(len(unique), dtype=bool)
+        costed = 0
+        for stop in (num_singletons, len(unique)):
+            block = slice(costed, stop)
+            times_unique[block], activation = self.cost_model.window_costs_arrays(
+                unique[block, 0], unique[block, 1], unique[block, 2], mode
+            )
+            feasible_unique[block] = activation <= self.per_microbatch_memory_bytes
+            costed = stop
+            if not feasible_unique[:num_singletons].all():
+                break
         times = np.full((geometry.num_samples, geometry.max_window), np.inf)
         feasible = np.zeros((geometry.num_samples, geometry.max_window), dtype=bool)
         times[geometry.start_index, geometry.size_index] = times_unique[geometry.inverse]
@@ -237,7 +262,7 @@ class DynamicMicroBatcher(BatchingStrategy):
         return WindowCostTable(
             times=times,
             feasible=feasible,
-            unique_shape_evaluations=len(geometry.unique),
+            unique_shape_evaluations=costed,
         )
 
     # ------------------------------------------------------------------ strategy API

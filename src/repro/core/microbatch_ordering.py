@@ -83,8 +83,11 @@ def cluster_and_order(
         max_permutations: Safety cap on the number of permutations evaluated.
 
     Returns:
-        The best order found together with search statistics.
+        The best order found together with search statistics; when no
+        candidate scores below ``inf``, the first candidate is kept.
     """
+    if max_permutations < 1:
+        raise ValueError(f"max_permutations must be >= 1, got {max_permutations}")
     n = len(times)
     if n == 0:
         raise ValueError("at least one micro-batch is required")
@@ -103,10 +106,9 @@ def cluster_and_order(
             candidate.extend(clusters[cluster_index])
         score = score_fn(candidate)
         evaluated += 1
-        if score < best_score:
+        if best_order is None or score < best_score:
             best_score = score
             best_order = candidate
-    assert best_order is not None
     return OrderingSearchResult(
         order=best_order,
         makespan_ms=best_score,

@@ -114,6 +114,17 @@ class PlannerConfig:
     data_parallel_same_node: bool = False
     model_comm_overlap: float = 0.5
 
+    def __post_init__(self) -> None:
+        for name in (
+            "num_time_clusters",
+            "max_order_permutations",
+            "tmax_sample_count",
+            "max_microbatch_size",
+        ):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
+
     # ------------------------------------------------------------------ serialisation
 
     def to_dict(self) -> dict[str, Any]:
@@ -329,7 +340,8 @@ class DynaPipePlanner:
     def _partition(self, samples: Sequence[Sample], mode: RecomputeMode):
         """Run sample ordering + DP partitioning under ``mode``."""
         result, solution = self._batcher.split_with_solution(samples, recompute=mode)
-        assert solution is not None
+        if solution is None:
+            raise PartitionError("cannot partition an empty mini-batch")
         return result.micro_batches, solution
 
     def _schedule_replica(

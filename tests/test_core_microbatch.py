@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.batching.metrics import padding_stats
 from repro.batching.packing import PackingBatching
@@ -113,8 +115,16 @@ class TestQuality:
     def test_recompute_mode_changes_feasibility(self, gpt_cost_model, flan_samples_gpt):
         """A memory limit too tight for NONE-mode partitioning can still be
         satisfiable under FULL recomputation, which stores far fewer
-        activations — the mechanism behind dynamic recomputation (§7)."""
+        activations — the mechanism behind dynamic recomputation (§7).
+
+        The infeasible mode is rejected by the singleton memory gate: its
+        table costs only the size-1 shapes, and the DP raises the same
+        error as the scalar reference path."""
+        import numpy as np
+
         from repro.core.dp_solver import PartitionError
+        from repro.core.ordering import order_samples
+        from repro.core.planner import DynaPipePlanner, PlannerConfig
         from repro.model.transformer import MicroBatchShape
 
         samples = flan_samples_gpt[:60]
@@ -125,14 +135,77 @@ class TestQuality:
         assert full_need < none_need
         limit = (full_need + none_need) / 2.0
 
-        with pytest.raises(PartitionError):
-            DynamicMicroBatcher(
-                gpt_cost_model, per_microbatch_memory_bytes=limit, recompute=RecomputeMode.NONE
-            ).split(samples)
+        messages = []
+        for vectorized in (True, False):
+            with pytest.raises(PartitionError) as excinfo:
+                DynamicMicroBatcher(
+                    gpt_cost_model,
+                    per_microbatch_memory_bytes=limit,
+                    recompute=RecomputeMode.NONE,
+                    vectorized=vectorized,
+                ).split(samples)
+            messages.append(str(excinfo.value))
+        ordered = order_samples(samples, OrderingMethod.SORT, decoder_only=True)
+        first_infeasible = next(
+            i
+            for i, sample in enumerate(ordered)
+            if gpt_cost_model.microbatch_activation_bytes(
+                MicroBatchShape(batch_size=1, enc_seq_len=sample.total_tokens)
+            )
+            > limit
+        )
+        assert messages[0] == messages[1]
+        assert messages[0].startswith(f"sample {first_infeasible} alone exceeds")
+
+        gated = DynamicMicroBatcher(
+            gpt_cost_model, per_microbatch_memory_bytes=limit
+        ).build_window_cost_table(ordered, RecomputeMode.NONE)
+        assert gated.unique_shape_evaluations == len({s.total_tokens for s in samples})
+        assert np.isinf(gated.times[:, 1:]).all() and not gated.feasible[:, 1:].any()
+
         full_mode = DynamicMicroBatcher(
             gpt_cost_model, per_microbatch_memory_bytes=limit, recompute=RecomputeMode.FULL
         ).split(samples)
         assert full_mode.micro_batches
+
+        # A planner retrying NONE -> SELECTIVE -> FULL matches the scalar
+        # reference; its limit also rejects every SELECTIVE singleton.
+        selective_need = gpt_cost_model.microbatch_activation_bytes(
+            single_shape, RecomputeMode.SELECTIVE
+        )
+        assert full_need < selective_need
+        planner_limit = (full_need + selective_need) / 2.0
+        config = PlannerConfig(
+            tmax_sample_count=8,
+            order_search=False,
+            per_microbatch_memory_fraction=planner_limit
+            / gpt_cost_model.min_activation_budget_bytes(),
+        )
+        fast = DynaPipePlanner(gpt_cost_model, config=config)
+        reference = DynaPipePlanner(gpt_cost_model, config=config)
+        batcher = reference._batcher
+        reference._batcher = DynamicMicroBatcher(
+            gpt_cost_model,
+            ordering=batcher.ordering,
+            per_microbatch_memory_bytes=batcher.per_microbatch_memory_bytes,
+            sum_weight=batcher.sum_weight,
+            tmax_sample_count=batcher.tmax_sample_count,
+            max_microbatch_size=batcher.max_microbatch_size,
+            vectorized=False,
+        )
+        fast_plan = fast.plan(samples)
+        reference_plan = reference.plan(samples)
+        assert fast_plan.recompute is RecomputeMode.FULL
+        assert fast_plan.dp_solution.boundaries == reference_plan.dp_solution.boundaries
+        assert fast_plan.dp_solution.times == reference_plan.dp_solution.times
+        assert fast_plan.dp_solution.objective == reference_plan.dp_solution.objective
+        assert fast_plan.dp_solution.tmax_used == reference_plan.dp_solution.tmax_used
+        fast_dict, reference_dict = fast_plan.to_dict(), reference_plan.to_dict()
+        for payload in (fast_dict, reference_dict):
+            payload.pop("planning_time_s")
+            for plan in payload["replicas"]:
+                plan["metadata"].pop("planning_time_s")
+        assert fast_dict == reference_dict
 
     def test_sum_weight_for_data_parallelism(self, gpt_cost_model, flan_samples_gpt):
         """With many replicas (small Σ weight) the partition never has fewer
@@ -141,6 +214,97 @@ class TestQuality:
         single = DynamicMicroBatcher(gpt_cost_model, sum_weight=1.0).split(samples)
         many = DynamicMicroBatcher(gpt_cost_model, sum_weight=1.0 / 8).split(samples)
         assert len(many.micro_batches) >= len(single.micro_batches)
+
+
+#: ``max_profile_seq_len`` of the test cost models.
+MAX_SEQ_LEN = 2048
+_lengths = st.one_of(st.integers(1, MAX_SEQ_LEN), st.just(MAX_SEQ_LEN))
+
+
+def _reference_geometry(batcher, ordered):
+    """Window-shape dedup by ``np.unique(axis=0)`` over the raw triples."""
+    import numpy as np
+
+    from repro.core.microbatch import sliding_window_maxima
+
+    if batcher.decoder_only:
+        enc = np.array([s.total_tokens for s in ordered], dtype=np.int64)
+        dec = np.zeros(len(ordered), dtype=np.int64)
+    else:
+        enc = np.array([s.input_tokens for s in ordered], dtype=np.int64)
+        dec = np.array([s.target_tokens for s in ordered], dtype=np.int64)
+    n = len(ordered)
+    window = min(batcher.max_microbatch_size, n)
+    enc_max = sliding_window_maxima(enc, window)
+    dec_max = sliding_window_maxima(dec, window)
+    sizes = np.arange(1, window + 1)[None, :]
+    starts = np.arange(n)[:, None]
+    valid = starts + sizes <= n
+    start_index, size_index = np.nonzero(valid)
+    triples = np.stack(
+        [
+            size_index + 1,
+            enc_max[start_index, size_index],
+            dec_max[start_index, size_index],
+        ],
+        axis=1,
+    )
+    unique, inverse = np.unique(triples, axis=0, return_inverse=True)
+    return unique, inverse.reshape(-1)
+
+
+class TestWindowGeometry:
+    """The packed-key shape dedup reproduces the row-wise ``np.unique``."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        lengths=st.lists(
+            st.tuples(_lengths, st.one_of(_lengths, st.just(0))), min_size=1, max_size=24
+        ),
+        decoder_only=st.booleans(),
+        sort=st.booleans(),
+        max_microbatch_size=st.integers(1, 8),
+    )
+    @example(
+        lengths=[(MAX_SEQ_LEN, MAX_SEQ_LEN)], decoder_only=False, sort=True, max_microbatch_size=4
+    )
+    @example(
+        lengths=[(MAX_SEQ_LEN, 0)] * 3, decoder_only=True, sort=False, max_microbatch_size=2
+    )
+    def test_matches_row_unique(
+        self, gpt_cost_model, t5_cost_model, lengths, decoder_only, sort, max_microbatch_size
+    ):
+        import numpy as np
+
+        from repro.core.ordering import order_samples
+
+        if decoder_only:
+            # GPT windows are keyed by total length, which is capped at the
+            # sequence limit; dec is 0.
+            samples = [Sample(min(i + t, MAX_SEQ_LEN), 0) for i, t in lengths]
+        else:
+            samples = [Sample(i, t) for i, t in lengths]
+        batcher = DynamicMicroBatcher(
+            gpt_cost_model if decoder_only else t5_cost_model,
+            max_microbatch_size=max_microbatch_size,
+        )
+        ordered = (
+            order_samples(samples, OrderingMethod.SORT, decoder_only=decoder_only)
+            if sort
+            else samples
+        )
+        geometry = batcher._window_geometry(ordered)
+        unique, inverse = _reference_geometry(batcher, ordered)
+        assert geometry.unique.dtype == unique.dtype
+        np.testing.assert_array_equal(geometry.unique, unique)
+        np.testing.assert_array_equal(geometry.inverse, inverse)
+
+    def test_out_of_range_key_raises_value_error(self, t5_cost_model):
+        """Lengths whose packed key space overflows int64 fail loudly."""
+        batcher = DynamicMicroBatcher(t5_cost_model)
+        huge = 2**40
+        with pytest.raises(ValueError):
+            batcher._window_geometry([Sample(huge, huge), Sample(1, huge - 1)])
 
 
 class TestSlidingWindowMaxima:

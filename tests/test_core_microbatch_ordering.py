@@ -79,6 +79,21 @@ class TestClusterAndOrder:
         with pytest.raises(ValueError):
             cluster_and_order([], score_fn=lambda order: 0.0)
 
+    @pytest.mark.parametrize("max_permutations", [0, -1])
+    def test_non_positive_permutation_cap_rejected(self, max_permutations):
+        with pytest.raises(ValueError, match="max_permutations"):
+            cluster_and_order(
+                [1.0, 2.0, 3.0], score_fn=lambda order: 0.0, max_permutations=max_permutations
+            )
+
+    def test_all_infinite_scores_keep_first_candidate(self):
+        result = cluster_and_order(
+            [3.0, 1.0, 2.0], score_fn=lambda order: float("inf"), num_clusters=3
+        )
+        assert result.order == [1, 2, 0]
+        assert result.makespan_ms == float("inf")
+        assert result.evaluated == 6
+
     def test_all_permutations_evaluated_for_three_clusters(self):
         result = cluster_and_order(
             [1.0, 10.0, 20.0], score_fn=lambda order: float(sum(order)), num_clusters=3

@@ -106,6 +106,26 @@ class TestDataParallel:
 
 
 class TestConfiguration:
+    @pytest.mark.parametrize(
+        "field",
+        ["num_time_clusters", "max_order_permutations", "tmax_sample_count", "max_microbatch_size"],
+    )
+    def test_non_positive_counts_rejected(self, field):
+        with pytest.raises(ValueError, match=field):
+            PlannerConfig(**{field: 0})
+
+    def test_config_round_trip_still_validates(self):
+        payload = PlannerConfig().to_dict()
+        payload["max_order_permutations"] = 0
+        with pytest.raises(ValueError, match="max_order_permutations"):
+            PlannerConfig.from_dict(payload)
+
+    def test_empty_partition_is_partition_error(self, gpt_planner):
+        from repro.core.dp_solver import PartitionError
+
+        with pytest.raises(PartitionError, match="empty"):
+            gpt_planner._partition([], RecomputeMode.NONE)
+
     def test_order_search_enabled(self, gpt_cost_model, flan_samples_gpt):
         planner = DynaPipePlanner(
             gpt_cost_model,
