@@ -35,14 +35,7 @@ from repro.fleet.faults import (
     rack_outage,
     random_fault_plan,
 )
-from repro.fleet.gang import (
-    VALID_FLEET_CORES,
-    BitmapGangAllocator,
-    DeviceGang,
-    GangAllocator,
-    make_allocator,
-    resolve_fleet_core,
-)
+from repro.fleet.gang import DeviceGang, GangAllocator
 from repro.fleet.job import JobAttempt, JobCheckpoint, JobRecord, JobSpec, JobState
 from repro.fleet.metrics import CapacityEvent, FleetReport, JobSummary, summarize_job
 from repro.fleet.policies import (
@@ -74,7 +67,6 @@ from repro.fleet.workloads import (
 )
 
 __all__ = [
-    "BitmapGangAllocator",
     "CapacityEvent",
     "DeviceArrivalEvent",
     "DeviceFailure",
@@ -103,19 +95,16 @@ __all__ = [
     "ShortestRemainingWorkPolicy",
     "SyntheticTracePlanner",
     "TraceJob",
-    "VALID_FLEET_CORES",
     "WorkloadModel",
     "WorkloadTrace",
     "build_jobs",
     "build_scheduler",
     "failure_storm",
     "generate_trace",
-    "make_allocator",
     "make_policy",
     "rack_outage",
     "random_fault_plan",
     "replay_trace",
-    "resolve_fleet_core",
     "restore_scheduler",
     "snapshot_scheduler",
     "summarize_job",

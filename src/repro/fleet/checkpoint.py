@@ -38,7 +38,6 @@ with the restoring configuration is rejected.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import asdict
 from typing import TYPE_CHECKING, Any
 
@@ -52,10 +51,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (scheduler imports us
     from repro.fleet.scheduler import FleetConfig, FleetScheduler
 
 #: Format version of the snapshot dict; bumped on incompatible layout changes.
-#: Version 2 (the scheduler-core split) added the ``"core"`` provenance
-#: field and canonicalized ``"capacity_heap"`` to ``(time, seq)`` order so
-#: snapshots are byte-identical across cores; version-1 snapshots (raw heap
-#: order, no core field) are still read.
+#: Version 2 canonicalized ``"capacity_heap"`` to ``(time, seq)`` order;
+#: version-1 snapshots (raw heap order) are still read.  Snapshots written
+#: while the scheduler had two cores carry a ``"core"`` provenance field,
+#: which restore never read and new snapshots no longer write.
 SNAPSHOT_VERSION = 2
 
 #: Snapshot versions :func:`restore_scheduler` accepts.
@@ -176,7 +175,6 @@ def snapshot_scheduler(scheduler: "FleetScheduler") -> dict[str, Any]:
     failures = scheduler._failures_sorted or []
     return {
         "version": SNAPSHOT_VERSION,
-        "core": scheduler.core,
         "policy": scheduler.policy.name,
         "num_devices": scheduler.topology.num_gpus,
         "clock_ms": scheduler._clock,
@@ -282,11 +280,8 @@ def restore_scheduler(
 
     scheduler._clock = snapshot["clock_ms"]
     scheduler._events_processed = snapshot["events_processed"]
-    scheduler._capacity_heap = [
-        (entry[0], entry[1], entry[2], entry[3], entry[4])
-        for entry in snapshot["capacity_heap"]
-    ]
-    heapq.heapify(scheduler._capacity_heap)
+    for time_ms, seq, kind, device, epoch in snapshot["capacity_heap"]:
+        scheduler._queue_capacity_event(time_ms, seq, kind, device, epoch)
     scheduler._capacity_seq = snapshot["capacity_seq"]
     scheduler._failure_epoch = {
         device: epoch for device, epoch in snapshot["failure_epoch"]

@@ -24,19 +24,16 @@ repair resurrects a device *only* through the explicit failed → free
 transition, and an absent device can neither fail nor be allocated before
 it arrives.
 
-**Two cores.**  :class:`GangAllocator` keeps the partition in Python sets
-and a per-device dict — simple, obviously correct, and O(devices) per
-placement.  :class:`BitmapGangAllocator` keeps the same partition as numpy
-bool masks with an O(1) device→gang owner index and a vectorized
-contiguous-window placement search; it is the default core at scale.
-Both expose the identical API, placement preference, snapshot format and
-error messages, so the object allocator doubles as a bit-identity oracle
-(select it with ``REPRO_FLEET_CORE=object``; see :func:`make_allocator`).
+The partition is held as numpy bool masks with an O(1) device→gang owner
+index, and placements are searched vectorized over the sorted free
+indices.  Snapshots come from outside the process, so
+:meth:`GangAllocator.restore_state` rejects out-of-range, duplicated or
+missing devices with a :class:`ValueError` naming the device.
 """
 
 from __future__ import annotations
 
-import os
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,257 +69,9 @@ class DeviceGang:
 class GangAllocator:
     """Tracks device ownership on the shared cluster.
 
-    Args:
-        topology: The cluster whose devices are managed.
-    """
-
-    def __init__(self, topology: ClusterTopology) -> None:
-        self.topology = topology
-        self._free: set[int] = set(range(topology.num_gpus))
-        self._allocated: dict[int, DeviceGang] = {}
-        self._failed: set[int] = set()
-        self._absent: set[int] = set()
-
-    # ------------------------------------------------------------------ queries
-
-    @property
-    def num_devices(self) -> int:
-        """Total devices in the cluster (alive, failed or absent)."""
-        return self.topology.num_gpus
-
-    @property
-    def alive_count(self) -> int:
-        """Devices currently part of the cluster and not failed."""
-        return self.num_devices - len(self._failed) - len(self._absent)
-
-    @property
-    def free_count(self) -> int:
-        """Devices currently idle and alive."""
-        return len(self._free)
-
-    @property
-    def busy_count(self) -> int:
-        """Devices currently allocated to gangs."""
-        return len(self._allocated)
-
-    @property
-    def failed_devices(self) -> frozenset[int]:
-        """Devices that failed and have not (yet) been repaired."""
-        return frozenset(self._failed)
-
-    @property
-    def absent_devices(self) -> frozenset[int]:
-        """Devices that have not (yet) arrived in the cluster."""
-        return frozenset(self._absent)
-
-    def owner_of(self, device: int) -> DeviceGang | None:
-        """The gang holding ``device``, if any."""
-        return self._allocated.get(device)
-
-    def is_failed(self, device: int) -> bool:
-        """Whether ``device`` is currently failed (O(1))."""
-        return device in self._failed
-
-    def is_absent(self, device: int) -> bool:
-        """Whether ``device`` has not (yet) arrived in the cluster (O(1))."""
-        return device in self._absent
-
-    # ------------------------------------------------------------------ allocation
-
-    def allocate(
-        self, job: str, data_parallel: int, pipeline_parallel: int, tensor_parallel: int
-    ) -> DeviceGang | None:
-        """Allocate a gang for ``job``, or return ``None`` if it cannot fit.
-
-        All-or-nothing (gang scheduling): either every device of the
-        ``dp × pp × tp`` group is claimed or none is.  A contiguous run of
-        free device indices is preferred — with the Megatron-style packing
-        of :class:`~repro.cluster.topology.ClusterTopology` that keeps
-        tensor groups intra-node — and among contiguous runs one that does
-        not straddle a node boundary wins (a gang that fits in one node
-        should use one node's fast links).  When fragmentation (from
-        released and failed gangs) leaves no contiguous window at all, the
-        lowest free indices are taken.
-        """
-        size = data_parallel * pipeline_parallel * tensor_parallel
-        if size < 1:
-            raise ValueError(f"gang size must be >= 1, got {size}")
-        if len(self._free) < size:
-            return None
-        free = sorted(self._free)
-        devices: tuple[int, ...] | None = None
-        contiguous: tuple[int, ...] | None = None
-        for start in range(len(free) - size + 1):
-            if free[start + size - 1] - free[start] != size - 1:
-                continue
-            window = tuple(free[start : start + size])
-            if contiguous is None:
-                contiguous = window
-            if self.topology.node_of(window[0]) == self.topology.node_of(window[-1]):
-                devices = window
-                break
-        if devices is None:
-            devices = contiguous
-        if devices is None:
-            devices = tuple(free[:size])
-        gang = DeviceGang(
-            job=job,
-            devices=devices,
-            data_parallel=data_parallel,
-            pipeline_parallel=pipeline_parallel,
-            tensor_parallel=tensor_parallel,
-        )
-        for device in devices:
-            self._free.remove(device)
-            self._allocated[device] = gang
-        return gang
-
-    def release(self, gang: DeviceGang) -> list[int]:
-        """Return a gang's devices to the free pool; returns those released.
-
-        Devices of the gang that failed while allocated were already moved
-        to the failed set by :meth:`fail_device` and stay there — they are
-        *not* resurrected (only :meth:`repair_device` can do that), which is
-        exactly the accounting the no-device-leaked tests pin down.
-        """
-        released: list[int] = []
-        for device in gang.devices:
-            current = self._allocated.get(device)
-            if current is not gang:
-                continue  # failed mid-run (already removed) — stays failed
-            del self._allocated[device]
-            self._free.add(device)
-            released.append(device)
-        return released
-
-    def fail_device(self, device: int) -> DeviceGang | None:
-        """Mark ``device`` failed; returns the gang it interrupts, if any.
-
-        A free device simply leaves the pool (capacity shrinks).  An
-        allocated device is pulled out of its gang and the gang is returned
-        so the scheduler can preempt the owning job; the gang's surviving
-        devices stay allocated until the scheduler releases them.  Failing
-        an already-failed or absent device is a no-op — a device that has
-        not arrived cannot die.
-        """
-        if not 0 <= device < self.num_devices:
-            raise ValueError(f"device {device} out of range [0, {self.num_devices})")
-        if device in self._failed or device in self._absent:
-            return None
-        gang = self._allocated.pop(device, None)
-        self._free.discard(device)
-        self._failed.add(device)
-        return gang
-
-    # ------------------------------------------------------------------ repair / arrival
-
-    def repair_device(self, device: int) -> bool:
-        """Return a failed device to the free pool.
-
-        Returns:
-            True if the device was failed and is now free; False if the
-            device was not failed (a stale repair event is a no-op — the
-            scheduler may schedule repairs for devices that never die, or
-            repair a device twice).
-        """
-        if not 0 <= device < self.num_devices:
-            raise ValueError(f"device {device} out of range [0, {self.num_devices})")
-        if device not in self._failed:
-            return False
-        self._failed.remove(device)
-        self._free.add(device)
-        return True
-
-    def mark_absent(self, device: int) -> None:
-        """Move a free device out of the cluster (pre-run setup only).
-
-        The scheduler calls this at the start of a run for every device
-        with a scheduled late arrival; an allocated or failed device cannot
-        be marked absent.
-        """
-        if device not in self._free:
-            raise ValueError(
-                f"device {device} is not free; only idle devices can start absent"
-            )
-        self._free.remove(device)
-        self._absent.add(device)
-
-    def arrive_device(self, device: int) -> None:
-        """An absent device joins the cluster: absent → free."""
-        if device not in self._absent:
-            raise ValueError(f"device {device} is not absent; cannot arrive")
-        self._absent.remove(device)
-        self._free.add(device)
-
-    # ------------------------------------------------------------------ snapshot / restore
-
-    def snapshot_state(self) -> dict[str, list[int]]:
-        """JSON-safe snapshot of the free/failed/absent sets.
-
-        Allocated devices are *not* listed here: ownership is restored from
-        the running jobs' gangs (see :meth:`restore_state`), which keeps a
-        single source of truth for who holds what.
-        """
-        return {
-            "free": sorted(self._free),
-            "failed": sorted(self._failed),
-            "absent": sorted(self._absent),
-        }
-
-    def restore_state(
-        self,
-        free: "list[int] | set[int]",
-        failed: "list[int] | set[int]",
-        absent: "list[int] | set[int]",
-        allocated: "list[tuple[DeviceGang, list[int]]]" = (),
-    ) -> None:
-        """Overwrite the partition from a snapshot (scheduler restore path).
-
-        ``allocated`` maps each live gang to the devices it *currently*
-        owns — which may be fewer than ``gang.devices`` when a member
-        failed mid-run (the failed device moved to the failed set and must
-        not be resurrected by restore).  The 4-way partition invariant is
-        asserted before the state is accepted.
-        """
-        self._free = set(free)
-        self._failed = set(failed)
-        self._absent = set(absent)
-        self._allocated = {
-            device: gang for gang, owned in allocated for device in owned
-        }
-        self.check_consistent()
-
-    # ------------------------------------------------------------------ invariants
-
-    def check_consistent(self) -> None:
-        """Assert free/allocated/failed/absent partition the cluster.
-
-        Raises:
-            AssertionError: If a device is leaked or double-owned.
-        """
-        free, allocated = self._free, set(self._allocated)
-        failed, absent = self._failed, self._absent
-        sets = {"free": free, "allocated": allocated, "failed": failed, "absent": absent}
-        names = sorted(sets)
-        for i, a in enumerate(names):
-            for b in names[i + 1 :]:
-                overlap = sets[a] & sets[b]
-                assert not overlap, f"devices both {a} and {b}: {overlap}"
-        union = free | allocated | failed | absent
-        expected = set(range(self.num_devices))
-        assert union == expected, f"device leak: missing {expected - union}, extra {union - expected}"
-
-
-class BitmapGangAllocator:
-    """Data-oriented gang allocator: device bitmaps + O(1) owner index.
-
-    Drop-in replacement for :class:`GangAllocator` holding the 4-way
-    partition as numpy bool masks (``free``/``failed``/``absent``; a device
-    is *allocated* iff its slot in the owner index is set) and searching
-    placements vectorized over the sorted free indices instead of scanning
-    windows in Python.  Placement preference, tie-breaks, snapshot format
-    and every error message are identical to the object allocator — the
-    fleet equivalence suite pins the two cores against each other.
+    The 4-way partition is held as numpy bool masks
+    (``free``/``failed``/``absent``; a device is *allocated* iff its slot in
+    the owner index is set).
 
     Gang ownership uses integer *slots*: ``_owner[device]`` is the slot of
     the owning gang (-1 when unowned) and ``_gangs[slot]`` holds the gang
@@ -330,6 +79,9 @@ class BitmapGangAllocator:
     is retired when its last device leaves the gang (release or failure);
     the slot table keeps a strong reference to the gang while any device
     points at it, so ``id()`` reuse can never alias two live gangs.
+
+    Args:
+        topology: The cluster whose devices are managed.
     """
 
     def __init__(self, topology: ClusterTopology) -> None:
@@ -384,17 +136,24 @@ class BitmapGangAllocator:
         """Devices that have not (yet) arrived in the cluster."""
         return frozenset(np.flatnonzero(self._absent_mask).tolist())
 
+    def _check_device(self, device: int) -> None:
+        if not 0 <= device < self._count:
+            raise ValueError(f"device {device} out of range [0, {self._count})")
+
     def owner_of(self, device: int) -> DeviceGang | None:
         """The gang holding ``device``, if any (O(1))."""
+        self._check_device(device)
         slot = int(self._owner[device])
         return self._gangs[slot] if slot >= 0 else None
 
     def is_failed(self, device: int) -> bool:
         """Whether ``device`` is currently failed (O(1))."""
+        self._check_device(device)
         return bool(self._failed_mask[device])
 
     def is_absent(self, device: int) -> bool:
         """Whether ``device`` has not (yet) arrived in the cluster (O(1))."""
+        self._check_device(device)
         return bool(self._absent_mask[device])
 
     # ------------------------------------------------------------------ allocation
@@ -402,8 +161,7 @@ class BitmapGangAllocator:
     def _find_devices(self, size: int) -> tuple[int, ...]:
         """Vectorized placement search over the sorted free indices.
 
-        Reproduces :meth:`GangAllocator.allocate`'s preference exactly:
-        the first (lowest-start) contiguous index window that does not
+        The first (lowest-start) contiguous index window that does not
         straddle a node boundary, else the first contiguous window, else
         the lowest free indices.  Windows of sorted free indices are
         contiguous iff ``free[start+size-1] - free[start] == size-1``.
@@ -431,8 +189,15 @@ class BitmapGangAllocator:
     ) -> DeviceGang | None:
         """Allocate a gang for ``job``, or return ``None`` if it cannot fit.
 
-        Same all-or-nothing contract and placement preference as
-        :meth:`GangAllocator.allocate`, computed on the bitmaps.
+        All-or-nothing (gang scheduling): either every device of the
+        ``dp × pp × tp`` group is claimed or none is.  A contiguous run of
+        free device indices is preferred — with the Megatron-style packing
+        of :class:`~repro.cluster.topology.ClusterTopology` that keeps
+        tensor groups intra-node — and among contiguous runs one that does
+        not straddle a node boundary wins (a gang that fits in one node
+        should use one node's fast links).  When fragmentation (from
+        released and failed gangs) leaves no contiguous window at all, the
+        lowest free indices are taken.
         """
         size = data_parallel * pipeline_parallel * tensor_parallel
         if size < 1:
@@ -471,8 +236,10 @@ class BitmapGangAllocator:
     def release(self, gang: DeviceGang) -> list[int]:
         """Return a gang's devices to the free pool; returns those released.
 
-        Devices that failed while allocated stay failed — identical to
-        :meth:`GangAllocator.release`.
+        Devices of the gang that failed while allocated were already moved
+        to the failed set by :meth:`fail_device` and stay there — they are
+        *not* resurrected (only :meth:`repair_device` can do that), which is
+        exactly the accounting the no-device-leaked tests pin down.
         """
         slot = self._slot_of.get(id(gang))
         released: list[int] = []
@@ -489,9 +256,16 @@ class BitmapGangAllocator:
         return released
 
     def fail_device(self, device: int) -> DeviceGang | None:
-        """Mark ``device`` failed; returns the gang it interrupts, if any."""
-        if not 0 <= device < self._count:
-            raise ValueError(f"device {device} out of range [0, {self._count})")
+        """Mark ``device`` failed; returns the gang it interrupts, if any.
+
+        A free device simply leaves the pool (capacity shrinks).  An
+        allocated device is pulled out of its gang and the gang is returned
+        so the scheduler can preempt the owning job; the gang's surviving
+        devices stay allocated until the scheduler releases them.  Failing
+        an already-failed or absent device is a no-op — a device that has
+        not arrived cannot die.
+        """
+        self._check_device(device)
         if self._failed_mask[device] or self._absent_mask[device]:
             return None
         slot = int(self._owner[device])
@@ -510,9 +284,15 @@ class BitmapGangAllocator:
     # ------------------------------------------------------------------ repair / arrival
 
     def repair_device(self, device: int) -> bool:
-        """Return a failed device to the free pool; False on stale repairs."""
-        if not 0 <= device < self._count:
-            raise ValueError(f"device {device} out of range [0, {self._count})")
+        """Return a failed device to the free pool.
+
+        Returns:
+            True if the device was failed and is now free; False if the
+            device was not failed (a stale repair event is a no-op — the
+            scheduler may schedule repairs for devices that never die, or
+            repair a device twice).
+        """
+        self._check_device(device)
         if not self._failed_mask[device]:
             return False
         self._failed_mask[device] = False
@@ -522,7 +302,12 @@ class BitmapGangAllocator:
         return True
 
     def mark_absent(self, device: int) -> None:
-        """Move a free device out of the cluster (pre-run setup only)."""
+        """Move a free device out of the cluster (pre-run setup only).
+
+        The scheduler calls this at the start of a run for every device
+        with a scheduled late arrival; an allocated or failed device cannot
+        be marked absent.
+        """
         if not 0 <= device < self._count or not self._free_mask[device]:
             raise ValueError(
                 f"device {device} is not free; only idle devices can start absent"
@@ -544,7 +329,12 @@ class BitmapGangAllocator:
     # ------------------------------------------------------------------ snapshot / restore
 
     def snapshot_state(self) -> dict[str, list[int]]:
-        """JSON-safe snapshot, byte-identical to the object allocator's."""
+        """JSON-safe snapshot of the free/failed/absent sets.
+
+        Allocated devices are *not* listed here: ownership is restored from
+        the running jobs' gangs (see :meth:`restore_state`), which keeps a
+        single source of truth for who holds what.
+        """
         return {
             "free": np.flatnonzero(self._free_mask).tolist(),
             "failed": np.flatnonzero(self._failed_mask).tolist(),
@@ -558,32 +348,79 @@ class BitmapGangAllocator:
         absent: "list[int] | set[int]",
         allocated: "list[tuple[DeviceGang, list[int]]]" = (),
     ) -> None:
-        """Overwrite the partition from a snapshot (scheduler restore path)."""
+        """Overwrite the partition from a snapshot (scheduler restore path).
+
+        ``allocated`` maps each live gang to the devices it *currently*
+        owns — which may be fewer than ``gang.devices`` when a member
+        failed mid-run (the failed device moved to the failed set and must
+        not be resurrected by restore).
+
+        Raises:
+            ValueError: Naming the device, if an index is not an integer,
+                is out of range, is listed twice, is owned by a gang that
+                does not contain it, or if the lists leave a device out of
+                the partition.  The allocator is unchanged on error.
+        """
+        groups = self._checked_partition(free, failed, absent, allocated)
         self._free_mask[:] = False
         self._failed_mask[:] = False
         self._absent_mask[:] = False
         self._owner[:] = -1
-        self._free_mask[list(free)] = True
-        self._failed_mask[list(failed)] = True
-        self._absent_mask[list(absent)] = True
-        self._free_count = int(self._free_mask.sum())
-        self._failed_count = int(self._failed_mask.sum())
-        self._absent_count = int(self._absent_mask.sum())
+        self._free_mask[groups[0]] = True
+        self._failed_mask[groups[1]] = True
+        self._absent_mask[groups[2]] = True
+        self._free_count = len(groups[0])
+        self._failed_count = len(groups[1])
+        self._absent_count = len(groups[2])
         self._gangs.clear()
         self._owned_count.clear()
         self._slot_of.clear()
         self._busy_count = 0
-        for gang, owned in allocated:
+        for (gang, _), owned in zip(allocated, groups[3:]):
             if not owned:
                 continue  # fully failed mid-run: nothing left to own
             slot = self._next_slot
             self._next_slot += 1
-            self._owner[list(owned)] = slot
+            self._owner[owned] = slot
             self._gangs[slot] = gang
             self._owned_count[slot] = len(owned)
             self._slot_of[id(gang)] = slot
             self._busy_count += len(owned)
         self.check_consistent()
+
+    def _checked_partition(
+        self,
+        free: "list[int] | set[int]",
+        failed: "list[int] | set[int]",
+        absent: "list[int] | set[int]",
+        allocated: "list[tuple[DeviceGang, list[int]]]",
+    ) -> list[list[int]]:
+        """Validated device lists of a snapshot partition, one per group
+        (free, failed, absent, then each allocated gang's owned devices)."""
+        groups = [("free", free, None), ("failed", failed, None), ("absent", absent, None)]
+        groups += [(f"allocated to {gang.job}", owned, gang.devices) for gang, owned in allocated]
+        where: dict[int, str] = {}
+        checked: list[list[int]] = []
+        for name, devices, members in groups:
+            indices: list[int] = []
+            for device in devices:
+                try:
+                    index = operator.index(device)
+                except TypeError:
+                    raise ValueError(f"{name} device {device!r} is not an integer") from None
+                if not 0 <= index < self._count:
+                    raise ValueError(f"{name} device {index} out of range [0, {self._count})")
+                if index in where:
+                    raise ValueError(f"device {index} is listed twice ({where[index]}, {name})")
+                if members is not None and index not in members:
+                    raise ValueError(f"device {index} is {name} but not part of its gang")
+                where[index] = name
+                indices.append(index)
+            checked.append(indices)
+        if len(where) < self._count:
+            missing = sorted(set(range(self._count)) - where.keys())
+            raise ValueError(f"devices {missing} are missing from the snapshot partition")
+        return checked
 
     # ------------------------------------------------------------------ invariants
 
@@ -609,31 +446,7 @@ class BitmapGangAllocator:
         assert self._busy_count == sum(self._owned_count.values()), "slot counts out of sync"
 
 
-#: Recognised scheduler-core selectors (see :func:`resolve_fleet_core`).
-VALID_FLEET_CORES = ("bitmap", "object")
-
-
-def resolve_fleet_core(core: "str | None" = None) -> str:
-    """Resolve the fleet scheduler core: explicit arg > env > default.
-
-    ``"bitmap"`` (default) selects the data-oriented core —
-    :class:`BitmapGangAllocator` plus the scheduler's indexed event heap;
-    ``"object"`` selects the original per-device object allocator and scan
-    loops, retained as a bit-identity oracle.  The ``REPRO_FLEET_CORE``
-    environment variable applies when no explicit value is given.
-    """
-    value = core or os.environ.get("REPRO_FLEET_CORE") or "bitmap"
-    if value not in VALID_FLEET_CORES:
-        raise ValueError(
-            f"unknown fleet core {value!r}; choose from {list(VALID_FLEET_CORES)}"
-        )
-    return value
-
-
-def make_allocator(
-    topology: ClusterTopology, core: "str | None" = None
-) -> "GangAllocator | BitmapGangAllocator":
-    """Build the gang allocator for ``core`` (see :func:`resolve_fleet_core`)."""
-    if resolve_fleet_core(core) == "object":
-        return GangAllocator(topology)
-    return BitmapGangAllocator(topology)
+#: Former name of :class:`GangAllocator`, still resolved by the end-to-end
+#: benchmark's per-layer tracer (``perfbench/tracer.py``) for its ``gang``
+#: layer.
+BitmapGangAllocator = GangAllocator

@@ -157,10 +157,9 @@ class FleetReport:
             feeds :attr:`mttr_ms`.
         fault_log: Applied planner-side faults (worker kills, store plan
             losses), each a ``{time_ms, kind, requested, applied}`` dict.
-        events_processed: Scheduler event-loop iterations of the run —
-            core-independent (both scheduler cores process the identical
-            event sequence), so events/second is the benchmark's
-            like-for-like speed metric.
+        events_processed: Scheduler event-loop iterations of the run (one
+            per event), so events/second is the benchmark's like-for-like
+            speed metric.
     """
 
     policy: str

@@ -54,7 +54,7 @@ class FifoPolicy:
 
     name = "fifo"
     #: Declares that :meth:`preempts` is constant-False, letting the
-    #: scheduler's fast core skip per-boundary eviction scans entirely.
+    #: scheduler skip per-boundary eviction scans entirely.
     never_preempts = True
 
     def order(self, pending: Sequence[JobRecord], now_ms: float) -> list[JobRecord]:

@@ -53,24 +53,18 @@ policy, the run is a pure function of its inputs — iteration times come
 from the seeded simulated executors and all ties are broken by the rule
 above, then by submission order.
 
-**Two cores.**  The scheduler runs on one of two interchangeable state
-representations (``FleetConfig.core`` / ``REPRO_FLEET_CORE``):
-
-* ``"bitmap"`` (default) — the data-oriented core: gang state lives in a
-  :class:`~repro.fleet.gang.BitmapGangAllocator` (numpy masks + O(1)
-  owner index), and capacity events, injected failures and job
-  ready-times share **one indexed event heap** whose entries are
-  ``(time, rank, seq, ...)`` tuples — rank encodes the tie-break contract
-  (capacity < job arrival < failure) so the heap top *is* the branch the
-  scan loop would have chosen.  Completions live in a second lazy heap
-  keyed ``(completion_ms, sequence)`` with per-attempt validity tokens,
-  and admission passes are skipped entirely at boundaries where nothing
-  admission-relevant changed (a dirty flag raised by every queue /
-  capacity / free-pool mutation).
-* ``"object"`` — the original per-device object allocator and per-tick
-  scan loops, retained verbatim as a bit-identity oracle.  Reports,
-  snapshots and every scheduling decision are identical across cores;
-  the equivalence suite and ``benchmarks/bench_fleet_scale.py`` pin it.
+**Data-oriented core.**  Gang state lives in a
+:class:`~repro.fleet.gang.GangAllocator` (numpy masks + O(1) owner
+index).  Capacity events, injected failures and job ready-times share
+**one indexed event heap** whose entries are ``(time, rank, seq, ...)``
+tuples — rank encodes the tie-break contract (capacity < job arrival <
+failure), so the heap top is the next event.  Completions live in a second
+lazy heap keyed ``(completion_ms, sequence)`` with per-attempt validity
+tokens, and admission passes are skipped entirely at boundaries where
+nothing admission-relevant changed (a dirty flag raised by every queue /
+capacity / free-pool mutation).  The golden fleet reports in
+``tests/golden/`` — recorded when an object-allocator, scan-loop core
+still ran beside this one, with both agreeing — pin every decision.
 """
 
 from __future__ import annotations
@@ -82,7 +76,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.cluster.topology import ClusterTopology
-from repro.fleet.gang import DeviceGang, make_allocator, resolve_fleet_core
+from repro.fleet.gang import DeviceGang, GangAllocator
 from repro.instructions.store import InstructionStore
 from repro.runtime.planner_pool import PlannerPool
 from repro.fleet.job import JobAttempt, JobRecord, JobSpec, JobState
@@ -121,11 +115,10 @@ _FLEET_STATS = REGISTRY.counter_dict(
 )
 
 
-#: Unified-event-heap ranks (bitmap core).  At equal times the heap pops
-#: capacity events before job-ready marks before failures — exactly the
-#: scan loop's *completion ≤ capacity ≤ arrival ≤ failure* contract
-#: (completions live in their own heap and win ties by comparing ``<=``
-#: against the event heap's top).
+#: Unified-event-heap ranks.  At equal times the heap pops capacity events
+#: before job-ready marks before failures — the *completion ≤ capacity ≤
+#: arrival ≤ failure* contract (completions live in their own heap and win
+#: ties by comparing ``<=`` against the event heap's top).
 _RANK_CAPACITY = 0
 _RANK_READY = 1
 _RANK_FAILURE = 2
@@ -219,10 +212,6 @@ class FleetConfig:
             admission pass).  May call :meth:`FleetScheduler.checkpoint`;
             an exception it raises propagates out of ``run()`` (this is how
             the tests and the chaos harness simulate a scheduler crash).
-        core: Scheduler core — ``"bitmap"`` (default; array/bitmap state,
-            unified event heap) or ``"object"`` (the original per-device
-            object core, retained as a bit-identity oracle).  ``None``
-            defers to the ``REPRO_FLEET_CORE`` environment variable.
     """
 
     policy: "str | SchedulingPolicy" = "fifo"
@@ -243,7 +232,6 @@ class FleetConfig:
     checkpoint_interval_events: int | None = None
     checkpoint_sink: "Callable[[dict[str, Any]], None] | None" = None
     on_event: "Callable[[FleetScheduler], None] | None" = None
-    core: "str | None" = None
 
 
 @dataclass
@@ -263,7 +251,7 @@ class _RunningJob:
     #: inline fallback (every pool worker dead); folded into the record's
     #: ``degraded_iterations`` when the iteration commits.
     pending_degraded: bool = False
-    #: Validity token of the job's entry in the bitmap core's completion
+    #: Validity token of the job's entry in the scheduler's completion
     #: heap; stale heap entries (earlier iterations, ended attempts) carry
     #: an old token and are discarded lazily at peek time.
     token: int = 0
@@ -296,11 +284,8 @@ class FleetScheduler:
                 f"regrow_min_boundaries must be >= 0, got {self.config.regrow_min_boundaries}"
             )
         self._preempts = self._adapt_preempts(self.policy)
-        #: Resolved scheduler core; ``_fast`` gates every data-oriented path.
-        self.core = resolve_fleet_core(self.config.core)
-        self._fast = self.core == "bitmap"
         #: Policies that can never preempt skip the per-boundary eviction
-        #: scan entirely in the fast core.
+        #: scan entirely.
         self._never_preempts = bool(
             getattr(
                 self.policy,
@@ -314,7 +299,7 @@ class FleetScheduler:
             isinstance(self.policy, PreemptivePriorityPolicy)
             and self.policy.aging_ms is None
         )
-        self.allocator = make_allocator(topology, self.core)
+        self.allocator = GangAllocator(topology)
         self.jobs: dict[str, JobRecord] = {}
         self._pending: list[JobRecord] = []
         self._running: dict[str, _RunningJob] = {}
@@ -322,16 +307,9 @@ class FleetScheduler:
         self._repairs: list[DeviceRepairEvent] = []
         self._arrivals: list[DeviceArrivalEvent] = []
         #: Scheduled planner-side faults: (time_ms, kind, count) with kind
-        #: "planner_kill" or "store_error"; seeded into the capacity heap.
+        #: "planner_kill" or "store_error"; queued as capacity events.
         self._planner_faults: list[tuple[float, str, int]] = []
-        #: Min-heap of (time_ms, seq, kind, device, epoch) capacity-
-        #: returning events; ``seq`` keeps ordering stable at equal times.
-        #: Injected repairs/arrivals seed it at run() (epoch ``None``);
-        #: auto-repairs are pushed as their failures are applied, stamped
-        #: with that failure's epoch so a repair can only revive the
-        #: failure it was scheduled for (a device that was repaired early
-        #: and failed again must wait out the *new* failure's delay).
-        self._capacity_heap: list[tuple[float, int, str, int, "int | None"]] = []
+        #: Tie-break sequence of capacity events (see ``_event_heap``).
         self._capacity_seq = 0
         #: Per-device count of applied failures; an auto-repair applies
         #: only if the device's epoch still matches its own.
@@ -369,14 +347,20 @@ class FleetScheduler:
         self._repair_durations: list[float] = []
         #: Applied planner-side faults (worker kills, store plan losses).
         self._fault_log: list[dict[str, Any]] = []
-        # --- bitmap-core state: the unified event heap merges capacity
-        # events, injected failures and job ready-times into one ordered
-        # source; completions live in their own lazy heap; the dirty flag
-        # elides admission passes at boundaries where nothing admission-
-        # relevant changed.  All of it is rebuilt from the neutral snapshot
-        # fields at run(), so checkpoints stay core-independent. ---
+        # --- the unified event heap merges capacity events, injected
+        # failures and job ready-times into one ordered source;
+        # completions live in their own lazy heap; the dirty flag elides
+        # admission passes at boundaries where nothing admission-relevant
+        # changed. ---
         #: Entries ``(time_ms, rank, seq, kind, payload, epoch)``; see the
-        #: ``_RANK_*`` constants for the tie-break encoding.
+        #: ``_RANK_*`` constants for the tie-break encoding.  Capacity
+        #: events (repairs, arrivals, planner faults) carry ``(time, seq)``
+        #: identities that snapshots preserve.  Injected repairs/arrivals
+        #: are queued at run() (epoch ``None``); auto-repairs are pushed as
+        #: their failures are applied, stamped with that failure's epoch so
+        #: a repair can only revive the failure it was scheduled for (a
+        #: device that was repaired early and failed again must wait out
+        #: the *new* failure's delay).
         self._event_heap: "list[tuple[float, int, int, str, Any, Any]]" = []
         self._event_seq = 0
         #: Entries ``(completion_ms, sequence, token, job_name)``.
@@ -555,18 +539,19 @@ class FleetScheduler:
     def _push_capacity_event(
         self, time_ms: float, kind: str, device: int, epoch: "int | None" = None
     ) -> None:
-        if self._fast:
-            heapq.heappush(
-                self._event_heap,
-                (time_ms, _RANK_CAPACITY, self._capacity_seq, kind, device, epoch),
-            )
-            if kind in ("repair", "arrival"):
-                self._capacity_live_entries += 1
-        else:
-            heapq.heappush(
-                self._capacity_heap, (time_ms, self._capacity_seq, kind, device, epoch)
-            )
+        self._queue_capacity_event(time_ms, self._capacity_seq, kind, device, epoch)
         self._capacity_seq += 1
+
+    def _queue_capacity_event(
+        self, time_ms: float, seq: int, kind: str, device: int, epoch: "int | None"
+    ) -> None:
+        """Push a capacity event with its ``(time, seq)`` identity (restore
+        re-queues snapshotted events under their original seq)."""
+        heapq.heappush(
+            self._event_heap, (time_ms, _RANK_CAPACITY, seq, kind, device, epoch)
+        )
+        if kind in ("repair", "arrival"):
+            self._capacity_live_entries += 1
 
     def _capacity_event_live(self, kind: str, device: int, epoch: "int | None") -> bool:
         """Whether a queued capacity event could still *add* capacity.
@@ -599,14 +584,13 @@ class FleetScheduler:
             for repair in self._repairs:
                 self._push_capacity_event(repair.time_ms, "repair", repair.device)
             for time_ms, kind, count in self._planner_faults:
-                # Planner faults ride the capacity heap: ``device`` carries
+                # Planner faults ride as capacity events: ``device`` carries
                 # the count and the epoch slot is unused.
                 self._push_capacity_event(time_ms, kind, count)
             self._failures_sorted = sorted(
                 self._failures, key=lambda f: (f.time_ms, f.device)
             )
-        if self._fast:
-            self._seed_event_heap()
+        self._seed_event_heap()
         try:
             # Restored running attempts are re-materialised here — inside
             # the try — so their planning resources are owned by the same
@@ -657,25 +641,16 @@ class FleetScheduler:
         if config.on_event is not None:
             config.on_event(self)
 
-    # ------------------------------------------------------------------ bitmap core
+    # ------------------------------------------------------------------ event heaps
 
     def _seed_event_heap(self) -> None:
-        """Build the unified event heap at the start of a (restored) run.
+        """Complete the unified event heap at the start of a (restored) run.
 
-        Capacity events are stored neutrally — injections and restored
-        snapshots land in ``_capacity_heap`` — and move here preserving
-        their ``(time, seq)`` identity, so cross-core restores replay the
-        same tie-breaks.  Injected failures enter with their schedule index
-        as the seq (``_failures_sorted`` order), and every pending job with
-        a future ready-time gets a job-ready mark.
+        Capacity events are already queued (by run() or by restore).
+        Injected failures enter with their schedule index as the seq
+        (``_failures_sorted`` order), and every pending job with a future
+        ready-time gets a job-ready mark.
         """
-        for time_ms, seq, kind, device, epoch in self._capacity_heap:
-            heapq.heappush(
-                self._event_heap, (time_ms, _RANK_CAPACITY, seq, kind, device, epoch)
-            )
-            if kind in ("repair", "arrival"):
-                self._capacity_live_entries += 1
-        self._capacity_heap = []
         failures = self._failures_sorted or []
         for index in range(self._next_failure, len(failures)):
             failure = failures[index]
@@ -704,9 +679,8 @@ class FleetScheduler:
     def _on_requeued(self, record: JobRecord) -> None:
         """Bookkeeping hook after ``record`` re-enters the pending queue."""
         self._pending_priority_cache = None
-        if self._fast:
-            self._admit_dirty = True
-            self._push_ready_event(record)
+        self._admit_dirty = True
+        self._push_ready_event(record)
 
     def _pending_max_priority(self) -> float:
         """Max static priority over the pending queue (cached)."""
@@ -725,8 +699,8 @@ class FleetScheduler:
         An entry is live iff its job is still running *and* its token
         matches the attempt's current iteration — entries from committed
         iterations or ended attempts are discarded on sight.  Live entries
-        order by ``(completion_ms, sequence)``, the scan loop's exact
-        tie-break.
+        order by ``(completion_ms, sequence)``: submission order breaks
+        ties between equal completion times.
         """
         heap = self._completion_heap
         while heap:
@@ -741,10 +715,10 @@ class FleetScheduler:
         """Time of the next live event-heap entry (``inf`` when drained).
 
         Capacity and failure entries are always live (stale capacity
-        events are consumed as no-op loop events, exactly like the scan
-        loop).  A job-ready mark is live only while its job is still
-        pending with that exact ready-time in the future — re-queues push
-        fresh marks, so superseded ones are dropped here.
+        events are consumed as no-op loop events).  A job-ready mark is
+        live only while its job is still pending with that exact ready-time
+        in the future — re-queues push fresh marks, so superseded ones are
+        dropped here.
         """
         heap = self._event_heap
         while heap:
@@ -761,15 +735,14 @@ class FleetScheduler:
             return entry[0]
         return float("inf")
 
-    def _run_event_loop_fast(self) -> float:
-        """Heap-indexed twin of :meth:`_run_event_loop` (bitmap core).
+    def _run_event_loop(self) -> float:
+        """Process events until every job is terminal; returns the end clock.
 
-        One iteration per event, identical branch outcomes: the completion
-        heap's top is compared ``<=`` against the unified event heap's top,
-        whose rank field encodes *capacity ≤ arrival ≤ failure* at equal
-        times — so popping the winner reproduces the scan loop's four-way
-        tie-break without recomputing min() over running jobs or pending
-        ready-times.
+        One iteration per event: the completion heap's top is compared
+        ``<=`` against the unified event heap's top, whose rank field
+        encodes *capacity ≤ arrival ≤ failure* at equal times — so popping
+        the winner applies the four-way tie-break of the event-ordering
+        contract.
         """
         infinity = float("inf")
         event_heap = self._event_heap
@@ -788,8 +761,9 @@ class FleetScheduler:
             t_completion, next_completion = self._peek_completion()
             t_event = self._peek_next_event(clock)
             if t_completion == infinity and t_event == infinity:
-                # Backstop: nothing executing, no queued event — the
-                # remaining queue is unschedulable (see the scan loop).
+                # Backstop: nothing executing and no event can ever free
+                # or add capacity, so the remaining queue is unschedulable
+                # (_admit normally catches this per job).
                 for record in list(self._pending):
                     self._mark_failed(
                         record, clock, "unschedulable: no capacity and no pending events"
@@ -802,125 +776,41 @@ class FleetScheduler:
                 self._complete_iteration(next_completion, clock)
                 if t_completion == t_event:
                     # A capacity/ready/failure event shares this instant;
-                    # the scan loop's next admission pass would see any
-                    # ready-crossing, so the elision guard must too.
+                    # the next admission pass must see any ready-crossing,
+                    # so the elision guard is raised.
                     self._admit_dirty = True
             else:
-                time_ms, rank, _seq, kind, payload, epoch = heapq.heappop(event_heap)
-                self._clock = clock = time_ms
+                entry = heapq.heappop(event_heap)
+                self._clock = clock = entry[0]
                 self._admit_dirty = True
-                if rank == _RANK_CAPACITY:
-                    if kind in ("repair", "arrival"):
-                        self._capacity_live_entries -= 1
-                    self._apply_capacity_event(kind, payload, clock, epoch)
-                elif rank == _RANK_FAILURE:
-                    self._apply_failure(payload, clock)
-                    self._next_failure += 1
-                # _RANK_READY: the clock advanced to the ready-time; the
-                # next iteration's admission pass seats the job.
-        # Drain events due by the end of the run (same contract as the
-        # scan loop: ascending time, capacity before failure at ties;
-        # job-ready marks are moot once the queue is empty).
-        clock = self._clock
-        while event_heap and event_heap[0][0] <= clock:
-            _time_ms, rank, _seq, kind, payload, epoch = heapq.heappop(event_heap)
-            if rank == _RANK_CAPACITY:
-                if kind in ("repair", "arrival"):
-                    self._capacity_live_entries -= 1
-                self._apply_capacity_event(kind, payload, clock, epoch)
-            elif rank == _RANK_FAILURE:
-                self._apply_failure(payload, clock)
-                self._next_failure += 1
-        return clock
-
-    def _run_event_loop(self) -> float:
-        """Process events until every job is terminal; returns the end clock."""
-        if self._fast:
-            return self._run_event_loop_fast()
-        assert self._failures_sorted is not None
-        failures = self._failures_sorted
-        while self._pending or self._running:
-            self._event_boundary()
-            self._events_processed += 1
-            if self._events_processed > self.config.max_events:
-                raise RuntimeError(
-                    f"fleet scheduler exceeded {self.config.max_events} events; "
-                    "likely a scheduling livelock"
-                )
-            clock = self._clock
-            self._admit(clock)
-            if not self._pending and not self._running:
-                break
-            # Next-event times, tie-broken completion ≤ capacity ≤ arrival
-            # ≤ failure (see the module docstring's event-ordering contract).
-            infinity = float("inf")
-            arrivals = [
-                self._ready_ms(r) for r in self._pending if self._ready_ms(r) > clock
-            ]
-            t_arrival = min(arrivals) if arrivals else infinity
-            t_failure = (
-                max(failures[self._next_failure].time_ms, clock)
-                if self._next_failure < len(failures)
-                else infinity
-            )
-            t_capacity = (
-                max(self._capacity_heap[0][0], clock) if self._capacity_heap else infinity
-            )
-            if self._running:
-                running = min(
-                    self._running.values(),
-                    key=lambda rj: (rj.completion_ms, rj.record.sequence),
-                )
-                t_completion = running.completion_ms
-            else:
-                running = None
-                t_completion = infinity
-            if t_completion == t_capacity == t_arrival == t_failure == infinity:
-                # Nothing executing and no event can ever free or add
-                # capacity, so the remaining queue is unschedulable.
-                # _admit normally catches this per job; this is the
-                # backstop.
-                for record in list(self._pending):
-                    self._mark_failed(
-                        record, clock, "unschedulable: no capacity and no pending events"
-                    )
-                continue
-            if t_completion <= min(t_capacity, t_arrival, t_failure):
-                self._clock = clock = t_completion
-                self._complete_iteration(running, clock)
-            elif t_capacity <= min(t_arrival, t_failure):
-                self._clock = clock = t_capacity
-                _, _, kind, device, epoch = heapq.heappop(self._capacity_heap)
-                self._apply_capacity_event(kind, device, clock, epoch)
-            elif t_arrival <= t_failure:
-                self._clock = t_arrival  # loop re-admits at the arrival time
-            else:
-                self._clock = clock = t_failure
-                self._apply_failure(failures[self._next_failure].device, clock)
-                self._next_failure += 1
+                self._apply_heap_event(entry, clock)
         # Events due by the end of the run but after the last job event
         # (e.g. a second device dying in the same instant that made the
         # queue unschedulable, or a repair landing exactly then) still
-        # count against the cluster's capacity accounting; tie order
-        # matches the main loop (capacity before failure).
+        # count against the cluster's capacity accounting: ascending time,
+        # capacity before failure at ties; job-ready marks are moot once
+        # the queue is empty.
         clock = self._clock
-        while (self._capacity_heap and self._capacity_heap[0][0] <= clock) or (
-            self._next_failure < len(failures)
-            and failures[self._next_failure].time_ms <= clock
-        ):
-            t_capacity = self._capacity_heap[0][0] if self._capacity_heap else float("inf")
-            t_failure = (
-                failures[self._next_failure].time_ms
-                if self._next_failure < len(failures)
-                else float("inf")
-            )
-            if t_capacity <= t_failure:
-                _, _, kind, device, epoch = heapq.heappop(self._capacity_heap)
-                self._apply_capacity_event(kind, device, clock, epoch)
-            else:
-                self._apply_failure(failures[self._next_failure].device, clock)
-                self._next_failure += 1
+        while event_heap and event_heap[0][0] <= clock:
+            self._apply_heap_event(heapq.heappop(event_heap), clock)
         return clock
+
+    def _apply_heap_event(
+        self, entry: "tuple[float, int, int, str, Any, Any]", clock: float
+    ) -> None:
+        """Apply one popped event-heap entry at ``clock``.
+
+        A job-ready mark needs no action: the clock advanced to the
+        ready-time, and the next admission pass seats the job.
+        """
+        _time_ms, rank, _seq, kind, payload, epoch = entry
+        if rank == _RANK_CAPACITY:
+            if kind in ("repair", "arrival"):
+                self._capacity_live_entries -= 1
+            self._apply_capacity_event(kind, payload, clock, epoch)
+        elif rank == _RANK_FAILURE:
+            self._apply_failure(payload, clock)
+            self._next_failure += 1
 
     # ------------------------------------------------------------------ admission
 
@@ -945,17 +835,12 @@ class FleetScheduler:
 
     def _capacity_pending(self) -> bool:
         """Whether any queued repair/arrival could still grow the alive set."""
-        if self._fast:
-            if self._capacity_live_entries == 0:
-                return False
-            return any(
-                self._capacity_event_live(entry[3], entry[4], entry[5])
-                for entry in self._event_heap
-                if entry[1] == _RANK_CAPACITY
-            )
+        if self._capacity_live_entries == 0:
+            return False
         return any(
-            self._capacity_event_live(kind, device, epoch)
-            for _, _, kind, device, epoch in self._capacity_heap
+            self._capacity_event_live(entry[3], entry[4], entry[5])
+            for entry in self._event_heap
+            if entry[1] == _RANK_CAPACITY
         )
 
     def _admit(self, clock: float) -> None:
@@ -969,7 +854,7 @@ class FleetScheduler:
         back onto the devices just freed for the waiter, ping-ponging
         evictions without ever seating it.
 
-        In the bitmap core the pass is elided outright at boundaries where
+        The pass is elided outright at boundaries where
         nothing admission-relevant changed since the last pass (no queue,
         free-pool, alive-set or capacity-heap mutation — policy order keys
         may drift with the clock, but an admission needs a *fit*, and the
@@ -979,29 +864,27 @@ class FleetScheduler:
         so a scan could only have appended to ``draining`` — no side
         effects).
         """
-        if self._fast:
-            if not self._admit_dirty:
-                return
-            self._admit_dirty = False
+        if not self._admit_dirty:
+            return
+        self._admit_dirty = False
         progressed = True
         while progressed:
             progressed = False
             admissible = [r for r in self._pending if self._ready_ms(r) <= clock]
-            if self._fast:
-                if not admissible:
-                    return
-                free_count = self.allocator.free_count
-                feasible = False
-                for record in admissible:
-                    data_parallel = self._allowed_data_parallel(record.spec)
-                    if (
-                        data_parallel is None
-                        or record.spec.gang_size(data_parallel) <= free_count
-                    ):
-                        feasible = True
-                        break
-                if not feasible:
-                    return
+            if not admissible:
+                return
+            free_count = self.allocator.free_count
+            feasible = False
+            for record in admissible:
+                data_parallel = self._allowed_data_parallel(record.spec)
+                if (
+                    data_parallel is None
+                    or record.spec.gang_size(data_parallel) <= free_count
+                ):
+                    feasible = True
+                    break
+            if not feasible:
+                return
             draining: list[JobRecord] = []
             for record in self.policy.order(admissible, clock):
                 if any(self._preempts(waiter, record, clock) for waiter in draining):
@@ -1103,18 +986,17 @@ class FleetScheduler:
         running.pending_degraded = running.execution.last_step_degraded
         running.iteration_started_ms = clock
         running.completion_ms = clock + record_.measured_ms
-        if self._fast:
-            self._completion_token += 1
-            running.token = self._completion_token
-            heapq.heappush(
-                self._completion_heap,
-                (
-                    running.completion_ms,
-                    running.record.sequence,
-                    running.token,
-                    running.record.spec.name,
-                ),
-            )
+        self._completion_token += 1
+        running.token = self._completion_token
+        heapq.heappush(
+            self._completion_heap,
+            (
+                running.completion_ms,
+                running.record.sequence,
+                running.token,
+                running.record.spec.name,
+            ),
+        )
 
     def _complete_iteration(self, running: _RunningJob, clock: float) -> None:
         """Commit the in-flight iteration, then act on the boundary.
@@ -1224,7 +1106,7 @@ class FleetScheduler:
         need = waiter.spec.gang_size(data_parallel)
         if self.allocator.free_count >= need:
             return False  # fits without eviction; the next _admit seats it
-        if self._fast and self._never_preempts:
+        if self._never_preempts:
             return False  # no running gang is ever evictable
         evictable = sum(
             other.gang.size
@@ -1240,16 +1122,15 @@ class FleetScheduler:
         checkpoint intact and spends no retry budget (this is
         time-slicing, not a failure)."""
         victim = running.record
-        if self._fast:
-            if self._never_preempts:
-                return False
-            if (
-                self._static_priority
-                and self._pending_max_priority() <= victim.spec.priority
-            ):
-                # No queued job's (static) priority beats the victim's, so
-                # no waiter can preempt it — skip the scan.
-                return False
+        if self._never_preempts:
+            return False
+        if (
+            self._static_priority
+            and self._pending_max_priority() <= victim.spec.priority
+        ):
+            # No queued job's (static) priority beats the victim's, so no
+            # waiter can preempt it — skip the scan.
+            return False
         waiting = [
             record
             for record in self._pending
@@ -1641,15 +1522,14 @@ class FleetScheduler:
             # start/completion stamps (it began before the checkpoint).
             running.iteration_started_ms = started_ms
             running.completion_ms = completion_ms
-            if self._fast:
-                # Supersede the entry _advance pushed for the regenerated
-                # iteration with one carrying the snapshot's stamp.
-                self._completion_token += 1
-                running.token = self._completion_token
-                heapq.heappush(
-                    self._completion_heap,
-                    (completion_ms, record.sequence, running.token, spec.name),
-                )
+            # Supersede the entry _advance pushed for the regenerated
+            # iteration with one carrying the snapshot's stamp.
+            self._completion_token += 1
+            running.token = self._completion_token
+            heapq.heappush(
+                self._completion_heap,
+                (completion_ms, record.sequence, running.token, spec.name),
+            )
 
     # ------------------------------------------------------------------ reporting
 
@@ -1678,17 +1558,11 @@ class FleetScheduler:
         )
 
     def _capacity_heap_snapshot(self) -> "list[list[Any]]":
-        """Queued capacity events in canonical ``(time, seq)`` order.
-
-        Both cores serialize the same neutral 5-tuple layout, so a
-        snapshot taken under one core restores under the other.
-        """
-        if self._fast:
-            entries = [
-                (entry[0], entry[2], entry[3], entry[4], entry[5])
-                for entry in self._event_heap
-                if entry[1] == _RANK_CAPACITY
-            ]
-        else:
-            entries = list(self._capacity_heap)
+        """Queued capacity events as ``(time, seq, kind, device, epoch)``
+        rows in canonical ``(time, seq)`` order."""
+        entries = [
+            (entry[0], entry[2], entry[3], entry[4], entry[5])
+            for entry in self._event_heap
+            if entry[1] == _RANK_CAPACITY
+        ]
         return [list(entry) for entry in sorted(entries, key=lambda e: (e[0], e[1]))]

@@ -29,7 +29,7 @@ exercising the full admission/eviction/failure machinery.
 
 Determinism contract: ``generate_trace(seed=s)`` is bit-stable across
 processes (string-seeded :class:`random.Random` streams only), and
-``replay_trace`` of equal traces under equal policy/core produces
+``replay_trace`` of equal traces under equal policy produces
 bit-identical :class:`~repro.fleet.metrics.FleetReport` summaries.
 """
 
@@ -632,7 +632,6 @@ def build_scheduler(
     trace: WorkloadTrace,
     policy: str = "fifo",
     config: FleetConfig | None = None,
-    core: "str | None" = None,
 ) -> FleetScheduler:
     """A scheduler loaded with the trace's jobs and fault plan, ready to run.
 
@@ -640,11 +639,9 @@ def build_scheduler(
         trace: The workload to replay.
         policy: Admission policy name (ignored if ``config`` is given).
         config: Full fleet configuration override.
-        core: Scheduler core override (``"bitmap"``/``"object"``); ignored
-            if ``config`` is given.
     """
     if config is None:
-        config = FleetConfig(policy=policy, core=core)
+        config = FleetConfig(policy=policy)
     scheduler = FleetScheduler(trace.topology(), config)
     for spec in build_jobs(trace):
         scheduler.submit(spec)
@@ -656,7 +653,6 @@ def replay_trace(
     trace: WorkloadTrace,
     policy: str = "fifo",
     config: FleetConfig | None = None,
-    core: "str | None" = None,
 ) -> FleetReport:
     """Replay a trace end-to-end; returns the run's :class:`FleetReport`."""
-    return build_scheduler(trace, policy=policy, config=config, core=core).run()
+    return build_scheduler(trace, policy=policy, config=config).run()

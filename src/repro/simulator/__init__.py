@@ -24,7 +24,6 @@ from repro.simulator.engine import (
     engine_stats,
     reset_engine_stats,
     simulate_schedule,
-    simulate_schedule_scalar,
 )
 from repro.simulator.executor import (
     CommunicationDeadlockError,
@@ -37,7 +36,6 @@ from repro.simulator.trace import ExecutionTrace, TraceEvent
 
 __all__ = [
     "simulate_schedule",
-    "simulate_schedule_scalar",
     "compile_schedule",
     "engine_stats",
     "reset_engine_stats",

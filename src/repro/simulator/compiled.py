@@ -1,9 +1,9 @@
 """Data-oriented (compiled) timeline representation of a pipeline schedule.
 
-The scalar engine in :mod:`repro.simulator.engine` resolves op timing with a
-per-op Python event loop.  This module compiles a schedule's *geometry* —
-which op runs where, and what it depends on — into flat numpy arrays once,
-and then solves the timing recurrence wave-by-wave in topological levels:
+This module compiles a schedule's *geometry* — which op runs where, and
+what it depends on — into flat numpy arrays once, and then solves the
+timing recurrence of :mod:`repro.simulator.engine` wave-by-wave in
+topological levels:
 
 * ``op_stage`` / ``op_microbatch`` / ``op_is_forward`` describe every op in
   stage-major order (op id = position within the concatenated per-stage
@@ -21,8 +21,9 @@ Compilation is schedule-order only: durations and communication times are
 *inputs to the solve*, so one compiled geometry can be re-solved for many
 duration vectors (``solve_batch``) or for permuted micro-batch orders
 (:mod:`repro.simulator.incremental`).  The arithmetic performed per op is
-bit-identical to the scalar engine's (same operand order, same ``max``
-structure), which the equivalence test-suite pins.
+bit-identical to a per-op event loop's (same operand order, same ``max``
+structure); the equivalence suite pins it against such a loop kept as a
+test oracle.
 """
 
 from __future__ import annotations
@@ -42,12 +43,8 @@ COMM_NONE, COMM_ACT, COMM_GRAD = 0, 1, 2
 
 
 class SimulationError(RuntimeError):
-    """Raised when a schedule cannot be simulated (unsatisfiable dependencies)."""
-
-
-class UnsupportedScheduleError(RuntimeError):
-    """Internal: the schedule cannot be compiled (e.g. duplicate ops); the
-    dispatcher falls back to the scalar engine instead of failing."""
+    """Raised when a schedule cannot be simulated: unsatisfiable
+    dependencies, an op listed twice, or a negative micro-batch index."""
 
 
 # --------------------------------------------------------------------------- stats
@@ -62,7 +59,6 @@ _STATS = REGISTRY.counter_dict(
         "geometry_cache_hits",
         "timeline_solves",
         "vector_simulations",
-        "scalar_simulations",
     ),
 )
 
@@ -106,8 +102,9 @@ class CompiledTimeline:
     """Array representation of one schedule geometry, solvable many times.
 
     Build with :meth:`from_schedule` or :meth:`from_stage_sequences`; both
-    raise :class:`SimulationError` when the schedule's dependencies are
-    unsatisfiable (naming the first blocked op and its unmet dependency).
+    raise :class:`SimulationError` naming the offending op when the
+    schedule lists an op twice, uses a negative micro-batch index, or has
+    unsatisfiable dependencies (then also naming the unmet dependency).
     """
 
     def __init__(
@@ -175,7 +172,11 @@ class CompiledTimeline:
             op_microbatch[a:b] = np.asarray(stages_mb[stage], dtype=np.int64)
             op_is_forward[a:b] = np.asarray(stages_fwd[stage], dtype=bool)
         if total and op_microbatch.min() < 0:
-            raise UnsupportedScheduleError("negative micro-batch index")
+            i = int(np.argmin(op_microbatch))
+            raise SimulationError(
+                f"{_op_name(int(op_microbatch[i]), int(op_stage[i]), bool(op_is_forward[i]))}"
+                " has a negative micro-batch index"
+            )
         return cls(num_stages, op_stage, op_microbatch, op_is_forward, stage_offsets)
 
     def _build_dependencies(self) -> None:
@@ -186,9 +187,11 @@ class CompiledTimeline:
         index = np.full((max(m, 1), max(c, 1), 2), -1, dtype=np.int64)
         type_col = fwd.astype(np.int64)
         if n:
-            unique = {(int(a), int(b), bool(d)) for a, b, d in zip(mb, st, fwd)}
-            if len(unique) != n:
-                raise UnsupportedScheduleError("duplicate op in schedule")
+            seen: set[tuple[int, int, bool]] = set()
+            for key in zip(mb.tolist(), st.tolist(), fwd.tolist()):
+                if key in seen:
+                    raise SimulationError(f"{_op_name(*key)} appears twice in the schedule")
+                seen.add(key)
             index[mb, st, type_col] = np.arange(n, dtype=np.int64)
 
         dep = np.full(n, -1, dtype=np.int64)
@@ -429,7 +432,7 @@ class CompiledTimeline:
         """Per-device busy and idle time for one solve.
 
         Sequential (cumsum) accumulation in stage order keeps the floats
-        bit-identical to the scalar engine's running sums.
+        bit-identical to per-op running sums.
         """
         busy: list[float] = []
         idle: list[float] = []
@@ -443,7 +446,9 @@ class CompiledTimeline:
 
     def _check_memory_order(self) -> None:
         """Validate that every backward is preceded by its own forward on the
-        same stage — the invariant the scalar MemoryTracker enforces op by op."""
+        same stage — the invariant
+        :class:`~repro.simulator.memory_tracker.MemoryTracker` enforces op
+        by op."""
         if self._memory_order_checked:
             return
         m = self.num_microbatches
@@ -477,7 +482,8 @@ class CompiledTimeline:
             static_bytes: Optional per-device static memory.
 
         Returns:
-            Peak bytes per device, bit-identical to the scalar tracker.
+            Peak bytes per device, bit-identical to replaying the ops through
+            a :class:`~repro.simulator.memory_tracker.MemoryTracker`.
         """
         self._check_memory_order()
         act = np.asarray(activation_bytes, dtype=np.float64)

@@ -12,17 +12,14 @@ under the pipeline's data dependencies:
   backward on stage ``j + 1`` plus the gradient transfer time;
 * the backward pass on the last stage follows its own forward pass.
 
-Two engines implement this recurrence:
-
-* the **vectorized** engine (default) compiles the schedule into a
-  :class:`~repro.simulator.compiled.CompiledTimeline` — flat numpy arrays
-  plus a precomputed dependency index — and solves it wave-by-wave in
-  topological levels.  Compiled geometries are cached by schedule structure,
-  so re-simulating the same geometry (order search, fleet iterations with
-  unchanged plans) skips compilation entirely;
-* the **scalar** engine is the original per-op Python event loop, kept as
-  the bit-identity oracle.  Select it per call (``engine="scalar"``) or
-  process-wide (``REPRO_SIM_ENGINE=scalar``).
+The engine compiles the schedule into a
+:class:`~repro.simulator.compiled.CompiledTimeline` — flat numpy arrays plus
+a precomputed dependency index — and solves it wave-by-wave in topological
+levels.  Compiled geometries are cached by schedule structure, so
+re-simulating the same geometry (order search, fleet iterations with
+unchanged plans) skips compilation entirely.  A schedule that lists an op
+twice or uses a negative micro-batch index is rejected with
+:class:`~repro.simulator.compiled.SimulationError`.
 
 The result contains the full timeline (used for safety-stock analysis and
 communication planning), the makespan, per-device idle time and the peak
@@ -32,7 +29,6 @@ lazily from the solver arrays on first access.
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 from typing import Callable, Mapping, Sequence
 
@@ -44,11 +40,9 @@ from repro.simulator.compiled import (
     _STATS,
     CompiledTimeline,
     SimulationError,
-    UnsupportedScheduleError,
     engine_stats,
     reset_engine_stats,
 )
-from repro.simulator.memory_tracker import MemoryTracker
 from repro.simulator.trace import ExecutionTrace, TraceEvent
 
 __all__ = [
@@ -60,16 +54,12 @@ __all__ = [
     "engine_stats",
     "reset_engine_stats",
     "simulate_schedule",
-    "simulate_schedule_scalar",
 ]
 
 #: Duration provider: maps a compute op to milliseconds.
 DurationFn = Callable[[ComputeOp], float]
 #: Communication time provider: (microbatch, from_stage, to_stage, is_gradient) -> ms.
 CommTimeFn = Callable[[int, int, int, bool], float]
-
-#: Environment variable selecting the default engine ("vector" or "scalar").
-ENGINE_ENV_VAR = "REPRO_SIM_ENGINE"
 
 
 class SimulationResult:
@@ -84,8 +74,8 @@ class SimulationResult:
             static memory unless the caller passes it via the tracker).
         trace: Flat execution trace for rendering / export.
 
-    ``op_times`` and ``trace`` may be built lazily from the vectorized
-    solver's arrays; all other attributes are always materialized.
+    ``op_times`` and ``trace`` may be built lazily from the solver's
+    arrays; all other attributes are always materialized.
     """
 
     def __init__(
@@ -137,10 +127,6 @@ class SimulationResult:
         if self.makespan_ms <= 0 or not self.device_idle_ms:
             return 0.0
         return sum(self.device_idle_ms) / (len(self.device_idle_ms) * self.makespan_ms)
-
-
-def _zero_comm_time(microbatch: int, src: int, dst: int, is_gradient: bool) -> float:
-    return 0.0
 
 
 # ---------------------------------------------------------------- geometry cache
@@ -197,7 +183,7 @@ def clear_geometry_cache() -> None:
     _GEOMETRY_CACHE.clear()
 
 
-# ---------------------------------------------------------------- dispatcher
+# ---------------------------------------------------------------- simulation
 
 
 def simulate_schedule(
@@ -206,7 +192,6 @@ def simulate_schedule(
     comm_time_fn: CommTimeFn | None = None,
     activation_bytes: Sequence[Sequence[float]] | None = None,
     static_bytes: Sequence[float] | None = None,
-    engine: str | None = None,
 ) -> SimulationResult:
     """Simulate ``schedule`` and return its timeline.
 
@@ -217,27 +202,16 @@ def simulate_schedule(
             defaults to zero (communication fully overlapped / negligible).
         activation_bytes: Optional ``[microbatch][stage]`` activation sizes
             for memory accounting.
-        static_bytes: Optional per-device static memory added to the tracker.
-        engine: ``"vector"`` (default) or ``"scalar"``; overrides the
-            ``REPRO_SIM_ENGINE`` environment variable.
+        static_bytes: Optional per-device static memory.
 
     Returns:
         A :class:`SimulationResult`.
+
+    Raises:
+        SimulationError: If the schedule's dependencies are unsatisfiable,
+            an op appears twice, or a micro-batch index is negative.
     """
-    selected = engine or os.environ.get(ENGINE_ENV_VAR) or "vector"
-    if selected == "scalar":
-        return simulate_schedule_scalar(
-            schedule, duration_fn, comm_time_fn, activation_bytes, static_bytes
-        )
-    if selected != "vector":
-        raise ValueError(f"unknown simulation engine {selected!r}")
-    try:
-        timeline = compile_schedule(schedule)
-    except UnsupportedScheduleError:
-        # Degenerate schedules (duplicate ops) keep the scalar semantics.
-        return simulate_schedule_scalar(
-            schedule, duration_fn, comm_time_fn, activation_bytes, static_bytes
-        )
+    timeline = compile_schedule(schedule)
     durations = timeline.durations_from(duration_fn, schedule)
     comm = timeline.comm_from(comm_time_fn) if comm_time_fn is not None else None
     solution = timeline.solve(durations, comm)
@@ -277,140 +251,4 @@ def simulate_schedule(
         device_idle_ms=idle,
         peak_activation_bytes=peaks,
         materialize=materialize,
-    )
-
-
-# ---------------------------------------------------------------- scalar oracle
-
-
-def _cross_stage_dependency(op: ComputeOp, num_stages: int) -> ComputeOp | None:
-    """The op whose completion ``op`` waits for across stages (None for the
-    pipeline entry: a forward pass on stage 0)."""
-    if op.op_type is OpType.FORWARD:
-        if op.stage == 0:
-            return None
-        return ComputeOp(op.microbatch, op.stage - 1, OpType.FORWARD)
-    if op.stage == num_stages - 1:
-        return ComputeOp(op.microbatch, op.stage, OpType.FORWARD)
-    return ComputeOp(op.microbatch, op.stage + 1, OpType.BACKWARD)
-
-
-def _no_progress_error(
-    schedule: PipelineSchedule, pointers: list[int], num_stages: int
-) -> SimulationError:
-    """Build a diagnostic naming the first blocked op and its unmet dependency."""
-    blocked = [
-        schedule.stage(j).ops[pointers[j]]
-        for j in range(num_stages)
-        if pointers[j] < len(schedule.stage(j).ops)
-    ]
-    first = min(blocked, key=lambda op: op.stage)
-    dependency = _cross_stage_dependency(first, num_stages)
-    if dependency is None:  # pragma: no cover - entry ops are always runnable
-        return SimulationError("simulation cannot make progress")
-    if dependency in set(schedule.all_ops()):
-        why = "cannot execute (circular or misordered schedule dependencies)"
-    else:
-        why = "never appears in the schedule"
-    return SimulationError(
-        f"simulation cannot make progress: {first} is blocked waiting for "
-        f"{dependency}, which {why}"
-    )
-
-
-def simulate_schedule_scalar(
-    schedule: PipelineSchedule,
-    duration_fn: DurationFn | Mapping[ComputeOp, float],
-    comm_time_fn: CommTimeFn | None = None,
-    activation_bytes: Sequence[Sequence[float]] | None = None,
-    static_bytes: Sequence[float] | None = None,
-) -> SimulationResult:
-    """Reference per-op event-loop engine (the vectorized engine's oracle)."""
-    if isinstance(duration_fn, Mapping):
-        durations: Mapping[ComputeOp, float] = duration_fn
-        duration = lambda op: durations[op]  # noqa: E731 - small adapter
-    else:
-        duration = duration_fn
-    comm_time = comm_time_fn or _zero_comm_time
-
-    num_stages = schedule.num_stages
-    op_times: dict[ComputeOp, tuple[float, float]] = {}
-    pointers = [0] * num_stages
-    device_clock = [0.0] * num_stages
-    busy = [0.0] * num_stages
-    trackers = [
-        MemoryTracker(static_bytes=(static_bytes[j] if static_bytes else 0.0))
-        for j in range(num_stages)
-    ]
-    trace = ExecutionTrace()
-
-    def dependency_ready_time(op: ComputeOp) -> float | None:
-        """Earliest time the cross-stage dependency of ``op`` is satisfied,
-        or None if the dependency has not been simulated yet."""
-        if op.op_type is OpType.FORWARD:
-            if op.stage == 0:
-                return 0.0
-            dep = ComputeOp(op.microbatch, op.stage - 1, OpType.FORWARD)
-            if dep not in op_times:
-                return None
-            return op_times[dep][1] + comm_time(op.microbatch, op.stage - 1, op.stage, False)
-        if op.stage == num_stages - 1:
-            dep = ComputeOp(op.microbatch, op.stage, OpType.FORWARD)
-            if dep not in op_times:
-                return None
-            return op_times[dep][1]
-        dep = ComputeOp(op.microbatch, op.stage + 1, OpType.BACKWARD)
-        if dep not in op_times:
-            return None
-        return op_times[dep][1] + comm_time(op.microbatch, op.stage + 1, op.stage, True)
-
-    total_ops = schedule.total_ops()
-    scheduled = 0
-    while scheduled < total_ops:
-        progressed = False
-        for stage in range(num_stages):
-            stage_ops = schedule.stage(stage).ops
-            while pointers[stage] < len(stage_ops):
-                op = stage_ops[pointers[stage]]
-                ready = dependency_ready_time(op)
-                if ready is None:
-                    break
-                start = max(device_clock[stage], ready)
-                end = start + max(duration(op), 0.0)
-                op_times[op] = (start, end)
-                device_clock[stage] = end
-                busy[stage] += end - start
-                pointers[stage] += 1
-                scheduled += 1
-                progressed = True
-                if activation_bytes is not None:
-                    if op.op_type is OpType.FORWARD:
-                        trackers[stage].allocate(op.microbatch, activation_bytes[op.microbatch][stage])
-                    else:
-                        trackers[stage].free(op.microbatch)
-                trace.add(
-                    TraceEvent(
-                        device=stage,
-                        name=f"{op.op_type.value}{op.microbatch}",
-                        start_ms=start,
-                        end_ms=end,
-                        category="compute",
-                        microbatch=op.microbatch,
-                    )
-                )
-        if not progressed:
-            raise _no_progress_error(schedule, pointers, num_stages)
-
-    makespan = max((end for _, end in op_times.values()), default=0.0)
-    idle = [max(makespan - busy[j], 0.0) for j in range(num_stages)]
-    peaks = [trackers[j].peak_bytes for j in range(num_stages)]
-    _STATS["scalar_simulations"] += 1
-    _publish("simulation", engine="scalar", num_stages=num_stages, makespan_ms=makespan)
-    return SimulationResult(
-        op_times=op_times,
-        makespan_ms=makespan,
-        device_busy_ms=busy,
-        device_idle_ms=idle,
-        peak_activation_bytes=peaks,
-        trace=trace,
     )

@@ -22,8 +22,8 @@ module exploits two observations:
   (keyed by the encoded slot sequences).
 
 The produced scores are bit-identical to the legacy build-and-simulate path:
-the same scheduler core emits the op order, and the compiled solver performs
-the same float operations in the same order as the scalar engine.
+the same scheduler core emits the op order, and both paths solve with the
+same compiled solver.
 """
 
 from __future__ import annotations

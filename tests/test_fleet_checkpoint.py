@@ -360,6 +360,27 @@ class TestCheckpointGuards:
                 config=make_config("priority"),
             )
 
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda state: state["free"].append(-1), "device -1 out of range"),
+            (lambda state: state["failed"].append(state["free"][0]), "listed twice"),
+            (lambda state: state["free"].pop(), "missing from the snapshot partition"),
+        ],
+    )
+    def test_restore_rejects_corrupted_allocator_partition(
+        self, snapshot, corrupt, message, pp2_cost_model, fleet_samples, planner_config,
+        small_device,
+    ):
+        bad = json.loads(json.dumps(snapshot))
+        corrupt(bad["allocator"])
+        with pytest.raises(ValueError, match=message):
+            FleetScheduler.restore(
+                bad,
+                ClusterTopology.for_num_gpus(4, device_spec=small_device),
+                self._specs_by_name(pp2_cost_model, fleet_samples, planner_config),
+            )
+
     def test_restore_rejects_missing_spec(
         self, snapshot, pp2_cost_model, fleet_samples, planner_config, small_device
     ):

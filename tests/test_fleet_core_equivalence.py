@@ -1,29 +1,30 @@
-"""Bit-identity of the two scheduler cores: bitmap fast path vs object oracle.
+"""Bit-identity of the fleet scheduler core against its recorded oracles.
 
-The data-oriented rearchitecture keeps the original object/set
-:class:`~repro.fleet.gang.GangAllocator` and scan-based event loop as a
-selectable *oracle* (``core="object"`` / ``REPRO_FLEET_CORE=object``); the
-default bitmap core must reproduce it bit for bit.  This suite pins that
-contract at three levels:
+The scheduler once shipped two cores: the data-oriented bitmap core it runs
+today, and the original object/set allocator with a scan-based event loop.
+This suite pins the remaining core at three levels:
 
 * **allocator** — hypothesis-driven random operation sequences
-  (allocate / release / fail / repair / absent / arrive) applied to both
-  allocators in lockstep must produce identical placements, identical
-  snapshots, the exact 4-way partition, and round-trip through
-  ``snapshot_state``/``restore_state``;
-* **scheduler** — full fleet runs over seeded random fault plans must
-  produce field-identical :class:`~repro.fleet.metrics.FleetReport` s and
-  equal event counts under both cores;
+  (allocate / release / fail / repair / absent / arrive) applied in
+  lockstep to :class:`~repro.fleet.gang.GangAllocator` and the object
+  allocator kept in ``tests/oracles/gang_object.py`` must produce identical
+  placements, identical snapshots, the exact 4-way partition, and
+  round-trip through ``snapshot_state``/``restore_state``;
+* **scheduler** — full fleet runs must reproduce the golden reports in
+  ``tests/golden/fleet_reports.json``, each recorded under both cores with
+  both agreeing (see ``fleet_golden.py``);
 * **event ordering** — the tie-break contract at equal timestamps
   (completion ≤ capacity ≤ job arrival ≤ failure) is pinned by a scripted
   scenario with every event class colliding on one fleet-clock instant.
 
-Crash-resilience rides along: a version-2 snapshot taken under one core
-restores under the other (the capacity heap is canonicalised on snapshot),
-finishing bit-identically to the uninterrupted reference run.
+Crash-resilience rides along: the recorded version-2 snapshot restores —
+as written, without its ``core`` field, and as version 1 — and finishes
+bit-identically to the uninterrupted run.
 """
 
 from __future__ import annotations
+
+import json
 
 import pytest
 
@@ -32,38 +33,37 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.topology import ClusterTopology
-from repro.core.planner import PlannerConfig
 from repro.fleet import (
-    BitmapGangAllocator,
-    FaultInjector,
     FleetConfig,
-    FleetScheduler,
     GangAllocator,
-    JobSpec,
     SchedulerKilled,
-    SyntheticTracePlanner,
-    make_allocator,
-    random_fault_plan,
-    resolve_fleet_core,
     restore_scheduler,
     snapshot_scheduler,
-    workload_cost_model,
 )
-from repro.fleet.workloads import GLOBAL_BATCH_TOKENS, _sample_pool
-from repro.parallel.config import ParallelConfig
 
-from test_fleet_checkpoint import assert_reports_identical
+from fleet_golden import (
+    CHAOS_SEEDS,
+    KILL_AT_EVENT,
+    assert_matches_golden,
+    chaos_topology,
+    equal_time_scheduler,
+    kill_restore_scheduler,
+    load_golden,
+    report_fields,
+    run_chaos,
+)
+from oracles.gang_object import ObjectGangAllocator
 
 
 @pytest.fixture(scope="module")
-def planner_config():
-    return PlannerConfig(order_search=False, tmax_sample_count=8)
+def golden():
+    return load_golden()["entries"]
 
 
 # ------------------------------------------------------------------- allocator
 
 
-def _assert_allocators_identical(obj: GangAllocator, bit: BitmapGangAllocator):
+def _assert_allocators_identical(obj: ObjectGangAllocator, bit: GangAllocator):
     assert obj.snapshot_state() == bit.snapshot_state()
     assert obj.free_count == bit.free_count
     assert obj.busy_count == bit.busy_count
@@ -119,8 +119,8 @@ def test_allocator_cores_equivalent_under_random_ops(
     topology = ClusterTopology(
         num_nodes=num_nodes, gpus_per_node=gpus_per_node, device_spec=small_device
     )
-    obj = GangAllocator(topology)
-    bit = BitmapGangAllocator(topology)
+    obj = ObjectGangAllocator(topology)
+    bit = GangAllocator(topology)
     gangs: list[tuple] = []  # parallel (object gang, bitmap gang) pairs
     counter = 0
     for op, arg in ops:
@@ -130,8 +130,8 @@ def test_allocator_cores_equivalent_under_random_ops(
             counter += 1
             gang_obj = obj.allocate(f"job{counter}", dp, pp, 1)
             gang_bit = bit.allocate(f"job{counter}", dp, pp, 1)
-            # allocate succeeds iff the gang fits — on both cores, with the
-            # exact same device choice.
+            # allocate succeeds iff the gang fits — on both allocators, with
+            # the exact same device choice.
             assert (gang_obj is None) == (gang_bit is None)
             if gang_obj is not None:
                 assert gang_obj.devices == gang_bit.devices
@@ -147,8 +147,8 @@ def test_allocator_cores_equivalent_under_random_ops(
             hit_bit = bit.fail_device(device)
             assert (hit_obj is None) == (hit_bit is None)
             if hit_obj is not None:
+                # The hit gang keeps its surviving devices until released.
                 assert hit_obj.devices == hit_bit.devices
-                gangs = [(o, b) for o, b in gangs if o is not hit_obj]
         elif op == "repair":
             device = arg % topology.num_gpus
             assert obj.repair_device(device) == bit.repair_device(device)
@@ -165,140 +165,41 @@ def test_allocator_cores_equivalent_under_random_ops(
                 obj.arrive_device(device)
                 bit.arrive_device(device)
         _assert_allocators_identical(obj, bit)
-    # Snapshots round-trip across cores: either snapshot restores either
-    # allocator (live gangs transfer with their currently owned devices).
+    # Snapshots round-trip across allocators: either snapshot restores
+    # either allocator (live gangs transfer with their currently owned
+    # devices).
     snapshot = bit.snapshot_state()
     owned = {id(o): [d for d in range(topology.num_gpus) if obj.owner_of(d) is o] for o, _ in gangs}
-    fresh_obj = GangAllocator(topology)
-    fresh_obj.restore_state(
-        snapshot["free"],
-        snapshot["failed"],
-        snapshot["absent"],
-        [(o, owned[id(o)]) for o, _ in gangs],
-    )
-    fresh_bit = BitmapGangAllocator(topology)
-    fresh_bit.restore_state(
-        snapshot["free"],
-        snapshot["failed"],
-        snapshot["absent"],
-        [(o, owned[id(o)]) for o, _ in gangs],
-    )
-    _assert_allocators_identical(fresh_obj, fresh_bit)
-
-
-def test_core_resolution(monkeypatch):
-    monkeypatch.delenv("REPRO_FLEET_CORE", raising=False)
-    assert resolve_fleet_core() == "bitmap"
-    assert resolve_fleet_core("object") == "object"
-    monkeypatch.setenv("REPRO_FLEET_CORE", "object")
-    assert resolve_fleet_core() == "object"
-    # An explicit argument wins over the environment.
-    assert resolve_fleet_core("bitmap") == "bitmap"
-    with pytest.raises(ValueError, match="unknown fleet core"):
-        resolve_fleet_core("quantum")
-    topology = ClusterTopology.for_num_gpus(2, gpus_per_node=2)
-    monkeypatch.delenv("REPRO_FLEET_CORE", raising=False)
-    assert isinstance(make_allocator(topology), BitmapGangAllocator)
-    assert type(make_allocator(topology, "object")) is GangAllocator
+    restored = []
+    for cls in (ObjectGangAllocator, GangAllocator):
+        fresh = cls(topology)
+        fresh.restore_state(
+            snapshot["free"],
+            snapshot["failed"],
+            snapshot["absent"],
+            [(o, owned[id(o)]) for o, _ in gangs],
+        )
+        restored.append(fresh)
+    _assert_allocators_identical(*restored)
 
 
 # ------------------------------------------------------------------- scheduler
 
 
-def _chaos_specs(pp2_cost_model, fleet_samples, planner_config):
-    return [
-        JobSpec(
-            name=f"job{i}",
-            cost_model=pp2_cost_model,
-            samples=fleet_samples,
-            global_batch_tokens=4096,
-            parallel=ParallelConfig(1 + i % 2, 2, 1),
-            num_iterations=2,
-            planner_config=planner_config,
-            seed=i,
-            priority=i % 3,
-            submit_time_ms=float(5 * i),
-            max_retries=3,
-        )
-        for i in range(4)
-    ]
-
-
-def _run_chaos(core, seed, pp2_cost_model, fleet_samples, planner_config, small_device):
-    topology = ClusterTopology.for_num_gpus(8, gpus_per_node=4, device_spec=small_device)
-    plan = random_fault_plan(
-        topology,
-        seed=seed,
-        duration_ms=80.0,
-        storm_rate_per_s=40.0,
-        rack_outage_probability=0.5,
-    )
-    scheduler = FleetScheduler(topology, FleetConfig(policy="priority", core=core))
-    for spec in _chaos_specs(pp2_cost_model, fleet_samples, planner_config):
-        scheduler.submit(spec)
-    FaultInjector(plan).apply(scheduler)
-    return scheduler.run()
-
-
-@settings(
-    max_examples=4,
-    deadline=None,
-    derandomize=True,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-@given(seed=st.integers(min_value=0, max_value=2**20))
 def test_scheduler_cores_bit_identical_under_chaos(
-    seed, pp2_cost_model, fleet_samples, planner_config, small_device
+    golden, pp2_cost_model, fleet_samples, small_device
 ):
-    """Seeded chaos runs produce field-identical reports on both cores."""
-    args = (pp2_cost_model, fleet_samples, planner_config, small_device)
-    fast = _run_chaos("bitmap", seed, *args)
-    oracle = _run_chaos("object", seed, *args)
-    assert_reports_identical(fast, oracle)
-    # Both cores walked the identical event sequence.
-    assert fast.events_processed == oracle.events_processed
-    assert fast.summary() == oracle.summary()
+    """Seeded chaos runs reproduce the reports both cores recorded."""
+    for seed in CHAOS_SEEDS:
+        report = run_chaos(seed, pp2_cost_model, fleet_samples, small_device)
+        assert_matches_golden(report, golden[f"chaos/{seed}"])
 
 
 # ---------------------------------------------------------------- tie breaking
 
 
-class _ConstantPlanner(SyntheticTracePlanner):
-    """Synthetic planner with exact (jitter-free) iteration times."""
-
-    def iteration_ms(self, iteration: int) -> float:
-        return self.base_iteration_ms
-
-
-def _constant_spec(name: str, iteration_ms: float, **overrides) -> JobSpec:
-    cost_model = workload_cost_model("gpt-small")
-
-    def factory(spec: JobSpec, data_parallel: int) -> _ConstantPlanner:
-        return _ConstantPlanner(
-            cost_model,
-            data_parallel_size=data_parallel,
-            requested_data_parallel=spec.parallel.data_parallel,
-            base_iteration_ms=iteration_ms,
-            seed=0,
-        )
-
-    defaults = dict(
-        name=name,
-        cost_model=cost_model,
-        samples=_sample_pool("gpt"),
-        global_batch_tokens=GLOBAL_BATCH_TOKENS,
-        parallel=ParallelConfig(1, 1, 1),
-        num_iterations=1,
-        noise_std=0.0,
-        execute_plans=False,
-        planner_factory=factory,
-    )
-    defaults.update(overrides)
-    return JobSpec(**defaults)
-
-
 @pytest.mark.parametrize("core", ["bitmap", "object"])
-def test_equal_time_event_ordering_contract(core, small_device):
+def test_equal_time_event_ordering_contract(core, golden, small_device):
     """Completion ≤ capacity ≤ job arrival ≤ failure at equal timestamps.
 
     Everything collides at t=100 on a 2-device cluster: job A's only
@@ -307,106 +208,86 @@ def test_equal_time_event_ordering_contract(core, small_device):
     (completion first), the repair lands before B is considered, B admits
     onto the cluster at t=100 with zero queueing delay, and the failure —
     processed last — preempts B's freshly started attempt, which then
-    retries and still finishes.  Both cores must agree on every field.
+    retries and still finishes.  ``bitmap`` checks a live run of the
+    scheduler; ``object`` checks the report recorded from the object core.
     """
-    topology = ClusterTopology.for_num_gpus(2, gpus_per_node=2, device_spec=small_device)
-    scheduler = FleetScheduler(topology, FleetConfig(core=core))
-    record_a = scheduler.submit(_constant_spec("job-a", 100.0))
-    record_b = scheduler.submit(
-        _constant_spec("job-b", 50.0, submit_time_ms=100.0, max_retries=2)
-    )
-    scheduler.inject_device_failure(0.0, 1)
-    scheduler.inject_device_repair(100.0, 1)
-    scheduler.inject_device_failure(100.0, 0)
-    report = scheduler.run()
+    if core == "bitmap":
+        scheduler = equal_time_scheduler(small_device)
+        report = report_fields(scheduler.run())
+        records = scheduler.jobs
+        assert records["job-a"].checkpoint.completed_iterations == 1
+        assert records["job-b"].checkpoint.completed_iterations == 1
+    else:
+        report = golden["equal_time"]["report"]
 
-    summaries = {job.name: job for job in report.jobs}
+    summaries = {job["name"]: job for job in report["jobs"]}
     # Completion first: A committed its iteration untouched by the failure.
-    assert summaries["job-a"].state == "finished"
-    assert summaries["job-a"].preemptions == 0
-    assert summaries["job-a"].attempts == 1
+    assert summaries["job-a"]["state"] == "finished"
+    assert summaries["job-a"]["preemptions"] == 0
+    assert summaries["job-a"]["attempts"] == 1
     # Capacity before arrival: the repaired device is visible when B is
     # admitted, so B starts at t=100 with zero queueing delay...
-    assert summaries["job-b"].queueing_delay_ms == 0.0
+    assert summaries["job-b"]["queueing_delay_ms"] == 0.0
     # ...and failure last: it preempts B's first attempt (B sits on device
     # 0, the lowest free index after A's completion freed it).
-    assert summaries["job-b"].preemptions == 1
-    assert summaries["job-b"].attempts == 2
-    assert summaries["job-b"].state == "finished"
+    assert summaries["job-b"]["preemptions"] == 1
+    assert summaries["job-b"]["attempts"] == 2
+    assert summaries["job-b"]["state"] == "finished"
+    assert all(job["iterations_completed"] == 1 for job in report["jobs"])
     # The capacity timeline pins the repair-before-failure order at t=100.
-    at_100 = [e.event for e in report.capacity_timeline if e.time_ms == 100.0]
+    at_100 = [e["event"] for e in report["capacity_timeline"] if e["time_ms"] == 100.0]
     assert at_100 == ["repair", "failure"]
-    assert record_a.checkpoint.completed_iterations == 1
-    assert record_b.checkpoint.completed_iterations == 1
 
 
-def test_equal_time_ordering_identical_across_cores(small_device):
-    def run(core):
-        topology = ClusterTopology.for_num_gpus(
-            2, gpus_per_node=2, device_spec=small_device
-        )
-        scheduler = FleetScheduler(topology, FleetConfig(core=core))
-        scheduler.submit(_constant_spec("job-a", 100.0))
-        scheduler.submit(
-            _constant_spec("job-b", 50.0, submit_time_ms=100.0, max_retries=2)
-        )
-        scheduler.inject_device_failure(0.0, 1)
-        scheduler.inject_device_repair(100.0, 1)
-        scheduler.inject_device_failure(100.0, 0)
-        return scheduler.run()
-
-    assert_reports_identical(run("bitmap"), run("object"))
+def test_equal_time_ordering_identical_across_cores(golden, small_device):
+    assert_matches_golden(equal_time_scheduler(small_device).run(), golden["equal_time"])
 
 
 # ------------------------------------------------------------- kill / restore
 
 
+def _restored_report(snapshot, pp2_cost_model, fleet_samples, small_device):
+    _, specs = kill_restore_scheduler(pp2_cost_model, fleet_samples, small_device)
+    restored = restore_scheduler(
+        snapshot,
+        chaos_topology(small_device),
+        {spec.name: spec for spec in specs},
+        config=FleetConfig(policy="priority"),
+    )
+    return restored.run()
+
+
 def test_snapshot_restores_across_cores(
-    pp2_cost_model, fleet_samples, planner_config, small_device
+    golden, pp2_cost_model, fleet_samples, small_device
 ):
-    """A snapshot taken under one core restores and finishes under the other."""
-    args = (pp2_cost_model, fleet_samples, planner_config, small_device)
-
-    def build(core, on_event=None):
-        topology = ClusterTopology.for_num_gpus(
-            8, gpus_per_node=4, device_spec=small_device
-        )
-        config = FleetConfig(policy="priority", core=core, on_event=on_event)
-        scheduler = FleetScheduler(topology, config)
-        specs = _chaos_specs(*args[:3])
-        for spec in specs:
-            scheduler.submit(spec)
-        scheduler.inject_device_failure(10.0, 2)
-        scheduler.inject_device_repair(40.0, 2)
-        return scheduler, specs
-
-    reference, _ = build("bitmap")
-    reference_report = reference.run()
+    """Snapshots restore and finish identically to the uninterrupted run:
+    a fresh one, and the one recorded under the bitmap core — which the
+    object core also finished identically — in every accepted layout."""
+    expected = golden["kill_restore"]
+    args = (pp2_cost_model, fleet_samples, small_device)
+    reference, _ = kill_restore_scheduler(*args)
+    assert_matches_golden(reference.run(), expected)
 
     snapshots = {}
 
-    def kill_at_4(scheduler):
-        if scheduler._events_processed == 4:
-            snapshots["state"] = snapshot_scheduler(scheduler)
+    def kill(scheduler):
+        if scheduler._events_processed == KILL_AT_EVENT:
+            snapshots["fresh"] = json.loads(json.dumps(snapshot_scheduler(scheduler)))
             raise SchedulerKilled("scripted crash")
 
-    crashing, specs = build("bitmap", on_event=kill_at_4)
+    crashing, _ = kill_restore_scheduler(*args, on_event=kill)
     with pytest.raises(SchedulerKilled):
         crashing.run()
-    snapshot = snapshots["state"]
-    assert snapshot["version"] == 2
-    assert snapshot["core"] == "bitmap"
+    assert snapshots["fresh"]["version"] == 2
+    assert "core" not in snapshots["fresh"]
 
-    for core in ("bitmap", "object"):
-        topology = ClusterTopology.for_num_gpus(
-            8, gpus_per_node=4, device_spec=small_device
-        )
-        restored = restore_scheduler(
-            snapshot,
-            topology,
-            {spec.name: spec for spec in specs},
-            config=FleetConfig(policy="priority", core=core),
-        )
-        assert restored.core == core
-        report = restored.run()
-        assert_reports_identical(report, reference_report)
+    recorded = expected["snapshot"]
+    assert recorded["version"] == 2 and recorded["core"] == "bitmap"
+    without_core = {k: v for k, v in recorded.items() if k != "core"}
+    snapshots["recorded"] = recorded
+    snapshots["recorded, core=object"] = dict(recorded, core="object")
+    snapshots["recorded, no core"] = without_core
+    snapshots["recorded as version 1"] = dict(without_core, version=1)
+    for name, snapshot in snapshots.items():
+        report = _restored_report(snapshot, *args)
+        assert report_fields(report) == expected["report"], name

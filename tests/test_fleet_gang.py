@@ -186,6 +186,58 @@ class TestRepairAndArrival:
         assert allocator.absent_devices == frozenset({7})
 
 
+class TestRestoreValidation:
+    """Snapshots come from outside the process: restore_state rejects any
+    partition that is not exactly the cluster, naming the device, and
+    leaves the allocator untouched."""
+
+    @pytest.mark.parametrize(
+        "free, failed, absent, message",
+        [
+            ([0, 1, 2, -1], [], [], "free device -1 out of range"),
+            ([0, 1, 2, 4], [], [], "free device 4 out of range"),
+            ([0, 1, 2], [2, 3], [], r"device 2 is listed twice \(free, failed\)"),
+            ([0, 1, 1, 2, 3], [], [], r"device 1 is listed twice \(free, free\)"),
+            ([0, 1], [2], [], r"devices \[3\] are missing"),
+            ([0, 1, 2], [], ["3"], "absent device '3' is not an integer"),
+        ],
+    )
+    def test_bad_partition_rejected(self, free, failed, absent, message):
+        allocator = make_allocator(4)
+        gang = allocator.allocate("a", 1, 2, 1)
+        before = allocator.snapshot_state()
+        with pytest.raises(ValueError, match=message):
+            allocator.restore_state(free, failed, absent)
+        assert allocator.snapshot_state() == before
+        assert allocator.owner_of(0) is gang
+        allocator.check_consistent()
+
+    def test_owned_device_outside_its_gang_rejected(self):
+        allocator = make_allocator(4)
+        gang = allocator.allocate("a", 1, 2, 1)  # devices (0, 1)
+        with pytest.raises(ValueError, match="device 3 is allocated to a but not part"):
+            allocator.restore_state([0, 1, 2], [], [], [(gang, [3])])
+
+    def test_valid_restore_round_trips(self):
+        allocator = make_allocator(4)
+        gang = allocator.allocate("a", 1, 2, 1)
+        allocator.fail_device(1)
+        fresh = make_allocator(4)
+        state = allocator.snapshot_state()
+        fresh.restore_state(state["free"], state["failed"], state["absent"], [(gang, [0])])
+        assert fresh.snapshot_state() == state
+        assert fresh.owner_of(0) is gang and fresh.owner_of(1) is None
+        fresh.check_consistent()
+
+    @pytest.mark.parametrize("device", [-4, -1, 4])
+    def test_queries_reject_out_of_range_devices(self, device):
+        allocator = make_allocator(4)
+        allocator.allocate("a", 1, 1, 1)
+        for query in (allocator.owner_of, allocator.is_failed, allocator.is_absent):
+            with pytest.raises(ValueError, match=f"device {device} out of range"):
+                query(device)
+
+
 def _record(spec: JobSpec, sequence: int, measured: list[float] | None = None) -> JobRecord:
     record = JobRecord(spec=spec, sequence=sequence, checkpoint=JobCheckpoint())
     for index, measured_ms in enumerate(measured or []):

@@ -3,7 +3,8 @@
 The generator must be bit-stable across processes (string-seeded RNG
 streams only), traces must round-trip through JSON unchanged, and replay
 must drive the full scheduler machinery deterministically — equal traces
-replay to bit-identical fleet reports on either scheduler core.
+replay to bit-identical fleet reports, matching the golden report recorded
+under both of the scheduler's former cores.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ from repro.fleet.workloads import (
     TRACE_EPOCH_SAMPLES,
     _sample_pool,
 )
+
+from fleet_golden import assert_matches_golden, load_golden
 
 
 @pytest.fixture(scope="module")
@@ -151,10 +154,9 @@ def test_build_jobs_materialises_specs(trace):
 def test_replay_is_deterministic_and_core_identical(trace):
     first = replay_trace(trace, policy="priority")
     second = replay_trace(trace, policy="priority")
-    oracle = replay_trace(trace, policy="priority", core="object")
     assert first.summary() == second.summary()
-    assert first.summary() == oracle.summary()
-    assert first.jobs == second.jobs == oracle.jobs
+    assert first.jobs == second.jobs
+    assert_matches_golden(first, load_golden()["entries"]["trace_replay"])
     assert first.finished_jobs + first.failed_jobs == len(trace.jobs)
     assert first.events_processed > 0
 
@@ -175,10 +177,10 @@ def test_replay_policies_differ_on_contended_trace():
 
 def test_build_scheduler_respects_config_override(trace):
     scheduler = build_scheduler(
-        trace, config=FleetConfig(policy="srw", core="object")
+        trace, policy="fifo", config=FleetConfig(policy="srw", max_events=50)
     )
     assert scheduler.policy.name == "srw"
-    assert scheduler.core == "object"
+    assert scheduler.config.max_events == 50
     assert len(scheduler._pending) == len(trace.jobs)
 
 

@@ -1,7 +1,8 @@
 """Vectorized-engine equivalence and incremental re-simulation tests.
 
 The vectorized timeline solver must be *bit-identical* to the scalar oracle
-(op start/end times, makespan, busy/idle, peak activation memory), and the
+in ``tests/oracles/sim_scalar.py`` (op start/end times, makespan, busy/idle,
+peak activation memory), and the
 incremental order-search scorer must match the legacy build-and-simulate
 path exactly.  These properties are pinned with hypothesis over random
 schedules and with the real GPT/T5 cost models across recompute modes.
@@ -32,9 +33,10 @@ from repro.simulator.engine import (
     engine_stats,
     reset_engine_stats,
     simulate_schedule,
-    simulate_schedule_scalar,
 )
 from repro.simulator.incremental import IncrementalOrderSimulator
+
+from oracles.sim_scalar import simulate_schedule_scalar
 
 
 def _random_case(rng: random.Random):
@@ -95,9 +97,7 @@ class TestVectorScalarBitIdentity:
     def test_random_schedules(self, seed):
         rng = random.Random(seed)
         schedule, durations, comm_time, activation, static = _random_case(rng)
-        vector = simulate_schedule(
-            schedule, durations, comm_time, activation, static, engine="vector"
-        )
+        vector = simulate_schedule(schedule, durations, comm_time, activation, static)
         scalar = simulate_schedule_scalar(
             schedule, durations, comm_time, activation, static
         )
@@ -143,8 +143,7 @@ class TestVectorScalarBitIdentity:
             cost_model.stage_static_bytes(j) for j in range(cost_model.num_stages)
         ]
         vector = simulate_schedule(
-            build.schedule, build.durations, comm_time, build.activation_bytes, static,
-            engine="vector",
+            build.schedule, build.durations, comm_time, build.activation_bytes, static
         )
         scalar = simulate_schedule_scalar(
             build.schedule, build.durations, comm_time, build.activation_bytes, static
@@ -155,38 +154,22 @@ class TestVectorScalarBitIdentity:
         assert vector.peak_activation_bytes == scalar.peak_activation_bytes
         assert vector.op_times == scalar.op_times
 
-    def test_scalar_engine_selectable_via_argument(self):
-        schedule = one_f_one_b_schedule(2, 3)
-        scalar = simulate_schedule(schedule, lambda op: 1.0, engine="scalar")
-        vector = simulate_schedule(schedule, lambda op: 1.0, engine="vector")
-        assert scalar.makespan_ms == vector.makespan_ms
-
-    def test_scalar_engine_selectable_via_env(self, monkeypatch):
-        schedule = one_f_one_b_schedule(2, 3)
-        reset_engine_stats()
-        monkeypatch.setenv("REPRO_SIM_ENGINE", "scalar")
-        simulate_schedule(schedule, lambda op: 1.0)
-        stats = engine_stats()
-        assert stats["scalar_simulations"] == 1
-        assert stats["vector_simulations"] == 0
-
-    def test_unknown_engine_rejected(self):
-        schedule = one_f_one_b_schedule(2, 2)
-        with pytest.raises(ValueError):
-            simulate_schedule(schedule, lambda op: 1.0, engine="quantum")
-
-    def test_duplicate_op_schedules_fall_back_to_scalar(self):
-        # The scalar engine tolerates duplicate ops (last execution wins in
-        # op_times); the vector path must preserve that behaviour.
+    def test_duplicate_op_schedules_raise_simulation_error(self):
         stages = [StageSchedule(stage=0)]
         stages[0].append(0, OpType.FORWARD)
         stages[0].append(0, OpType.FORWARD)
         stages[0].append(0, OpType.BACKWARD)
         schedule = PipelineSchedule(stages=stages, num_microbatches=1)
-        vector = simulate_schedule(schedule, lambda op: 1.0, engine="vector")
-        scalar = simulate_schedule_scalar(schedule, lambda op: 1.0)
-        assert vector.op_times == scalar.op_times
-        assert vector.makespan_ms == scalar.makespan_ms
+        with pytest.raises(SimulationError, match="F0@0 appears twice"):
+            simulate_schedule(schedule, lambda op: 1.0)
+
+    def test_negative_microbatch_raises_simulation_error(self):
+        stages = [StageSchedule(stage=0)]
+        stages[0].append(-1, OpType.FORWARD)
+        stages[0].append(-1, OpType.BACKWARD)
+        schedule = PipelineSchedule(stages=stages, num_microbatches=1)
+        with pytest.raises(SimulationError, match="F-1@0 has a negative micro-batch"):
+            simulate_schedule(schedule, lambda op: 1.0)
 
 
 class TestGeometryCache:
@@ -210,6 +193,10 @@ class TestGeometryCache:
         assert stats["timeline_solves"] == 3
 
 
+#: The production engine and its test oracle, by parametrization id.
+ENGINES = {"vector": simulate_schedule, "scalar": simulate_schedule_scalar}
+
+
 class TestDeadlockDiagnostics:
     def _missing_dependency_schedule(self) -> PipelineSchedule:
         # Stage 0 runs micro-batch 1 only, stage 1 runs micro-batch 0 only:
@@ -230,21 +217,21 @@ class TestDeadlockDiagnostics:
         stages[1].append(0, OpType.FORWARD)
         return PipelineSchedule(stages=stages, num_microbatches=1)
 
-    @pytest.mark.parametrize("engine", ["vector", "scalar"])
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_missing_dependency_named(self, engine):
         schedule = self._missing_dependency_schedule()
         with pytest.raises(SimulationError) as excinfo:
-            simulate_schedule(schedule, lambda op: 1.0, engine=engine)
+            ENGINES[engine](schedule, lambda op: 1.0)
         message = str(excinfo.value)
         assert "B1@0" in message
         assert "B1@1" in message
         assert "never appears in the schedule" in message
 
-    @pytest.mark.parametrize("engine", ["vector", "scalar"])
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_misordered_dependency_named(self, engine):
         schedule = self._misordered_schedule()
         with pytest.raises(SimulationError) as excinfo:
-            simulate_schedule(schedule, lambda op: 1.0, engine=engine)
+            ENGINES[engine](schedule, lambda op: 1.0)
         message = str(excinfo.value)
         assert "B0@0" in message or "B0@1" in message
         assert "circular or misordered" in message
