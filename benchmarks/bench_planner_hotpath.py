@@ -179,14 +179,22 @@ def run_pool():
         start = time.perf_counter()
         pool.start()
         deadline = start + 600
+        # Leave as soon as a plan fails: a failed iteration never lands in
+        # the store, so waiting for it would only run out the deadline.
         while (
             len(pool.planned_iterations()) < len(minibatches)
+            and not pool.errors
             and time.perf_counter() < deadline
         ):
             time.sleep(0.005)
         elapsed = time.perf_counter() - start
         abandoned = pool.stop()
-        assert not pool.errors, pool.errors
+        if pool.errors:
+            iteration, error = pool.errors[0]
+            raise AssertionError(
+                f"planning failed with {workers} workers (iteration {iteration}): "
+                f"{type(error).__name__}: {error}"
+            )
         assert not abandoned, abandoned
         wall[workers] = elapsed
         stores[workers] = store

@@ -11,11 +11,11 @@ Two measurements, mirroring where the simulator dominates:
   timing is reported.
 
 * **Fig. 16-style order search** — the planner's injection-order search
-  scores permutations of one replica's micro-batches.  Two variants are
-  timed: the rebuild path (rebuild the schedule and simulate it per
-  permutation) and the incremental scorer (geometry compiled once, array
-  re-solves per permutation).  Both must select the same order with the
-  same makespan.
+  scores permutations of one replica's micro-batches.  The baseline, kept
+  here only, rebuilds the schedule and simulates it per permutation; the
+  planner scores every permutation on the replica's incremental simulator
+  (geometry compiled once per slot structure, one timeline solve per
+  permutation).  Both must select the same order with the same makespan.
 
 Run with ``pytest benchmarks/bench_sim_engine.py --benchmark-disable -s``
 (or ``pytest benchmarks/ -m tier2_bench``).  Set ``REPRO_BENCH_SMOKE=1``
@@ -32,12 +32,13 @@ import numpy as np
 import pytest
 
 from repro.comm.shapes import TransferShapes
+from repro.core.microbatch_ordering import cluster_and_order
 from repro.core.planner import DynaPipePlanner, PlannerConfig
 from repro.costmodel.cost_model import CostModel
 from repro.model.config import ModelArch, ModelConfig
 from repro.model.memory import RecomputeMode
 from repro.model.transformer import MicroBatchShape
-from repro.schedule.cyclic import cyclic_schedule
+from repro.schedule.cyclic import ScheduleDeadlockError, cyclic_schedule
 from repro.schedule.one_f_one_b import one_f_one_b_schedule
 from repro.simulator.engine import compile_schedule, simulate_schedule
 
@@ -168,24 +169,60 @@ def run_order_search() -> list[list]:
     transfer_shapes = TransferShapes.from_cost_model(cost_model, shapes)
     mode = RecomputeMode.NONE
 
-    def timed_search(incremental: bool):
-        planner.config.incremental_order_search = incremental
-        # Warm the cost-model caches so only scoring is timed.
-        planner._search_injection_order(shapes, mode, transfer_shapes)
+    times = [float(t) for t in cost_model.microbatch_times_ms(shapes, mode)]
+    comm_time = planner._comm_time_fn(transfer_shapes)
+    static = [cost_model.stage_static_bytes(j) for j in range(cost_model.num_stages)]
+
+    def rebuild_score(order) -> float:
+        """Baseline scorer: build the schedule and simulate it from scratch."""
+        try:
+            build = planner.scheduler.build(
+                shapes,
+                kind=planner.config.schedule_kind,
+                recompute=mode,
+                injection_order=order,
+            )
+        except ScheduleDeadlockError:
+            return float("inf")
+        simulation = simulate_schedule(
+            build.schedule,
+            build.durations,
+            comm_time_fn=comm_time,
+            activation_bytes=build.activation_bytes,
+            static_bytes=static,
+        )
+        capacity = planner.device_memory_bytes * (1.0 + 1e-9)
+        if any(peak > capacity for peak in simulation.peak_activation_bytes):
+            return float("inf")
+        return simulation.makespan_ms
+
+    def rebuild_search():
+        return cluster_and_order(
+            times,
+            rebuild_score,
+            num_clusters=planner.config.num_time_clusters,
+            max_permutations=planner.config.max_order_permutations,
+        )
+
+    def incremental_search():
+        simulator = planner._replica_simulator(shapes, mode, transfer_shapes)
+        return planner._search_injection_order(simulator, shapes, mode)
+
+    def timed_search(search):
+        search()  # warm the cost-model caches so only scoring is timed
         best = float("inf")
         result = None
         for _ in range(ORDER_SEARCH_REPEATS):
             start = time.perf_counter()
-            result = planner._search_injection_order(shapes, mode, transfer_shapes)
+            result = search()
             best = min(best, time.perf_counter() - start)
         return result, best
 
-    rebuild_result, rebuild_s = timed_search(incremental=False)
-    incremental_result, incremental_s = timed_search(incremental=True)
+    rebuild_result, rebuild_s = timed_search(rebuild_search)
+    incremental_result, incremental_s = timed_search(incremental_search)
 
     assert incremental_result.order == rebuild_result.order
     assert incremental_result.makespan_ms == rebuild_result.makespan_ms
-    assert incremental_result.geometry_compiles is not None
     assert incremental_result.geometry_compiles < incremental_result.timeline_solves
 
     def row(variant: str, elapsed: float) -> list:

@@ -23,8 +23,9 @@ and the baseline to demonstrate the problem.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from repro.comm.shapes import TransferShapes
 from repro.instructions.ops import (
@@ -41,26 +42,6 @@ from repro.instructions.ops import (
 from repro.model.memory import RecomputeMode
 from repro.model.transformer import MicroBatchShape
 from repro.schedule.events import ComputeOp, OpType, PipelineSchedule
-
-
-@dataclass(frozen=True)
-class _PlannedComm:
-    """A communication Start op anchored on a device's compute sequence.
-
-    Attributes:
-        device: Device whose stream the op belongs to.
-        anchor: Index into the device's compute-op sequence before which the
-            op must be launched (``len(ops)`` means "after the last op").
-        order_time: Global time used to order Start ops with the same anchor.
-        sequence: Tie-break counter preserving planning order.
-        instruction: The Start instruction itself.
-    """
-
-    device: int
-    anchor: int
-    order_time: float
-    sequence: int
-    instruction: PipelineInstruction
 
 
 def _compute_instruction(
@@ -98,9 +79,16 @@ def build_instruction_streams(
 ) -> list[list[PipelineInstruction]]:
     """Generate deadlock-free per-device instruction streams (paper §6).
 
+    Transfers are planned in order of their producer's end time (ties by
+    stage, then micro-batch, then ``op_times`` iteration order).  A send is
+    launched right after its producer; the matching receive before the
+    first compute op of the receiving device that starts at or after the
+    producer's end time, whether or not the device's starts are monotone.
+
     Args:
         schedule: The pipeline schedule (per-device compute op order).
-        op_times: Simulated (start, end) times of every compute op, e.g. from
+        op_times: Simulated (start, end) times of every compute op of the
+            schedule, e.g. from
             :func:`repro.simulator.engine.simulate_schedule`.
         shapes: Padded shape of each micro-batch (indexed by micro-batch id).
         transfer_shapes: Byte counts of all inter-stage transfers.
@@ -116,66 +104,65 @@ def build_instruction_streams(
         )
     recompute_modes = _normalise_recompute(recompute, schedule.num_microbatches)
 
-    # Position of each compute op within its device's sequence.
-    op_position: dict[ComputeOp, int] = {}
-    for stage_schedule in schedule.stages:
-        for position, op in enumerate(stage_schedule.ops):
-            op_position[op] = position
+    # Position of every (stage, micro-batch, is-forward) op on its device.
+    device_ops = [stage_schedule.ops for stage_schedule in schedule.stages]
+    position = np.full((num_stages, schedule.num_microbatches, 2), -1, dtype=np.int64)
+    for device, ops in enumerate(device_ops):
+        microbatches = [op.microbatch for op in ops]
+        forwards = [int(op.op_type is OpType.FORWARD) for op in ops]
+        position[device, microbatches, forwards] = np.arange(len(ops))
 
-    def anchor_for_time(device: int, time: float) -> int:
-        """First compute-op position on ``device`` that starts at/after ``time``."""
-        for position, op in enumerate(schedule.stage(device).ops):
-            if op_times[op][0] >= time - 1e-9:
-                return position
-        return len(schedule.stage(device).ops)
+    # op_times as columns, in its iteration order.
+    ops = list(op_times)
+    times = np.array(list(op_times.values()), dtype=np.float64).reshape(-1, 2)
+    microbatch, stage, forward = np.array(
+        [(op.microbatch, op.stage, op.op_type is OpType.FORWARD) for op in ops], dtype=np.int64
+    ).reshape(-1, 3).T
+    op_position = position[stage, microbatch, forward]
+    if len(ops) != schedule.total_ops() or (op_position < 0).any():
+        raise ValueError("op_times must hold exactly the ops of the schedule")
 
-    planned: list[_PlannedComm] = []
-    sequence = 0
-    # Iterate compute ops by ascending end time; schedule both sides of each
-    # transfer at the producer's end time.
-    for op in sorted(op_times, key=lambda o: (op_times[o][1], o.stage, o.microbatch)):
-        end_time = op_times[op][1]
-        mb = op.microbatch
-        if op.op_type is OpType.FORWARD and op.stage < num_stages - 1:
-            nbytes = transfer_shapes.act_bytes(mb, op.stage)
-            send = SendActStart(microbatch=mb, stage=op.stage, peer=op.stage + 1, nbytes=nbytes)
-            recv = RecvActStart(microbatch=mb, stage=op.stage + 1, peer=op.stage, nbytes=nbytes)
-            planned.append(
-                _PlannedComm(op.stage, op_position[op] + 1, end_time, sequence, send)
-            )
-            sequence += 1
-            planned.append(
-                _PlannedComm(op.stage + 1, anchor_for_time(op.stage + 1, end_time), end_time, sequence, recv)
-            )
-            sequence += 1
-        elif op.op_type is OpType.BACKWARD and op.stage > 0:
-            nbytes = transfer_shapes.grad_bytes(mb, op.stage)
-            send = SendGradStart(microbatch=mb, stage=op.stage, peer=op.stage - 1, nbytes=nbytes)
-            recv = RecvGradStart(microbatch=mb, stage=op.stage - 1, peer=op.stage, nbytes=nbytes)
-            planned.append(
-                _PlannedComm(op.stage, op_position[op] + 1, end_time, sequence, send)
-            )
-            sequence += 1
-            planned.append(
-                _PlannedComm(op.stage - 1, anchor_for_time(op.stage - 1, end_time), end_time, sequence, recv)
-            )
-            sequence += 1
+    # Receive anchors: one searchsorted per device over the running maximum
+    # of its start times, for transfers in planning order (a stable sort, so
+    # ties keep op_times order).
+    order = np.lexsort((microbatch, stage, times[:, 1]))
+    producers = order[np.where(forward == 1, stage < num_stages - 1, stage > 0)[order]]
+    receiver = np.where(forward == 1, stage + 1, stage - 1)[producers]
+    ready = times[producers, 1] - 1e-9
+    anchor = np.empty(len(producers), dtype=np.int64)
+    for device, ops_on_device in enumerate(device_ops):
+        starts = np.empty(len(ops_on_device), dtype=np.float64)
+        starts[op_position[stage == device]] = times[stage == device, 0]
+        running_max = np.maximum.accumulate(starts) if starts.size else starts
+        anchor[receiver == device] = np.searchsorted(running_max, ready[receiver == device])
 
-    # Group planned comm ops by (device, anchor), keeping the global order.
-    by_anchor: dict[tuple[int, int], list[_PlannedComm]] = {}
-    for item in planned:
-        by_anchor.setdefault((item.device, item.anchor), []).append(item)
-    for items in by_anchor.values():
-        items.sort(key=lambda item: (item.order_time, item.sequence))
+    # Start ops bucketed by (device, anchor); appending in planning order
+    # keeps each bucket ordered by producer end time.
+    buckets = [[[] for _ in range(len(ops_on_device) + 1)] for ops_on_device in device_ops]
+    send_anchor = op_position[producers] + 1
+    for index, send_at, recv_at, peer in zip(
+        producers.tolist(), send_anchor.tolist(), anchor.tolist(), receiver.tolist()
+    ):
+        op = ops[index]
+        mb, src = op.microbatch, op.stage
+        if op.op_type is OpType.FORWARD:
+            nbytes = transfer_shapes.act_bytes(mb, src)
+            send = SendActStart(microbatch=mb, stage=src, peer=peer, nbytes=nbytes)
+            recv = RecvActStart(microbatch=mb, stage=peer, peer=src, nbytes=nbytes)
+        else:
+            nbytes = transfer_shapes.grad_bytes(mb, src)
+            send = SendGradStart(microbatch=mb, stage=src, peer=peer, nbytes=nbytes)
+            recv = RecvGradStart(microbatch=mb, stage=peer, peer=src, nbytes=nbytes)
+        buckets[src][send_at].append(send)
+        buckets[peer][recv_at].append(recv)
 
     streams: list[list[PipelineInstruction]] = []
-    for device in range(num_stages):
+    for device, ops_on_device in enumerate(device_ops):
         stream: list[PipelineInstruction] = []
-        device_ops = schedule.stage(device).ops
-        for position, op in enumerate(device_ops):
+        bucket = buckets[device]
+        for position_on_device, op in enumerate(ops_on_device):
             # Comm Start ops anchored before this compute op.
-            for item in by_anchor.get((device, position), []):
-                stream.append(item.instruction)
+            stream.extend(bucket[position_on_device])
             # Wait for the tensor this compute op consumes, if any.
             if op.op_type is OpType.FORWARD and device > 0:
                 stream.append(WaitRecvAct(microbatch=op.microbatch, stage=device, peer=device - 1))
@@ -183,8 +170,7 @@ def build_instruction_streams(
                 stream.append(WaitRecvGrad(microbatch=op.microbatch, stage=device, peer=device + 1))
             stream.append(_compute_instruction(op, shapes, recompute_modes))
         # Comm ops anchored after the final compute op.
-        for item in by_anchor.get((device, len(device_ops)), []):
-            stream.append(item.instruction)
+        stream.extend(bucket[len(ops_on_device)])
         streams.append(stream)
     return streams
 

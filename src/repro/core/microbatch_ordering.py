@@ -28,10 +28,10 @@ class OrderingSearchResult:
         makespan_ms: Simulated makespan of the selected order.
         evaluated: Number of candidate orders scored.
         cluster_sizes: Sizes of the execution-time clusters used.
-        geometry_compiles: Distinct schedule geometries compiled during the
-            search (incremental scoring only; ``None`` on the legacy path).
-        timeline_solves: Timeline solves performed during the search
-            (incremental scoring only; ``None`` on the legacy path).
+        geometry_compiles: Distinct schedule geometries the planner's search
+            compiled (``None`` when not set by the caller).
+        timeline_solves: Timeline solves the planner's search performed
+            (``None`` when not set by the caller).
     """
 
     order: list[int]

@@ -17,6 +17,14 @@ one execution plan per data-parallel replica:
 6. emit per-device instruction streams together with the planner's
    predictions (iteration time, peak memory) for later comparison against
    the "measured" execution.
+
+Steps 3–5 of a cyclic-schedule replica share one
+:class:`~repro.simulator.incremental.IncrementalOrderSimulator`: the
+identity order's solve is the feasibility check, the search scores its
+permutations on the same compiled geometry, and the chosen order's cached
+solve becomes the replica's timeline and feeds communication planning.
+1F1B ignores the injection order, so its replicas are built and simulated
+once and skip the search.
 """
 
 from __future__ import annotations
@@ -47,6 +55,7 @@ from repro.obs.registry import REGISTRY
 from repro.obs.spans import span as _span
 from repro.model.transformer import MicroBatchShape
 from repro.schedule.cyclic import ScheduleDeadlockError
+from repro.schedule.events import PipelineSchedule
 from repro.simulator.engine import SimulationResult, simulate_schedule
 from repro.simulator.incremental import IncrementalOrderSimulator
 
@@ -78,12 +87,8 @@ class PlannerConfig:
         dynamic_recompute: Whether to search recomputation modes per
             iteration; when False, ``recompute`` is used unconditionally.
         recompute: Recomputation mode used when ``dynamic_recompute`` is off.
-        order_search: Whether to search micro-batch injection orders.
-        incremental_order_search: Score permutations with the incremental
-            simulator (compile the schedule geometry once, re-solve only the
-            duration/order deltas) instead of rebuilding the full schedule
-            and timeline per permutation.  Scores are bit-identical either
-            way; this knob exists for A/B timing and as an escape hatch.
+        order_search: Whether to search micro-batch injection orders (cyclic
+            schedule kinds only; 1F1B ignores the injection order).
         num_time_clusters: Number of execution-time clusters for the order
             search (3–4 per the paper).
         max_order_permutations: Cap on evaluated cluster permutations.
@@ -105,7 +110,6 @@ class PlannerConfig:
     dynamic_recompute: bool = True
     recompute: RecomputeMode = RecomputeMode.NONE
     order_search: bool = True
-    incremental_order_search: bool = True
     num_time_clusters: int = 3
     max_order_permutations: int = 24
     tmax_sample_count: int = 24
@@ -349,15 +353,9 @@ class DynaPipePlanner:
         shapes: Sequence[MicroBatchShape],
         mode: RecomputeMode,
         transfer_shapes: TransferShapes,
-        injection_order: Sequence[int] | None = None,
-    ):
-        """Build + simulate the configured schedule for one replica."""
-        build = self.scheduler.build(
-            shapes,
-            kind=self.config.schedule_kind,
-            recompute=mode,
-            injection_order=injection_order,
-        )
+    ) -> tuple[PipelineSchedule, SimulationResult]:
+        """Build + simulate the 1F1B schedule of one replica."""
+        build = self.scheduler.build(shapes, kind=ScheduleKind.ONE_F_ONE_B, recompute=mode)
         static = [
             self.cost_model.stage_static_bytes(j) for j in range(self.cost_model.num_stages)
         ]
@@ -368,13 +366,7 @@ class DynaPipePlanner:
             activation_bytes=build.activation_bytes,
             static_bytes=static,
         )
-        return build, simulation
-
-    def _replica_feasible(self, simulation: SimulationResult) -> bool:
-        return all(
-            peak <= self.device_memory_bytes * (1.0 + 1e-9)
-            for peak in simulation.peak_activation_bytes
-        )
+        return build.schedule, simulation
 
     # ------------------------------------------------------------------ planning
 
@@ -423,27 +415,30 @@ class DynaPipePlanner:
                     f"{self.data_parallel_size} data-parallel replicas"
                 )
                 continue
-            # Schedule + simulate each replica to verify memory feasibility.
+            # Simulate each replica's identity order to verify memory
+            # feasibility.
             replica_results = []
-            feasible = True
             for group in replica_groups:
                 shapes = [mb.shape() for mb in group]
                 transfer_shapes = TransferShapes.from_cost_model(self.cost_model, shapes)
                 try:
-                    build, simulation = self._schedule_replica(shapes, mode, transfer_shapes)
+                    if self.config.schedule_kind is ScheduleKind.ONE_F_ONE_B:
+                        replica = self._schedule_replica(shapes, mode, transfer_shapes)
+                        peaks = replica[1].peak_activation_bytes
+                    else:
+                        replica = self._replica_simulator(shapes, mode, transfer_shapes)
+                        peaks = replica.evaluate(range(len(shapes))).peak_activation_bytes
                 except ScheduleDeadlockError as exc:
                     failures[mode] = f"unschedulable: {exc}"
-                    feasible = False
                     break
-                if not self._replica_feasible(simulation):
+                if any(peak > self.device_memory_bytes * (1.0 + 1e-9) for peak in peaks):
                     failures[mode] = (
-                        f"peak memory {max(simulation.peak_activation_bytes) / 1e9:.2f} GB "
+                        f"peak memory {max(peaks) / 1e9:.2f} GB "
                         f"exceeds capacity {self.device_memory_bytes / 1e9:.2f} GB"
                     )
-                    feasible = False
                     break
-                replica_results.append((group, shapes, transfer_shapes, build, simulation))
-            if feasible:
+                replica_results.append((group, shapes, transfer_shapes, replica))
+            else:
                 chosen = (mode, micro_batches, solution, replica_results)
                 break
         if chosen is None:
@@ -454,18 +449,22 @@ class DynaPipePlanner:
 
         mode, micro_batches, solution, replica_results = chosen
         replicas: list[ReplicaPlanResult] = []
-        for replica_index, (group, shapes, transfer_shapes, build, simulation) in enumerate(
+        for replica_index, (group, shapes, transfer_shapes, replica) in enumerate(
             replica_results
         ):
             ordering_result = None
-            if self.config.order_search and len(shapes) > 1:
-                ordering_result = self._search_injection_order(shapes, mode, transfer_shapes)
-                if ordering_result.order != list(range(len(shapes))):
-                    build, simulation = self._schedule_replica(
-                        shapes, mode, transfer_shapes, injection_order=ordering_result.order
-                    )
+            if isinstance(replica, IncrementalOrderSimulator):
+                order = list(range(len(shapes)))
+                if self.config.order_search and len(shapes) > 1:
+                    ordering_result = self._search_injection_order(replica, shapes, mode)
+                    order = ordering_result.order
+                schedule, simulation = replica.simulation(
+                    order, name=self.config.schedule_kind.value
+                )
+            else:
+                schedule, simulation = replica
             streams = build_instruction_streams(
-                build.schedule,
+                schedule,
                 simulation.op_times,
                 shapes,
                 transfer_shapes,
@@ -474,7 +473,7 @@ class DynaPipePlanner:
             metadata = PlanMetadata(
                 iteration=iteration,
                 replica=replica_index,
-                schedule_name=build.schedule.name,
+                schedule_name=schedule.name,
                 recompute=mode,
                 predicted_makespan_ms=simulation.makespan_ms,
                 predicted_peak_memory_bytes=list(simulation.peak_activation_bytes),
@@ -532,16 +531,17 @@ class DynaPipePlanner:
             loads[target] += times[index]
         return groups
 
-    def _order_search_simulator(
+    def _replica_simulator(
         self,
         shapes: Sequence[MicroBatchShape],
         mode: RecomputeMode,
         transfer_shapes: TransferShapes,
     ) -> IncrementalOrderSimulator:
-        """Build the incremental scorer's duration/comm/activation arrays.
+        """Build one replica's duration/comm/activation arrays.
 
-        All values come from the same cost-model and network queries the
-        legacy build-and-simulate path performs, so scores are bit-identical.
+        All values come from the same cost-model and network queries that
+        building and simulating the cyclic schedule performs, so timelines
+        are bit-identical.
         """
         shapes = list(shapes)
         num_stages = self.cost_model.num_stages
@@ -589,72 +589,32 @@ class DynaPipePlanner:
 
     def _search_injection_order(
         self,
+        simulator: IncrementalOrderSimulator,
         shapes: Sequence[MicroBatchShape],
         mode: RecomputeMode,
-        transfer_shapes: TransferShapes,
     ) -> OrderingSearchResult:
         """Cluster-permutation search over injection orders (§5).
 
-        By default permutations are scored with the incremental simulator:
-        the cyclic slot structure is derived per permutation with the lean
-        slot scheduler, the dependency DAG is compiled once per distinct
-        structure, and each candidate is a pure array re-solve.  The legacy
-        path (rebuild the full schedule + timeline per permutation) is kept
-        behind ``PlannerConfig.incremental_order_search=False`` and for the
-        1F1B schedule, which ignores the injection order.
+        Permutations are scored on the replica's incremental simulator: the
+        cyclic slot structure is derived per permutation with the lean slot
+        scheduler, the dependency DAG is compiled once per distinct
+        structure, and each candidate is one timeline solve.
         """
         times = [
             float(t) for t in self.cost_model.microbatch_times_ms(list(shapes), mode)
         ]
-        simulator: IncrementalOrderSimulator | None = None
-        if (
-            self.config.incremental_order_search
-            and self.config.schedule_kind is not ScheduleKind.ONE_F_ONE_B
-        ):
-            simulator = self._order_search_simulator(shapes, mode, transfer_shapes)
-            score = simulator.score
-        else:
-            comm_time = self._comm_time_fn(transfer_shapes)
-            static = [
-                self.cost_model.stage_static_bytes(j)
-                for j in range(self.cost_model.num_stages)
-            ]
-
-            def score(order: Sequence[int]) -> float:
-                try:
-                    build = self.scheduler.build(
-                        shapes,
-                        kind=self.config.schedule_kind,
-                        recompute=mode,
-                        injection_order=order,
-                    )
-                except ScheduleDeadlockError:
-                    return float("inf")
-                simulation = simulate_schedule(
-                    build.schedule,
-                    build.durations,
-                    comm_time_fn=comm_time,
-                    activation_bytes=build.activation_bytes,
-                    static_bytes=static,
-                )
-                if not self._replica_feasible(simulation):
-                    return float("inf")
-                return simulation.makespan_ms
-
+        compiles, solves = simulator.compiles, simulator.solves
         with _span("order_search", num_microbatches=len(times)):
             result = cluster_and_order(
                 times,
-                score,
+                simulator.score,
                 num_clusters=self.config.num_time_clusters,
                 max_permutations=self.config.max_order_permutations,
             )
-        if simulator is not None:
-            result.geometry_compiles = simulator.compiles
-            result.timeline_solves = simulator.solves
+        result.geometry_compiles = simulator.compiles - compiles
+        result.timeline_solves = simulator.solves - solves
         _PLANNER_STATS["order_searches"] += 1
         _PLANNER_STATS["order_permutations_evaluated"] += result.evaluated
-        if result.geometry_compiles is not None:
-            _PLANNER_STATS["order_geometry_compiles"] += result.geometry_compiles
-        if result.timeline_solves is not None:
-            _PLANNER_STATS["order_timeline_solves"] += result.timeline_solves
+        _PLANNER_STATS["order_geometry_compiles"] += result.geometry_compiles
+        _PLANNER_STATS["order_timeline_solves"] += result.timeline_solves
         return result

@@ -3,8 +3,8 @@
 The executor service owns the simulated devices of one data-parallel replica
 group.  For every iteration it fetches each replica's execution plan from
 the instruction store — blocking (and recording the stall time) if planning
-has not finished yet — deserialises it, and runs it on the
-instruction-level executor with execution-time noise.
+has not finished yet — deserialises it (not counted as stall), and runs it
+on the instruction-level executor with execution-time noise.
 """
 
 from __future__ import annotations
@@ -82,12 +82,12 @@ class ExecutorService:
 
     # ------------------------------------------------------------------ internals
 
-    def _fetch(self, iteration: int, replica: int) -> ExecutionPlan:
+    def _wait_payload(self, iteration: int, replica: int) -> dict:
+        """Poll the store until the plan payload appears (no decoding)."""
         deadline = time.perf_counter() + self.fetch_timeout_s
         while True:
             try:
-                payload = self.store.fetch(iteration, replica)
-                return ExecutionPlan.from_dict(payload)
+                return self.store.fetch(iteration, replica)
             except PlanNotReadyError:
                 if time.perf_counter() > deadline:
                     raise
@@ -125,8 +125,12 @@ class ExecutorService:
     def run_iteration(self, iteration: int) -> ExecutorStats:
         """Fetch and execute one iteration's plans; returns its statistics."""
         stall_start = time.perf_counter()
-        plans = [self._fetch(iteration, replica) for replica in range(self.data_parallel_size)]
+        payloads = [
+            self._wait_payload(iteration, replica)
+            for replica in range(self.data_parallel_size)
+        ]
         stall = time.perf_counter() - stall_start
+        plans = [ExecutionPlan.from_dict(payload) for payload in payloads]
 
         simulated_ms = 0.0
         peak = 0.0

@@ -2,8 +2,7 @@
 
 This module compiles a schedule's *geometry* — which op runs where, and
 what it depends on — into flat numpy arrays once, and then solves the
-timing recurrence of :mod:`repro.simulator.engine` wave-by-wave in
-topological levels:
+timing recurrence of :mod:`repro.simulator.engine` in topological order:
 
 * ``op_stage`` / ``op_microbatch`` / ``op_is_forward`` describe every op in
   stage-major order (op id = position within the concatenated per-stage
@@ -14,8 +13,10 @@ topological levels:
 * ``prev`` holds the same-device predecessor (devices execute their schedule
   in order, one op at a time);
 * ops are grouped into *waves* (topological levels of the dependency DAG).
-  All ops in one wave are independent, so each wave is solved with a handful
-  of vectorized array operations instead of per-op Python dispatch.
+  All ops in one wave are independent.  ``solve`` walks the ops of one
+  duration vector in wave-major order with scalar floats (a wave holds only
+  a few ops); ``solve_batch`` solves many duration vectors with a handful of
+  vectorized array operations per wave.
 
 Compilation is schedule-order only: durations and communication times are
 *inputs to the solve*, so one compiled geometry can be re-solved for many
@@ -299,33 +300,18 @@ class CompiledTimeline:
         self._dep_clip_w = np.maximum(dep_w, 0)
         self._has_prev_w = prev_w >= 0
         self._prev_clip_w = np.maximum(prev_w, 0)
+        # Scalar-walk layout of :meth:`solve` (op ids, topological order).
+        self._order_list = order.tolist()
+        self._dep_list = dep.tolist()
+        self._prev_list = prev.tolist()
 
     # ------------------------------------------------------------------ gathers
 
-    def durations_from(self, duration_fn, schedule: PipelineSchedule | None = None) -> np.ndarray:
-        """Per-op duration array from a mapping/callable over compute ops.
-
-        When the originating ``schedule`` is given, its existing
-        :class:`~repro.schedule.events.ComputeOp` objects are reused for the
-        lookups (no per-op object construction).
-        """
-        if schedule is not None:
-            if callable(duration_fn):
-                values = [duration_fn(op) for op in schedule.all_ops()]
-            else:
-                values = [duration_fn[op] for op in schedule.all_ops()]
-            return np.asarray(values, dtype=np.float64)
-        from repro.schedule.events import ComputeOp
-
-        values = []
-        for i in range(self.num_ops):
-            op = ComputeOp(
-                int(self.op_microbatch[i]),
-                int(self.op_stage[i]),
-                OpType.FORWARD if self.op_is_forward[i] else OpType.BACKWARD,
-            )
-            values.append(duration_fn(op) if callable(duration_fn) else duration_fn[op])
-        return np.asarray(values, dtype=np.float64)
+    def durations_from(self, duration_fn, schedule: PipelineSchedule) -> np.ndarray:
+        """Per-op duration array from a mapping/callable over the compute ops
+        of ``schedule``, the schedule this timeline was compiled from."""
+        lookup = duration_fn if callable(duration_fn) else duration_fn.__getitem__
+        return np.asarray([lookup(op) for op in schedule.all_ops()], dtype=np.float64)
 
     def comm_from(self, comm_time_fn) -> np.ndarray:
         """Per-op dependency-edge communication times from a callback."""
@@ -342,6 +328,11 @@ class CompiledTimeline:
     def solve(self, durations: np.ndarray, comm: np.ndarray | None = None) -> TimelineSolution:
         """Solve the timing recurrence for one duration vector.
 
+        Walks the ops once in topological (wave-major) order with scalar
+        floats: a wave holds only a few ops, so per-wave array calls would
+        cost more than the arithmetic.  The operands and their order are the
+        same as :meth:`solve_batch`'s, so the results are bit-identical.
+
         Args:
             durations: Per-op durations in op-id (stage-major) order.
             comm: Optional per-op communication times added to the
@@ -350,31 +341,25 @@ class CompiledTimeline:
         Returns:
             A :class:`TimelineSolution` with starts/ends in op-id order.
         """
-        n = self.num_ops
-        d_w = np.maximum(np.asarray(durations, dtype=np.float64), 0.0)[self.order]
-        c_w = None if comm is None else np.asarray(comm, dtype=np.float64)[self.order]
-        starts_w = np.zeros(n, dtype=np.float64)
-        ends_w = np.zeros(n, dtype=np.float64)
-        offsets = self.wave_offsets
-        for w in range(len(offsets) - 1):
-            a, b = int(offsets[w]), int(offsets[w + 1])
-            dep_ready = ends_w[self._dep_clip_w[a:b]]
-            if c_w is not None:
-                dep_ready = dep_ready + c_w[a:b]
-            dep_ready = np.where(self._has_dep_w[a:b], dep_ready, 0.0)
-            prev_ready = np.where(
-                self._has_prev_w[a:b], ends_w[self._prev_clip_w[a:b]], 0.0
-            )
-            start = np.maximum(prev_ready, dep_ready)
-            starts_w[a:b] = start
-            ends_w[a:b] = start + d_w[a:b]
-        starts = np.empty(n, dtype=np.float64)
-        ends = np.empty(n, dtype=np.float64)
-        starts[self.order] = starts_w
-        ends[self.order] = ends_w
-        makespan = float(ends_w.max()) if n else 0.0
+        d = np.maximum(np.asarray(durations, dtype=np.float64), 0.0).tolist()
+        c = None if comm is None else np.asarray(comm, dtype=np.float64).tolist()
+        dep, prev = self._dep_list, self._prev_list
+        starts = [0.0] * self.num_ops
+        ends = [0.0] * self.num_ops
+        for i in self._order_list:
+            j = dep[i]
+            dep_ready = 0.0 if j < 0 else ends[j] if c is None else ends[j] + c[i]
+            j = prev[i]
+            prev_ready = 0.0 if j < 0 else ends[j]
+            start = dep_ready if dep_ready > prev_ready else prev_ready  # max()
+            starts[i] = start
+            ends[i] = start + d[i]
         _STATS["timeline_solves"] += 1
-        return TimelineSolution(starts=starts, ends=ends, makespan_ms=makespan)
+        return TimelineSolution(
+            starts=np.array(starts),
+            ends=np.array(ends),
+            makespan_ms=max(ends) if ends else 0.0,
+        )
 
     def solve_batch(
         self, durations: np.ndarray, comm: np.ndarray | None = None

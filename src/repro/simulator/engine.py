@@ -24,13 +24,14 @@ twice or uses a negative micro-batch index is rejected with
 The result contains the full timeline (used for safety-stock analysis and
 communication planning), the makespan, per-device idle time and the peak
 activation memory per device.  ``op_times`` and ``trace`` are materialized
-lazily from the solver arrays on first access.
+lazily from the solver arrays on first access; :func:`timeline_result`
+wraps any solve of a compiled timeline the same way.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -40,6 +41,7 @@ from repro.simulator.compiled import (
     _STATS,
     CompiledTimeline,
     SimulationError,
+    TimelineSolution,
     engine_stats,
     reset_engine_stats,
 )
@@ -54,6 +56,7 @@ __all__ = [
     "engine_stats",
     "reset_engine_stats",
     "simulate_schedule",
+    "timeline_result",
 ]
 
 #: Duration provider: maps a compute op to milliseconds.
@@ -74,8 +77,9 @@ class SimulationResult:
             static memory unless the caller passes it via the tracker).
         trace: Flat execution trace for rendering / export.
 
-    ``op_times`` and ``trace`` may be built lazily from the solver's
-    arrays; all other attributes are always materialized.
+    ``op_times`` may be built lazily from the solver's arrays (``materialize``)
+    and ``trace`` lazily from ``op_times``; all other attributes are always
+    materialized.
     """
 
     def __init__(
@@ -86,8 +90,7 @@ class SimulationResult:
         device_idle_ms: list[float] | None = None,
         peak_activation_bytes: list[float] | None = None,
         trace: ExecutionTrace | None = None,
-        materialize: Callable[[], tuple[dict[ComputeOp, tuple[float, float]], ExecutionTrace]]
-        | None = None,
+        materialize: Callable[[], dict[ComputeOp, tuple[float, float]]] | None = None,
     ) -> None:
         self._op_times = op_times
         self._trace = trace
@@ -104,21 +107,28 @@ class SimulationResult:
             peak_activation_bytes if peak_activation_bytes is not None else []
         )
 
-    def _fill(self) -> None:
-        assert self._materialize is not None
-        self._op_times, self._trace = self._materialize()
-        self._materialize = None
-
     @property
     def op_times(self) -> dict[ComputeOp, tuple[float, float]]:
         if self._op_times is None:
-            self._fill()
+            self._op_times = self._materialize()
         return self._op_times
 
     @property
     def trace(self) -> ExecutionTrace:
         if self._trace is None:
-            self._fill()
+            trace = ExecutionTrace()
+            for op, (start, end) in self.op_times.items():
+                trace.add(
+                    TraceEvent(
+                        device=op.stage,
+                        name=f"{op.op_type.value}{op.microbatch}",
+                        start_ms=start,
+                        end_ms=end,
+                        category="compute",
+                        microbatch=op.microbatch,
+                    )
+                )
+            self._trace = trace
         return self._trace
 
     @property
@@ -127,6 +137,28 @@ class SimulationResult:
         if self.makespan_ms <= 0 or not self.device_idle_ms:
             return 0.0
         return sum(self.device_idle_ms) / (len(self.device_idle_ms) * self.makespan_ms)
+
+
+def timeline_result(
+    ops: Callable[[], Iterable[ComputeOp]],
+    timeline: CompiledTimeline,
+    solution: TimelineSolution,
+    peak_activation_bytes: list[float],
+) -> SimulationResult:
+    """Wrap one solve of ``timeline`` as a :class:`SimulationResult`.
+
+    ``ops()`` yields the compute ops in op-id (stage-major) order; it is
+    only called when ``op_times`` is first read.
+    """
+    starts, ends = solution.starts, solution.ends
+    busy, idle = timeline.device_busy_idle(starts, ends, solution.makespan_ms)
+    return SimulationResult(
+        makespan_ms=solution.makespan_ms,
+        device_busy_ms=busy,
+        device_idle_ms=idle,
+        peak_activation_bytes=peak_activation_bytes,
+        materialize=lambda: dict(zip(ops(), zip(starts.tolist(), ends.tolist()))),
+    )
 
 
 # ---------------------------------------------------------------- geometry cache
@@ -215,40 +247,17 @@ def simulate_schedule(
     durations = timeline.durations_from(duration_fn, schedule)
     comm = timeline.comm_from(comm_time_fn) if comm_time_fn is not None else None
     solution = timeline.solve(durations, comm)
-    makespan = solution.makespan_ms
-    busy, idle = timeline.device_busy_idle(solution.starts, solution.ends, makespan)
     if activation_bytes is not None:
         peaks = timeline.peak_activation(activation_bytes, static_bytes)
     else:
         peaks = [
             (static_bytes[j] if static_bytes else 0.0) for j in range(schedule.num_stages)
         ]
-    starts, ends = solution.starts, solution.ends
-
-    def materialize() -> tuple[dict[ComputeOp, tuple[float, float]], ExecutionTrace]:
-        op_times: dict[ComputeOp, tuple[float, float]] = {}
-        trace = ExecutionTrace()
-        for i, op in enumerate(schedule.all_ops()):
-            start, end = float(starts[i]), float(ends[i])
-            op_times[op] = (start, end)
-            trace.add(
-                TraceEvent(
-                    device=op.stage,
-                    name=f"{op.op_type.value}{op.microbatch}",
-                    start_ms=start,
-                    end_ms=end,
-                    category="compute",
-                    microbatch=op.microbatch,
-                )
-            )
-        return op_times, trace
-
     _STATS["vector_simulations"] += 1
-    _publish("simulation", engine="vector", num_stages=schedule.num_stages, makespan_ms=makespan)
-    return SimulationResult(
-        makespan_ms=makespan,
-        device_busy_ms=busy,
-        device_idle_ms=idle,
-        peak_activation_bytes=peaks,
-        materialize=materialize,
+    _publish(
+        "simulation",
+        engine="vector",
+        num_stages=schedule.num_stages,
+        makespan_ms=solution.makespan_ms,
     )
+    return timeline_result(schedule.all_ops, timeline, solution, peaks)

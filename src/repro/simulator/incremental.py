@@ -1,29 +1,31 @@
-"""Incremental re-simulation for the injection-order search.
+"""Incremental re-simulation of one replica's injection orders.
 
-The planner's order search scores dozens of injection-order permutations of
-the *same* micro-batches.  The legacy path rebuilt the full cyclic schedule
-(ComputeOp objects) and re-ran the whole simulation per permutation.  This
-module exploits two observations:
+The planner evaluates the *same* micro-batches under many injection orders:
+the identity order for the feasibility check, every candidate of the order
+search (§5), and the chosen order for the plan.  Two observations avoid
+rebuilding and re-simulating the schedule each time:
 
 * **Slot relabeling.** Cyclic scheduling decisions depend only on the
   activation *values* presented, so scheduling micro-batches in injection
   order ``P`` is isomorphic to scheduling *slots* ``0..M-1`` in identity
   order over the permuted activation rows ``A[P]`` — slot ``k`` stands for
-  micro-batch ``P[k]``.  Each permutation therefore only needs the lean
+  micro-batch ``P[k]``.  Each order therefore only needs the lean
   slot-level scheduler (:func:`~repro.schedule.cyclic.cyclic_stage_sequences`)
   plus array gathers to map slot-indexed geometry onto real micro-batch
   durations, comm times and activations.
 
-* **Geometry reuse.** With ample memory every permutation produces the same
-  slot structure, so the expensive part — compiling the dependency DAG into
-  a :class:`~repro.simulator.compiled.CompiledTimeline` — happens once and
-  each permutation is a pure array re-solve.  Memory-gated schedules can
-  fork into a handful of distinct structures; each is compiled at most once
-  (keyed by the encoded slot sequences).
+* **Geometry reuse.** With ample memory every order produces the same slot
+  structure, so compiling the dependency DAG into a
+  :class:`~repro.simulator.compiled.CompiledTimeline` happens once and each
+  order is a pure re-solve.  Memory-gated schedules can fork into a handful
+  of distinct structures; each is compiled at most once.
 
-The produced scores are bit-identical to the legacy build-and-simulate path:
-the same scheduler core emits the op order, and both paths solve with the
-same compiled solver.
+Evaluations are cached, so the chosen order's schedule and
+:class:`~repro.simulator.engine.SimulationResult` are read off its solve
+(:meth:`IncrementalOrderSimulator.simulation`).  Everything is
+bit-identical to building the cyclic schedule with ``injection_order=P``
+and running :func:`~repro.simulator.engine.simulate_schedule` on it: the
+same scheduler core emits the op order and the same solver times it.
 """
 
 from __future__ import annotations
@@ -34,20 +36,26 @@ from typing import Sequence
 import numpy as np
 
 from repro.schedule.cyclic import ScheduleDeadlockError, cyclic_stage_sequences
-from repro.simulator.compiled import COMM_ACT, COMM_GRAD, CompiledTimeline
+from repro.schedule.events import ComputeOp, OpType, PipelineSchedule, StageSchedule
+from repro.simulator.compiled import COMM_ACT, COMM_GRAD, CompiledTimeline, TimelineSolution
+from repro.simulator.engine import SimulationResult, timeline_result
 
 
 @dataclass
-class _Geometry:
-    """One compiled slot structure plus precomputed gather indices."""
+class OrderEvaluation:
+    """One solved injection order: slot ``k`` of ``timeline`` is micro-batch
+    ``permutation[k]``; the peaks include static memory, and ``feasible``
+    says whether they fit the device (always true without a capacity)."""
 
+    permutation: np.ndarray
     timeline: CompiledTimeline
-    act_edges: np.ndarray  # op ids whose dependency edge carries activations
-    grad_edges: np.ndarray  # op ids whose dependency edge carries gradients
+    solution: TimelineSolution
+    peak_activation_bytes: list[float]
+    feasible: bool
 
 
 class IncrementalOrderSimulator:
-    """Scores injection orders against compiled schedule geometry.
+    """Evaluates injection orders of one replica against compiled geometry.
 
     All inputs are indexed by *micro-batch id* and pipeline stage:
 
@@ -63,8 +71,8 @@ class IncrementalOrderSimulator:
             ``j`` to ``j - 1`` (column ``0`` unused).
         memory_limits: Optional per-stage limits for memory-aware scheduling.
         static_bytes: Optional per-stage static memory.
-        device_memory_bytes: Optional per-device capacity; permutations whose
-            peak memory exceeds it score ``inf`` (infeasible), matching the
+        device_memory_bytes: Optional per-device capacity; orders whose peak
+            memory exceeds it are infeasible and score ``inf``, matching the
             planner's feasibility rule.
     """
 
@@ -89,42 +97,35 @@ class IncrementalOrderSimulator:
         self.memory_limits = list(memory_limits) if memory_limits is not None else None
         self.static_bytes = list(static_bytes) if static_bytes is not None else None
         self.device_memory_bytes = device_memory_bytes
-        self._geometries: dict[tuple, _Geometry] = {}
+        self._geometries: dict[tuple, CompiledTimeline] = {}
+        self._evaluations: dict[tuple[int, ...], OrderEvaluation] = {}
         #: Number of distinct slot structures compiled so far.
         self.compiles = 0
-        #: Number of timeline solves (one per scored permutation).
+        #: Number of timeline solves (one per evaluated order).
         self.solves = 0
 
-    def _geometry_for(self, sequences: list[list[int]]) -> _Geometry:
+    def _geometry_for(self, sequences: list[list[int]]) -> CompiledTimeline:
         key = tuple(np.asarray(seq, dtype=np.int64).tobytes() for seq in sequences)
-        geometry = self._geometries.get(key)
-        if geometry is None:
+        timeline = self._geometries.get(key)
+        if timeline is None:
             timeline = CompiledTimeline.from_stage_sequences(self.num_stages, sequences)
-            geometry = _Geometry(
-                timeline=timeline,
-                act_edges=np.flatnonzero(timeline.comm_kind == COMM_ACT),
-                grad_edges=np.flatnonzero(timeline.comm_kind == COMM_GRAD),
-            )
-            self._geometries[key] = geometry
+            self._geometries[key] = timeline
             self.compiles += 1
-        return geometry
+        return timeline
 
-    def score(self, order: Sequence[int]) -> float:
-        """Makespan of ``order`` (``inf`` when infeasible or deadlocked).
+    def evaluate(self, order: Sequence[int]) -> OrderEvaluation:
+        """Schedule, solve and memory-check ``order`` (one timeline solve).
 
-        Bit-identical to building the cyclic schedule with
-        ``injection_order=order`` and running the simulation engine on it.
+        Raises:
+            ScheduleDeadlockError: If cyclic scheduling cannot place every
+                op under the memory limits.
         """
         permutation = np.asarray(order, dtype=np.int64)
         permuted_activation = self.activation_bytes[permutation]
-        try:
-            sequences = cyclic_stage_sequences(
-                self.num_stages, permuted_activation, self.memory_limits
-            )
-        except ScheduleDeadlockError:
-            return float("inf")
-        geometry = self._geometry_for(sequences)
-        timeline = geometry.timeline
+        sequences = cyclic_stage_sequences(
+            self.num_stages, permuted_activation, self.memory_limits
+        )
+        timeline = self._geometry_for(sequences)
 
         # Map slot-indexed geometry onto real micro-batch ids.
         microbatch = permutation[timeline.op_microbatch]
@@ -135,15 +136,68 @@ class IncrementalOrderSimulator:
             self.backward_ms[microbatch, stage],
         )
         comm = np.zeros(timeline.num_ops, dtype=np.float64)
-        act_edges, grad_edges = geometry.act_edges, geometry.grad_edges
+        act_edges = np.flatnonzero(timeline.comm_kind == COMM_ACT)
+        grad_edges = np.flatnonzero(timeline.comm_kind == COMM_GRAD)
         comm[act_edges] = self.act_comm_ms[microbatch[act_edges], stage[act_edges] - 1]
         comm[grad_edges] = self.grad_comm_ms[microbatch[grad_edges], stage[grad_edges] + 1]
 
         solution = timeline.solve(durations, comm)
         self.solves += 1
+        peaks = timeline.peak_activation(permuted_activation, self.static_bytes)
+        capacity = self.device_memory_bytes
+        evaluation = OrderEvaluation(
+            permutation=permutation,
+            timeline=timeline,
+            solution=solution,
+            peak_activation_bytes=peaks,
+            feasible=capacity is None
+            or all(peak <= capacity * (1.0 + 1e-9) for peak in peaks),
+        )
+        self._evaluations[tuple(permutation.tolist())] = evaluation
+        return evaluation
 
-        if self.device_memory_bytes is not None:
-            peaks = timeline.peak_activation(permuted_activation, self.static_bytes)
-            if any(peak > self.device_memory_bytes * (1.0 + 1e-9) for peak in peaks):
-                return float("inf")
-        return solution.makespan_ms
+    def score(self, order: Sequence[int]) -> float:
+        """Makespan of ``order`` (``inf`` when infeasible or deadlocked)."""
+        try:
+            evaluation = self.evaluate(order)
+        except ScheduleDeadlockError:
+            return float("inf")
+        return evaluation.solution.makespan_ms if evaluation.feasible else float("inf")
+
+    def simulation(
+        self, order: Sequence[int], name: str
+    ) -> tuple[PipelineSchedule, SimulationResult]:
+        """The schedule and timeline of ``order``, read off its evaluation.
+
+        Reuses the cached evaluation when ``order`` was already evaluated
+        (no further solve), so the search's solve of the chosen order
+        becomes the plan's timeline.  Equal to
+        ``cyclic_schedule(..., injection_order=order, name=name)`` and
+        :func:`~repro.simulator.engine.simulate_schedule` on it.
+        """
+        evaluation = self._evaluations.get(tuple(int(i) for i in order))
+        if evaluation is None:
+            evaluation = self.evaluate(order)
+        timeline = evaluation.timeline
+        microbatch = evaluation.permutation[timeline.op_microbatch].tolist()
+        forward = timeline.op_is_forward.tolist()
+        offsets = timeline.stage_offsets.tolist()
+        stages = [
+            StageSchedule(
+                stage=stage,
+                ops=[
+                    ComputeOp(mb, stage, OpType.FORWARD if fwd else OpType.BACKWARD)
+                    for mb, fwd in zip(
+                        microbatch[offsets[stage] : offsets[stage + 1]],
+                        forward[offsets[stage] : offsets[stage + 1]],
+                    )
+                ],
+            )
+            for stage in range(self.num_stages)
+        ]
+        schedule = PipelineSchedule(
+            stages=stages, num_microbatches=len(evaluation.permutation), name=name
+        )
+        return schedule, timeline_result(
+            schedule.all_ops, timeline, evaluation.solution, evaluation.peak_activation_bytes
+        )

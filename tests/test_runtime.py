@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from repro.core.execution_plan import ExecutionPlan
 from repro.core.planner import DynaPipePlanner, PlannerConfig
 from repro.data.sampler import MiniBatchSampler
 from repro.instructions.store import InstructionStore, PlanFailedError, PlanNotReadyError
@@ -542,6 +543,28 @@ class TestExecutorService:
         assert stats.simulated_ms > 0
         assert stats.peak_memory_bytes > 0
         assert stats.stall_s < 1.0
+
+    def test_plan_decode_is_not_stall(
+        self, planner, minibatches, gpt_cost_model, monkeypatch
+    ):
+        """Stall is the wait for the plan to appear in the store; decoding a
+        plan that is already stored is not stall."""
+        store = InstructionStore()
+        plan = planner.plan(minibatches[0], iteration=0)
+        store.push(0, 0, plan.plans[0].to_dict())
+        decode = ExecutionPlan.from_dict
+
+        def slow_decode(payload):
+            time.sleep(0.3)
+            return decode(payload)
+
+        monkeypatch.setattr(ExecutionPlan, "from_dict", staticmethod(slow_decode))
+        service = ExecutorService(cost_model=gpt_cost_model, store=store, noise_std=0.0)
+        start = time.perf_counter()
+        stats = service.run_iteration(0)
+        assert time.perf_counter() - start >= 0.3
+        assert stats.stall_s < 0.1
+        assert service.total_stall_s() == stats.stall_s
 
     def test_timeout_when_plan_missing(self, gpt_cost_model):
         service = ExecutorService(

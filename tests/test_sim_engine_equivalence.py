@@ -21,13 +21,14 @@ from hypothesis import strategies as st
 from repro.cluster.network import NetworkModel
 from repro.comm.shapes import TransferShapes
 from repro.core.adaptive_schedule import AdaptiveScheduler, ScheduleKind
+import repro.core.planner as planner_module
 from repro.core.planner import DynaPipePlanner, PlannerConfig
 from repro.model.memory import RecomputeMode
 from repro.model.transformer import MicroBatchShape
 from repro.schedule.cyclic import ScheduleDeadlockError, cyclic_schedule
 from repro.schedule.events import OpType, PipelineSchedule, StageSchedule
 from repro.schedule.one_f_one_b import one_f_one_b_schedule
-from repro.simulator.compiled import SimulationError
+from repro.simulator.compiled import CompiledTimeline, SimulationError
 from repro.simulator.engine import (
     clear_geometry_cache,
     engine_stats,
@@ -91,6 +92,14 @@ def _random_case(rng: random.Random):
     return schedule, durations, comm_time, activation, static
 
 
+def _events(trace) -> list:
+    """Trace events in device-then-time order (the scalar oracle records
+    them in execution order, the compiled engine stage-major)."""
+    return sorted(
+        trace.events, key=lambda event: (event.device, event.start_ms, event.end_ms, event.name)
+    )
+
+
 class TestVectorScalarBitIdentity:
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
@@ -106,8 +115,31 @@ class TestVectorScalarBitIdentity:
         assert vector.device_idle_ms == scalar.device_idle_ms
         assert vector.peak_activation_bytes == scalar.peak_activation_bytes
         assert vector.op_times == scalar.op_times
-        assert len(vector.trace.events) == len(scalar.trace.events)
+        assert _events(vector.trace) == _events(scalar.trace)
         assert vector.bubble_fraction == scalar.bubble_fraction
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_scalar_solve_matches_wave_solve_batch(self, seed):
+        rng = random.Random(seed)
+        schedule, durations, comm_time, _, _ = _random_case(rng)
+        timeline = CompiledTimeline.from_schedule(schedule)
+        rows = np.array(
+            [
+                [durations[op] * rng.choice([1.0, 0.5, 3.0]) for op in schedule.all_ops()]
+                for _ in range(3)
+            ]
+        )
+        comm = timeline.comm_from(comm_time) if comm_time is not None else None
+        batch = timeline.solve_batch(rows, comm)
+        for row, starts, ends, makespan in zip(
+            rows, batch.starts, batch.ends, batch.makespan_ms
+        ):
+            single = timeline.solve(row, comm)
+            # Bit patterns, not just values: signed zeros must agree too.
+            assert single.starts.tobytes() == starts.tobytes()
+            assert single.ends.tobytes() == ends.tobytes()
+            assert single.makespan_ms == makespan
 
     @pytest.mark.parametrize("model", ["gpt", "t5"])
     @pytest.mark.parametrize("recompute", [RecomputeMode.NONE, RecomputeMode.FULL])
@@ -238,16 +270,17 @@ class TestDeadlockDiagnostics:
 
 
 class TestIncrementalOrderSimulator:
-    def _legacy_score(
+    def _legacy(
         self, num_stages, activation, forward_ms, backward_ms, act_comm, grad_comm,
         limits, static, device_memory, order,
-    ) -> float:
+    ):
+        """Build + scalar-simulate ``order``: (score, schedule, result)."""
         try:
             schedule = cyclic_schedule(
                 num_stages, activation, memory_limits=limits, injection_order=list(order)
             )
         except ScheduleDeadlockError:
-            return float("inf")
+            return float("inf"), None, None
         durations = {
             op: (
                 forward_ms[op.microbatch, op.stage]
@@ -267,8 +300,8 @@ class TestIncrementalOrderSimulator:
             peak > device_memory * (1.0 + 1e-9)
             for peak in result.peak_activation_bytes
         ):
-            return float("inf")
-        return result.makespan_ms
+            return float("inf"), schedule, result
+        return result.makespan_ms, schedule, result
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
@@ -307,11 +340,29 @@ class TestIncrementalOrderSimulator:
         rng.shuffle(orders)
         for order in orders[:6]:
             incremental = simulator.score(order)
-            legacy = self._legacy_score(
+            legacy, schedule, result = self._legacy(
                 num_stages, activation, forward_ms, backward_ms, act_comm, grad_comm,
                 limits, static, device_memory, order,
             )
             assert incremental == legacy
+            if schedule is None:
+                continue
+            solves = simulator.solves
+            built, simulated = simulator.simulation(order, name="adaptive")
+            assert simulator.solves == solves  # read off the cached solve
+            assert [stage.ops for stage in built.stages] == [
+                stage.ops for stage in schedule.stages
+            ]
+            assert built.num_microbatches == schedule.num_microbatches
+            assert simulated.makespan_ms == result.makespan_ms
+            assert simulated.device_busy_ms == result.device_busy_ms
+            assert simulated.device_idle_ms == result.device_idle_ms
+            assert simulated.peak_activation_bytes == result.peak_activation_bytes
+            assert simulated.op_times == result.op_times
+            # Stage-major, like simulate_schedule (stream lowering breaks
+            # end-time ties in this order).
+            assert list(simulated.op_times) == list(schedule.all_ops())
+            assert _events(simulated.trace) == _events(result.trace)
         assert simulator.compiles <= simulator.solves
 
 
@@ -320,65 +371,62 @@ class TestPlannerIncrementalSearch:
     def search_samples(self, flan_samples_gpt):
         return flan_samples_gpt[:60]
 
-    def test_incremental_matches_legacy_plan(self, gpt_cost_model, search_samples):
-        base = dict(order_search=True, tmax_sample_count=8, max_order_permutations=12)
-        incremental = DynaPipePlanner(
-            gpt_cost_model,
-            config=PlannerConfig(incremental_order_search=True, **base),
-        ).plan(search_samples)
-        legacy = DynaPipePlanner(
-            gpt_cost_model,
-            config=PlannerConfig(incremental_order_search=False, **base),
-        ).plan(search_samples)
-        assert incremental.predicted_iteration_ms == legacy.predicted_iteration_ms
-        assert incremental.recompute == legacy.recompute
-        for inc_replica, leg_replica in zip(incremental.replicas, legacy.replicas):
-            assert inc_replica.ordering_search is not None
-            assert leg_replica.ordering_search is not None
-            assert inc_replica.ordering_search.order == leg_replica.ordering_search.order
-            assert (
-                inc_replica.ordering_search.makespan_ms
-                == leg_replica.ordering_search.makespan_ms
-            )
-            assert (
-                inc_replica.simulation.makespan_ms == leg_replica.simulation.makespan_ms
-            )
-
     def test_search_does_not_rebuild_schedule_per_permutation(
-        self, gpt_cost_model, search_samples
+        self, gpt_cost_model, search_samples, monkeypatch
     ):
+        calls = {"build": 0, "simulate": 0}
+        original_simulate = planner_module.simulate_schedule
+
+        def counting_simulate(*args, **kwargs):
+            calls["simulate"] += 1
+            return original_simulate(*args, **kwargs)
+
+        monkeypatch.setattr(planner_module, "simulate_schedule", counting_simulate)
+        for kind in (ScheduleKind.MEMORY_AWARE_ADAPTIVE, ScheduleKind.ADAPTIVE):
+            planner = DynaPipePlanner(
+                gpt_cost_model,
+                config=PlannerConfig(
+                    schedule_kind=kind,
+                    order_search=True,
+                    tmax_sample_count=8,
+                    max_order_permutations=12,
+                ),
+            )
+            original_build = planner.scheduler.build
+
+            def counting_build(*args, _build=original_build, **kwargs):
+                calls["build"] += 1
+                return _build(*args, **kwargs)
+
+            planner.scheduler.build = counting_build
+            plan = planner.plan(search_samples)
+            searches = [
+                replica.ordering_search
+                for replica in plan.replicas
+                if replica.ordering_search is not None
+            ]
+            assert searches, "expected the order search to run"
+            assert sum(search.evaluated for search in searches) > 1
+            # Cyclic replicas live on one incremental simulator from the
+            # feasibility check to the emitted plan: no schedule build, no
+            # from-scratch simulation.
+            assert calls == {"build": 0, "simulate": 0}, kind
+            for search in searches:
+                assert search.timeline_solves == search.evaluated
+                assert 0 <= search.geometry_compiles <= search.timeline_solves
+
+    def test_one_f_one_b_skips_the_search(self, gpt_cost_model, search_samples):
         planner = DynaPipePlanner(
             gpt_cost_model,
             config=PlannerConfig(
-                order_search=True, tmax_sample_count=8, max_order_permutations=12
+                schedule_kind=ScheduleKind.ONE_F_ONE_B,
+                order_search=True,
+                tmax_sample_count=8,
             ),
         )
-        build_calls = {"count": 0}
-        original_build = planner.scheduler.build
-
-        def counting_build(*args, **kwargs):
-            build_calls["count"] += 1
-            return original_build(*args, **kwargs)
-
-        planner.scheduler.build = counting_build
         plan = planner.plan(search_samples)
-        searches = [
-            replica.ordering_search
-            for replica in plan.replicas
-            if replica.ordering_search is not None
-        ]
-        assert searches, "expected the order search to run"
-        evaluated = sum(search.evaluated for search in searches)
-        assert evaluated > 1
-        # The incremental path never rebuilds the schedule while scoring:
-        # builds happen only for feasibility checks and the final chosen
-        # order, bounded well below one-build-per-permutation.
-        assert build_calls["count"] < evaluated
-        for search in searches:
-            assert search.geometry_compiles is not None
-            assert search.timeline_solves is not None
-            assert search.timeline_solves == search.evaluated
-            assert 1 <= search.geometry_compiles <= search.timeline_solves
+        assert all(replica.ordering_search is None for replica in plan.replicas)
+        assert all(replica.plan.metadata.schedule_name == "1f1b" for replica in plan.replicas)
 
     def test_engine_counter_shows_geometry_reuse(self, gpt_cost_model, search_samples):
         planner = DynaPipePlanner(
