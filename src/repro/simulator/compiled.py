@@ -125,7 +125,6 @@ class CompiledTimeline:
         self.num_microbatches = int(op_microbatch.max()) + 1 if self.num_ops else 0
         self._build_dependencies()
         self._build_waves()
-        self._memory_order_checked = False
         _STATS["geometry_compiles"] += 1
 
     # ------------------------------------------------------------------ construction
@@ -300,10 +299,14 @@ class CompiledTimeline:
         self._dep_clip_w = np.maximum(dep_w, 0)
         self._has_prev_w = prev_w >= 0
         self._prev_clip_w = np.maximum(prev_w, 0)
-        # Scalar-walk layout of :meth:`solve` (op ids, topological order).
+        # Scalar-walk layouts of :meth:`solve` (op ids in topological order)
+        # and :meth:`peak_activation` (stage-major).
         self._order_list = order.tolist()
         self._dep_list = dep.tolist()
         self._prev_list = prev.tolist()
+        self._microbatch_list = self.op_microbatch.tolist()
+        self._forward_list = self.op_is_forward.tolist()
+        self._offset_list = self.stage_offsets.tolist()
 
     # ------------------------------------------------------------------ gathers
 
@@ -429,32 +432,6 @@ class CompiledTimeline:
             idle.append(max(makespan - total, 0.0))
         return busy, idle
 
-    def _check_memory_order(self) -> None:
-        """Validate that every backward is preceded by its own forward on the
-        same stage — the invariant
-        :class:`~repro.simulator.memory_tracker.MemoryTracker` enforces op
-        by op."""
-        if self._memory_order_checked:
-            return
-        m = self.num_microbatches
-        for stage in range(self.num_stages):
-            a, b = int(self.stage_offsets[stage]), int(self.stage_offsets[stage + 1])
-            mbs = self.op_microbatch[a:b]
-            fwd = self.op_is_forward[a:b]
-            positions = np.arange(b - a, dtype=np.int64)
-            pos_f = np.full(max(m, 1), -1, dtype=np.int64)
-            pos_b = np.full(max(m, 1), -1, dtype=np.int64)
-            pos_f[mbs[fwd]] = positions[fwd]
-            pos_b[mbs[~fwd]] = positions[~fwd]
-            bad = (pos_b >= 0) & ((pos_f < 0) | (pos_f > pos_b))
-            if bad.any():
-                mb = int(np.flatnonzero(bad)[0])
-                raise MemoryAccountingError(
-                    f"backward of micro-batch {mb} on stage {stage} executes "
-                    "before (or without) its forward"
-                )
-        self._memory_order_checked = True
-
     def peak_activation(
         self,
         activation_bytes: np.ndarray,
@@ -462,26 +439,39 @@ class CompiledTimeline:
     ) -> list[float]:
         """Per-device peak activation memory (order-only; timing-independent).
 
+        Walks each stage's ops with scalar floats, adding a forward's
+        activation and subtracting it again at its backward, so the peaks are
+        bit-identical to replaying the ops through a
+        :class:`~repro.simulator.memory_tracker.MemoryTracker`.
+
         Args:
             activation_bytes: ``[microbatch][stage]`` activation footprints.
             static_bytes: Optional per-device static memory.
 
-        Returns:
-            Peak bytes per device, bit-identical to replaying the ops through
-            a :class:`~repro.simulator.memory_tracker.MemoryTracker`.
+        Raises:
+            MemoryAccountingError: If a backward runs before (or without)
+                its forward on the same stage, the invariant the tracker
+                enforces op by op.
         """
-        self._check_memory_order()
         act = np.asarray(activation_bytes, dtype=np.float64)
+        values = act[self.op_microbatch, self.op_stage].tolist()
+        microbatches, forward = self._microbatch_list, self._forward_list
         peaks: list[float] = []
         for stage in range(self.num_stages):
-            a, b = int(self.stage_offsets[stage]), int(self.stage_offsets[stage + 1])
-            static = float(static_bytes[stage]) if static_bytes else 0.0
-            mbs = self.op_microbatch[a:b]
-            fwd = self.op_is_forward[a:b]
-            values = act[mbs, stage]
-            deltas = np.where(fwd, values, -values)
-            running = np.cumsum(np.concatenate(([static], deltas)))
-            allocated = running[1:][fwd]
-            peak = float(allocated.max()) if allocated.size else static
-            peaks.append(max(static, peak))
+            running = peak = float(static_bytes[stage]) if static_bytes else 0.0
+            live = set()
+            for i in range(self._offset_list[stage], self._offset_list[stage + 1]):
+                if forward[i]:
+                    live.add(microbatches[i])
+                    running += values[i]
+                    if running > peak:
+                        peak = running
+                elif microbatches[i] in live:
+                    running -= values[i]
+                else:
+                    raise MemoryAccountingError(
+                        f"backward of micro-batch {microbatches[i]} on stage {stage} "
+                        "executes before (or without) its forward"
+                    )
+            peaks.append(peak)
         return peaks
