@@ -31,7 +31,6 @@ from repro.core.microbatch import DynamicMicroBatcher
 from repro.core.planner import DynaPipePlanner, PlannerConfig
 from repro.costmodel.cost_model import CostModel
 from repro.data.tasks import Sample
-from repro.instructions.store import InstructionStore
 from repro.model.config import ModelArch, ModelConfig
 from repro.runtime.planner_pool import PlannerPool
 
@@ -151,7 +150,7 @@ def run_pool():
     """Plan the same iteration set with 1 and 4 worker processes.
 
     Returns one row per worker count: wall-clock time from pool start to the
-    last plan landing in the store, the CPU time the workers spent planning,
+    last plan arriving, the CPU time the workers spent planning,
     and the ratio of the two (> 1 means real parallelism).
     """
     cost_model = CostModel(
@@ -166,38 +165,32 @@ def run_pool():
     ]
     rows = []
     wall: dict[int, float] = {}
-    stores: dict[int, InstructionStore] = {}
+    pools: dict[int, PlannerPool] = {}
     for workers in POOL_WORKER_COUNTS:
-        store = InstructionStore()
-        pool = PlannerPool(
-            planner=planner,
-            minibatches=minibatches,
-            store=store,
-            num_workers=workers,
-            lookahead=len(minibatches),
-        )
+        pool = PlannerPool(num_workers=workers, lookahead=len(minibatches))
+        pool.submit_job("bench", planner, minibatches)
         start = time.perf_counter()
         pool.start()
         deadline = start + 600
-        # Leave as soon as a plan fails: a failed iteration never lands in
-        # the store, so waiting for it would only run out the deadline.
+        # Leave as soon as a plan fails: a failed iteration never arrives,
+        # so waiting for it would only run out the deadline.
         while (
-            len(pool.planned_iterations()) < len(minibatches)
-            and not pool.errors
+            len(pool.planned_iterations("bench")) < len(minibatches)
+            and not pool.job_errors("bench")
             and time.perf_counter() < deadline
         ):
             time.sleep(0.005)
         elapsed = time.perf_counter() - start
-        abandoned = pool.stop()
-        if pool.errors:
-            iteration, error = pool.errors[0]
+        pool.stop()
+        if pool.job_errors("bench"):
+            iteration, error = pool.job_errors("bench")[0]
             raise AssertionError(
                 f"planning failed with {workers} workers (iteration {iteration}): "
                 f"{type(error).__name__}: {error}"
             )
-        assert not abandoned, abandoned
+        assert not pool.job_abandoned("bench"), pool.job_abandoned("bench")
         wall[workers] = elapsed
-        stores[workers] = store
+        pools[workers] = pool
         planning_cpu = sum(record.planning_time_s for record in pool.records)
         rows.append([workers, round(elapsed, 3), round(planning_cpu, 3),
                      round(planning_cpu / elapsed, 2)])
@@ -207,8 +200,8 @@ def run_pool():
     # later iterations are the ones planned under contention.
     for iteration, minibatch in enumerate(minibatches):
         reference = planner.plan(list(minibatch), iteration=iteration).plans[0].to_dict()
-        for workers, store in stores.items():
-            stored = store.fetch(iteration, 0)
+        for workers, pool in pools.items():
+            stored = pool.payload("bench", iteration)["replicas"][0]
             reference["metadata"]["planning_time_s"] = stored["metadata"]["planning_time_s"]
             assert stored == reference, (
                 f"pooled plan (iteration {iteration}, {workers} workers) != serial plan"

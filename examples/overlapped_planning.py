@@ -2,12 +2,12 @@
 
 DynaPipe's per-iteration planning takes a noticeable fraction of a second to
 seconds of CPU time.  The paper hides that cost by running planners on CPU
-cores concurrently with GPU execution and pushing plans to a distributed
-instruction store ahead of time.  This example runs the same architecture:
-a pool of planner worker *processes* (each rebuilt from the serialized cost
-model, planning on real CPU cores) plans several iterations ahead while the
-executor service consumes plans from the store, and the report shows how
-much of the planning time was actually exposed as executor stalls.
+cores concurrently with GPU execution and handing plans to the executors
+ahead of time.  This example runs the same architecture: a training session
+registers its epoch on a pool of planner worker *processes* (each rebuilt
+from the serialized cost model, planning on real CPU cores) that plans
+several iterations ahead while the session executes, and the report shows
+how much of the planning time was actually exposed as executor waits.
 
 Run with:  python examples/overlapped_planning.py
 """
@@ -19,7 +19,8 @@ from repro import (
     DynaPipePlanner,
     PlannerConfig,
     SyntheticFlanDataset,
-    TrainingOrchestrator,
+    TrainerConfig,
+    TrainingSession,
     get_model_config,
 )
 from repro.data.truncation import truncate_samples
@@ -38,32 +39,34 @@ def main() -> None:
     samples = truncate_samples(dataset.samples, MAX_SEQ_LEN, decoder_only=True)
 
     print(f"running {NUM_ITERATIONS} iterations of {model.name} with overlapped planning...")
-    orchestrator = TrainingOrchestrator(
+    session = TrainingSession(
         planner,
-        cost_model,
         samples,
         global_batch_tokens=GLOBAL_BATCH_TOKENS,
-        num_iterations=NUM_ITERATIONS,
-        planner_workers=2,
-        lookahead=3,
-        noise_std=0.05,
-        seed=0,
+        config=TrainerConfig(
+            max_iterations=NUM_ITERATIONS,
+            noise_std=0.05,
+            seed=0,
+            planner_processes=2,
+            planner_lookahead=3,
+        ),
     )
-    report = orchestrator.run()
+    report = session.run()
 
+    total_planning_s = sum(record.planning_time_s for record in report.records)
     print("\n--- planner/executor overlap report ---")
-    print(f"iterations executed:         {report.iterations}")
-    print(f"total planning time:         {report.total_planning_s:.2f} s "
-          f"(mean {report.mean_planning_s:.2f} s per iteration)")
-    print(f"planning exposed as stalls:  {report.exposed_stall_s:.2f} s")
+    print(f"iterations executed:         {len(report.records)}")
+    print(f"total planning time:         {total_planning_s:.2f} s "
+          f"(mean {report.mean_planning_time_s:.2f} s per iteration)")
+    print(f"planning exposed as waits:   {report.plan_wait_s:.2f} s")
     print(f"planning hidden by overlap:  {report.overlap_fraction:.0%}")
-    print(f"simulated execution time:    {report.total_simulated_ms / 1e3:.2f} s")
-    print("\nPer-iteration executor statistics:")
-    for stats in orchestrator.executor.stats:
+    print(f"simulated execution time:    {report.total_time_s:.2f} s")
+    print("\nPer-iteration statistics:")
+    for record in report.records:
         print(
-            f"  iteration {stats.iteration}: waited {stats.stall_s * 1e3:6.1f} ms for the plan, "
-            f"executed in {stats.simulated_ms:7.1f} simulated ms, "
-            f"peak memory {stats.peak_memory_bytes / 1024**3:.1f} GiB"
+            f"  iteration {record.iteration}: planned in {record.planning_time_s * 1e3:6.1f} ms, "
+            f"executed in {record.measured_ms:7.1f} simulated ms, "
+            f"peak memory {record.measured_peak_bytes / 1024**3:.1f} GiB"
         )
 
 

@@ -69,7 +69,7 @@ from repro.fleet import (
 from repro import obs
 from repro.backends import ExecutionBackend, available_backends, get_backend
 from repro.parallel import ParallelConfig, enumerate_parallel_configs, grid_search
-from repro.runtime import ExecutorService, PlannerPool, TrainingOrchestrator
+from repro.runtime import PlannerPool
 from repro.training import TrainerConfig, TrainingReport, TrainingSession
 
 __version__ = "1.0.0"
@@ -121,8 +121,6 @@ __all__ = [
     "TrainerConfig",
     "TrainingReport",
     "PlannerPool",
-    "ExecutorService",
-    "TrainingOrchestrator",
     # fleet scheduling
     "FleetScheduler",
     "FleetConfig",

@@ -5,7 +5,7 @@ replica) needs for a training iteration: per-device instruction streams,
 micro-batch shapes, the recomputation mode and the predictions the planner
 made (iteration time, peak memory) so that they can later be compared with
 the measured execution (Fig. 17/18).  Plans serialise to JSON-compatible
-dictionaries for the instruction store.
+dictionaries, the form the planner pool ships them in.
 """
 
 from __future__ import annotations

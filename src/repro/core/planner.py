@@ -29,6 +29,7 @@ once and skip the search.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import asdict, dataclass, field
 from typing import Any, Sequence
@@ -203,7 +204,7 @@ class IterationPlan:
 
         This is the payload a planner-pool worker ships back to the parent:
         per-replica :meth:`~repro.core.execution_plan.ExecutionPlan.to_dict`
-        plans (destined for the instruction store) plus the iteration-level
+        plans (destined for the executors) plus the iteration-level
         results a training loop needs (predictions, padding statistics,
         recomputation mode).  The in-memory simulation and micro-batch
         objects are deliberately not serialised — executors re-derive
@@ -457,7 +458,10 @@ class DynaPipePlanner:
                 order = list(range(len(shapes)))
                 if self.config.order_search and len(shapes) > 1:
                     ordering_result = self._search_injection_order(replica, shapes, mode)
-                    order = ordering_result.order
+                    # An all-infeasible search keeps the identity order,
+                    # which passed the feasibility check above.
+                    if math.isfinite(ordering_result.makespan_ms):
+                        order = ordering_result.order
                 schedule, simulation = replica.simulation(
                     order, name=self.config.schedule_kind.value
                 )

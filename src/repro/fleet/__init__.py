@@ -16,7 +16,7 @@ checkpoints its full state at event boundaries and restores
 deterministically (``repro.fleet.checkpoint``), and a fault-injection
 harness (``repro.fleet.faults``) replays scripted or seeded-random fault
 plans — failure storms, correlated rack outages, planner-worker kills and
-transient store errors — through the same capacity-event machinery.
+transient plan losses — through the same capacity-event machinery.
 
 See ``docs/ARCHITECTURE.md`` for the layer map, the event-ordering
 contract, the elasticity state machine and the fault-tolerance design.

@@ -148,14 +148,13 @@ class FleetReport:
         capacity_timeline: Failure/repair/arrival events in fleet-clock
             order, each with the alive count after it applied.
         trace: Cluster-occupancy trace (device × time → job iteration).
-        planner_workers_spawned: Planner workers spawned over the whole run
-            — ``planner_processes`` per *attempt* with private pools, but
-            only ``planner_processes`` *total* with the shared planning
-            cluster (the spawn-amortisation the paper's architecture buys).
+        planner_workers_spawned: Planner workers spawned over the whole run:
+            ``planner_processes`` once for the shared planning cluster (the
+            spawn amortisation the paper's architecture buys), 0 inline.
         repair_durations_ms: Failure-to-repair durations of every repair
             that fired during the run (one entry per completed outage);
             feeds :attr:`mttr_ms`.
-        fault_log: Applied planner-side faults (worker kills, store plan
+        fault_log: Applied planner-side faults (worker kills, plan
             losses), each a ``{time_ms, kind, requested, applied}`` dict.
         events_processed: Scheduler event-loop iterations of the run (one
             per event), so events/second is the benchmark's like-for-like

@@ -8,11 +8,11 @@ devices of a single :class:`~repro.cluster.topology.ClusterTopology`:
   all-or-nothing onto ``dp × pp × tp`` device groups, with backfilling: a
   job that does not fit is skipped, not a barrier.
 * **Execution** — each admitted job's iterations run through the existing
-  planner/executor stack (optionally via the process-backed
-  :class:`~repro.runtime.planner_pool.PlannerPool` and its instruction
-  store); the fleet clock advances event by event, one committed iteration
-  at a time, so concurrent jobs interleave exactly as their simulated
-  iteration times dictate.
+  planner/executor stack (optionally via one fleet-wide, process-backed
+  :class:`~repro.runtime.planner_pool.PlannerPool`); the fleet clock
+  advances event by event, one committed iteration at a time, so
+  concurrent jobs interleave exactly as their simulated iteration times
+  dictate.
 * **Dynamic capacity** — devices leave *and* join the cluster mid-run:
   injected failures remove them, :class:`DeviceRepairEvent`\\ s return
   failed devices to the free pool (automatically after
@@ -27,7 +27,7 @@ devices of a single :class:`~repro.cluster.topology.ClusterTopology`:
   queue to be re-planned from its checkpointed iteration boundary — on a
   smaller replica group when the alive cluster can no longer host the
   requested gang.  Planning failures (including
-  :class:`~repro.instructions.store.PlanFailedError` markers from pool
+  :class:`~repro.runtime.planner_pool.PlanFailedError`\\ s from pool
   workers) take the same path.  Both count against the job's bounded retry
   budget; exhaustion marks the job *failed*, never hung.
 * **Graceful preemption (boundary time-slicing)** — unlike a failure,
@@ -77,7 +77,6 @@ from typing import Any, Callable
 
 from repro.cluster.topology import ClusterTopology
 from repro.fleet.gang import DeviceGang, GangAllocator
-from repro.instructions.store import InstructionStore
 from repro.runtime.planner_pool import PlannerPool
 from repro.fleet.job import JobAttempt, JobRecord, JobSpec, JobState
 from repro.fleet.metrics import CapacityEvent, FleetReport, summarize_job
@@ -164,19 +163,14 @@ class FleetConfig:
             schedules a :class:`DeviceRepairEvent` that many milliseconds
             later; when ``None`` (default) failures are permanent unless a
             repair is injected explicitly.
-        planner_processes: When > 0, job attempts plan through a planner
-            pool with that many worker processes.
-        shared_planner_pool: When True (and ``planner_processes > 0``), one
-            fleet-wide pool — the paper's CPU-side *planning cluster* —
-            serves every job's iterations through one shared
-            :class:`~repro.instructions.store.InstructionStore`: its
-            workers are spawned once for the whole run instead of once per
-            job attempt, and each attempt gets its own store namespace.
-            When False each attempt spawns a private pool (the pre-cluster
-            behaviour, kept as a fallback mode).  Plans are bit-identical
-            either way.
-        planner_lookahead: Plan-ahead window of the pooled mode (per job
-            stream in shared mode).
+        planner_processes: When > 0, one fleet-wide planner pool with that
+            many workers — the paper's CPU-side *planning cluster* — plans
+            every job's iterations; its workers are spawned once for the
+            whole run and each job attempt registers its own job stream.
+            Plans are bit-identical to inline planning.
+        shared_planner_pool: Must stay ``True``: per-attempt private pools
+            were removed, so ``False`` raises :class:`ValueError`.
+        planner_lookahead: Plan-ahead window of each job stream.
         planner_backend: Pool backend (``"process"`` or ``"thread"``).
         planner_timeout_s: Per-iteration plan wait bound of the pooled mode.
         max_events: Safety valve on processed scheduler events.
@@ -217,7 +211,7 @@ class FleetConfig:
     policy: "str | SchedulingPolicy" = "fifo"
     repair_delay_ms: float | None = None
     planner_processes: int = 0
-    shared_planner_pool: bool = False
+    shared_planner_pool: bool = True
     planner_lookahead: int = 4
     planner_backend: str = "process"
     planner_timeout_s: float = 600.0
@@ -232,6 +226,13 @@ class FleetConfig:
     checkpoint_interval_events: int | None = None
     checkpoint_sink: "Callable[[dict[str, Any]], None] | None" = None
     on_event: "Callable[[FleetScheduler], None] | None" = None
+
+    def __post_init__(self) -> None:
+        if not self.shared_planner_pool:
+            raise ValueError(
+                "shared_planner_pool=False was removed: pooled fleet planning "
+                "always uses the scheduler's one shared planner pool"
+            )
 
 
 @dataclass
@@ -323,10 +324,9 @@ class FleetScheduler:
         self._dead_device_ms = 0.0
         self._busy_device_ms = 0.0
         self._ran = False
-        #: The fleet-wide planning cluster (shared mode only): one store,
-        #: one pool, spawned lazily on the first pooled attempt and stopped
-        #: exactly once when run() ends.
-        self.store: InstructionStore | None = None
+        #: The fleet-wide planning cluster (pooled mode only): spawned
+        #: lazily on the first pooled attempt and stopped exactly once when
+        #: run() ends.
         self._shared_pool: PlannerPool | None = None
         self._planner_workers_spawned = 0
         # --- event-loop state (instance-level so checkpoint() can snapshot
@@ -345,7 +345,7 @@ class FleetScheduler:
         #: Completed repair durations (failure → repair, per device epoch);
         #: feeds the report's MTTR.
         self._repair_durations: list[float] = []
-        #: Applied planner-side faults (worker kills, store plan losses).
+        #: Applied planner-side faults (worker kills, plan losses).
         self._fault_log: list[dict[str, Any]] = []
         # --- the unified event heap merges capacity events, injected
         # failures and job ready-times into one ordered source;
@@ -413,13 +413,11 @@ class FleetScheduler:
         return self.config.planner_processes > 0
 
     def _shared_pool_handle(self) -> PlannerPool | None:
-        """The fleet-wide pool (started), or ``None`` outside shared mode."""
-        if not (self._pooled and self.config.shared_planner_pool):
+        """The fleet-wide pool (started), or ``None`` when planning inline."""
+        if not self._pooled:
             return None
         if self._shared_pool is None:
-            self.store = InstructionStore()
             self._shared_pool = PlannerPool(
-                store=self.store,
                 num_workers=self.config.planner_processes,
                 lookahead=self.config.planner_lookahead,
                 backend=self.config.planner_backend,
@@ -514,11 +512,10 @@ class FleetScheduler:
 
         Kinds:
 
-        * ``"planner_kill"`` — kill ``count`` live planner workers (shared
-          pool first, else every running attempt's private pool in job
-          order).  Thread-backend kills are cooperative; a pool whose
+        * ``"planner_kill"`` — kill ``count`` live workers of the shared
+          planner pool.  Thread-backend kills are cooperative; a pool whose
           workers are all dead degrades its jobs to inline planning.
-        * ``"store_error"`` — a transient instruction-store fault: ``count``
+        * ``"store_error"`` — a transient plan-transport fault: ``count``
           running pooled jobs (in job order) lose their next pending plan
           payload, exercising the :class:`PlanFailedError` → retry/backoff
           path; the next attempt replans the iteration successfully.
@@ -601,8 +598,7 @@ class FleetScheduler:
             clock = self._run_event_loop()
         finally:
             # Pool lifecycle is exactly-once even when the event loop dies
-            # unexpectedly: every still-running attempt's planning resources
-            # are released (its stream retired / its private pool stopped),
+            # unexpectedly: every still-running attempt's stream is retired,
             # then the planning cluster itself is torn down.
             for running in list(self._running.values()):
                 running.execution.close()
@@ -952,11 +948,9 @@ class FleetScheduler:
             execution = JobExecution(
                 record,
                 gang,
-                planner_processes=self.config.planner_processes,
+                pool=self._shared_pool_handle(),
                 planner_lookahead=self.config.planner_lookahead,
-                planner_backend=self.config.planner_backend,
                 planner_timeout_s=self.config.planner_timeout_s,
-                shared_pool=self._shared_pool_handle(),
             )
         except JobPlanningError as error:
             attempt.outcome = "plan_failure"
@@ -1076,12 +1070,10 @@ class FleetScheduler:
         Every attempt that entered ``_running`` passes through here exactly
         once, whatever its outcome (finished, device failure, plan failure,
         eviction, regrowth) — ``close()`` is therefore called exactly once
-        per attempt, so no private pool's workers outlive the attempt and
-        no shared-pool stream stays registered after its job leaves the
-        cluster.
+        per attempt, so no pool stream stays registered after its job
+        leaves the cluster.
         """
         running.execution.close()
-        self._planner_workers_spawned += running.execution.planner_workers_spawned
         running.attempt.outcome = outcome
         running.attempt.ended_ms = clock
         running.pending = None
@@ -1289,39 +1281,28 @@ class FleetScheduler:
     def _apply_planner_fault(self, kind: str, count: int, clock: float) -> None:
         """A scheduled planner-side fault fires.
 
-        ``planner_kill`` kills up to ``count`` live workers (shared pool
-        first; else every running attempt's private pool in job order) —
-        jobs whose pool loses all workers degrade to inline planning at
-        their next step.  ``store_error`` drops the next pending plan
-        payload of up to ``count`` running pooled jobs (job order), which
-        surfaces as a transient :class:`PlanFailedError` on the consumer
-        side and takes the normal retry/backoff path.
+        ``planner_kill`` kills up to ``count`` live workers of the shared
+        pool — once it has lost every worker, its jobs degrade to inline
+        planning at their next step.  ``store_error`` drops the next
+        pending plan payload of up to ``count`` running pooled jobs (job
+        order), which surfaces as a transient :class:`PlanFailedError` on
+        the consumer side and takes the normal retry/backoff path.
         """
         applied = 0
-        if kind == "planner_kill":
-            if self._shared_pool is not None:
-                applied = self._shared_pool.kill_workers(count)
-            else:
-                for running in sorted(
-                    self._running.values(), key=lambda rj: rj.record.sequence
-                ):
-                    if applied >= count:
-                        break
-                    applied += running.execution.kill_planner_workers(count - applied)
-        else:  # store_error
-            if self._shared_pool is not None:
-                for running in sorted(
-                    self._running.values(), key=lambda rj: rj.record.sequence
-                ):
-                    if applied >= count:
-                        break
-                    iteration = running.execution.next_pending_iteration
-                    if iteration is None:
-                        continue
-                    if self._shared_pool.inject_plan_loss(
-                        running.execution.stream_key, iteration
-                    ):
-                        applied += 1
+        pool = self._shared_pool
+        if pool is not None and kind == "planner_kill":
+            applied = pool.kill_workers(count)
+        elif pool is not None:  # store_error
+            for running in sorted(
+                self._running.values(), key=lambda rj: rj.record.sequence
+            ):
+                if applied >= count:
+                    break
+                iteration = running.execution.next_pending_iteration
+                if iteration is None:
+                    continue
+                if pool.inject_plan_loss(running.execution.stream_key, iteration):
+                    applied += 1
         self._fault_log.append(
             {"time_ms": clock, "kind": kind, "requested": count, "applied": applied}
         )
@@ -1496,11 +1477,9 @@ class FleetScheduler:
             execution = JobExecution(
                 record,
                 gang,
-                planner_processes=self.config.planner_processes,
+                pool=self._shared_pool_handle(),
                 planner_lookahead=self.config.planner_lookahead,
-                planner_backend=self.config.planner_backend,
                 planner_timeout_s=self.config.planner_timeout_s,
-                shared_pool=self._shared_pool_handle(),
             )
         except JobPlanningError as error:
             attempt = record.attempts[-1]

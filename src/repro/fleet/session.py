@@ -7,15 +7,12 @@ at the job's checkpoint boundary, and exposes the epoch one iteration at a
 time so the fleet clock can interleave jobs and inject failures at
 iteration granularity.
 
-Planning can run inline, through a private per-attempt
-:class:`~repro.runtime.planner_pool.PlannerPool`, or — the paper's
-"planning cluster" — through a **fleet-wide shared pool** owned by the
-scheduler: the attempt registers a uniquely named job stream
-(``submit_job``), its plans land in the shared
-:class:`~repro.instructions.store.InstructionStore` under
-``(job, iteration, replica)`` keys, and :meth:`JobExecution.close` retires
-exactly that stream (draining only its queued tasks) so a preemption never
-perturbs co-tenant jobs.
+Planning runs inline or — the paper's "planning cluster" — through the
+**fleet-wide pool** owned by the scheduler: the attempt registers a
+uniquely named job stream (``submit_job``), steps it with
+:meth:`~repro.training.trainer.TrainingSession.pooled_step`, and
+:meth:`JobExecution.close` retires exactly that stream (draining only its
+queued tasks) so a preemption never perturbs co-tenant jobs.
 
 ``close()`` is the single teardown contract for *every* way an attempt can
 end — finishing its epoch, a mid-iteration device failure, a planning
@@ -23,7 +20,7 @@ failure, a graceful priority eviction or an elastic regrowth at an
 iteration boundary — and it is idempotent; the scheduler guarantees it runs
 exactly once per attempt.  Either way, every planning failure — an
 out-of-memory plan, a DP partition error, or a
-:class:`~repro.instructions.store.PlanFailedError` marker pushed by a pool
+:class:`~repro.runtime.planner_pool.PlanFailedError` recorded by a pool
 worker — surfaces as a :class:`JobPlanningError` within one step, which the
 scheduler converts into a bounded job-level retry instead of a hang.
 """
@@ -35,9 +32,8 @@ from typing import TYPE_CHECKING
 from repro.batching.metrics import PaddingStats
 from repro.core.dp_solver import PartitionError
 from repro.core.recomputation import OutOfMemoryError
-from repro.instructions.store import PlanFailedError
 from repro.obs.spans import span as _span
-from repro.runtime.planner_pool import PlannerPool
+from repro.runtime.planner_pool import PlanFailedError, PlannerPool
 from repro.schedule.cyclic import ScheduleDeadlockError
 from repro.training.throughput import IterationRecord
 from repro.training.trainer import TrainingSession
@@ -62,19 +58,12 @@ class JobExecution:
         record: The job being attempted (checkpoint decides the resume point).
         gang: The allocated device gang (its ``data_parallel`` sizes the
             planner).
-        planner_processes: When > 0, plan through a
-            :class:`~repro.runtime.planner_pool.PlannerPool` with that many
-            workers — a private pool started lazily on the first step, or
-            the ``shared_pool`` if one is given.
-        planner_lookahead: Plan-ahead window of the pooled mode.
-        planner_backend: Pool backend (``"process"`` or ``"thread"``);
-            ignored when ``shared_pool`` is given (the pool was built with
-            its own backend).
-        planner_timeout_s: Per-iteration wait bound of the pooled mode.
-        shared_pool: The fleet-wide planning cluster.  When set (and
-            ``planner_processes > 0``) the attempt registers a uniquely
-            named job stream on it instead of spawning a private pool —
-            worker spawn is amortised across every job of the fleet.
+        pool: The fleet-wide planning cluster, or ``None`` to plan inline.
+            With a pool the attempt registers a uniquely named job stream
+            on it; worker spawn is amortised across every job of the fleet.
+        planner_lookahead: Plan-ahead window of the attempt's stream.
+        planner_timeout_s: Per-iteration plan wait bound (the session's
+            ``planner_timeout_s``).
 
     Raises:
         JobPlanningError: If the attempt's planner cannot even be built
@@ -85,69 +74,54 @@ class JobExecution:
         self,
         record: "JobRecord",
         gang: "DeviceGang",
-        planner_processes: int = 0,
+        pool: PlannerPool | None = None,
         planner_lookahead: int = 4,
-        planner_backend: str = "process",
         planner_timeout_s: float = 600.0,
-        shared_pool: PlannerPool | None = None,
     ) -> None:
         spec = record.spec
         self.job_name = spec.name
         self.start_iteration = record.checkpoint.completed_iterations
-        self._timeout_s = planner_timeout_s
         try:
             planner = spec.build_planner(gang.data_parallel)
         except _PLANNING_ERRORS as error:
             raise JobPlanningError(
                 f"job {spec.name}: cannot build planner for dp={gang.data_parallel}: {error}"
             ) from error
+        config = spec.trainer_config(self.start_iteration)
+        config.planner_timeout_s = planner_timeout_s
         self.session = TrainingSession(
             planner,
             spec.samples,
             global_batch_tokens=spec.global_batch_tokens,
-            config=spec.trainer_config(self.start_iteration),
+            config=config,
             system_name=spec.name,
         )
         self.minibatches = self.session.epoch_minibatches()
         self._position = 0
-        self._pool: PlannerPool | None = None
-        self._pool_started = False
-        self._workers_spawned = 0
-        self._shared_pool: PlannerPool | None = None
-        #: Sticky degradation latch: once every worker of the attempt's
-        #: pool is dead, the attempt plans inline for the rest of its life
-        #: (pooled and inline plans are bit-identical, so only timing
-        #: accounting — not results — can tell the difference).
+        #: Sticky degradation latch: once every worker of the pool is dead,
+        #: the attempt plans inline for the rest of its life (pooled and
+        #: inline plans are bit-identical, so only timing accounting — not
+        #: results — can tell the difference).
         self._degraded = False
         #: Whether the most recent successful step() planned through the
         #: degraded inline fallback; the scheduler folds this into the
         #: record's ``degraded_iterations`` when the iteration commits.
         self.last_step_degraded = False
-        #: Stream key on the shared pool — unique per attempt, so a retried
+        #: Stream key on the pool — unique per attempt, so a retried
         #: attempt's stream can never receive (or be poisoned by) a dead
-        #: attempt's late results or stale failure markers.
+        #: attempt's late results or stale failures.
+        self._pool: PlannerPool | None = None
         self._stream_key: str | None = None
-        self._stream_retired = False
-        if planner_processes > 0 and self.minibatches:
-            if shared_pool is not None:
-                self._shared_pool = shared_pool
-                self._stream_key = f"{spec.name}#a{len(record.attempts)}"
-                shared_pool.submit_job(
-                    self._stream_key,
-                    planner,
-                    [mb.samples for mb in self.minibatches],
-                    start=self.start_iteration,
-                    lookahead=planner_lookahead,
-                )
-            else:
-                self._pool = PlannerPool(
-                    planner=planner,
-                    minibatches=[mb.samples for mb in self.minibatches],
-                    num_workers=planner_processes,
-                    lookahead=planner_lookahead,
-                    backend=planner_backend,
-                    start_iteration=self.start_iteration,
-                )
+        if pool is not None and self.minibatches:
+            self._pool = pool
+            self._stream_key = f"{spec.name}#a{len(record.attempts)}"
+            pool.submit_job(
+                self._stream_key,
+                planner,
+                [mb.samples for mb in self.minibatches],
+                start=self.start_iteration,
+                lookahead=planner_lookahead,
+            )
 
     @property
     def total_iterations(self) -> int:
@@ -155,13 +129,8 @@ class JobExecution:
         return self.start_iteration + len(self.minibatches)
 
     @property
-    def planner_workers_spawned(self) -> int:
-        """Workers this attempt's *private* pool spawned (0 in shared mode)."""
-        return self._workers_spawned
-
-    @property
     def stream_key(self) -> str | None:
-        """This attempt's stream name on the shared pool (``None`` otherwise)."""
+        """This attempt's stream name on the pool (``None`` when inline)."""
         return self._stream_key
 
     @property
@@ -170,16 +139,6 @@ class JobExecution:
         if self._position >= len(self.minibatches):
             return None
         return self.minibatches[self._position].index
-
-    def kill_planner_workers(self, count: int) -> int:
-        """Kill up to ``count`` of this attempt's *private* pool workers.
-
-        Returns the number actually killed (0 for inline or shared-pool
-        attempts — the scheduler kills shared workers on the pool itself).
-        """
-        if self._pool is not None and self._pool_started:
-            return self._pool.kill_workers(count)
-        return 0
 
     def step(self) -> "tuple[IterationRecord, PaddingStats] | None":
         """Plan and execute the next iteration.
@@ -190,7 +149,7 @@ class JobExecution:
 
         Raises:
             JobPlanningError: If planning the iteration failed (including a
-                pool worker's failure marker or a pooled-planning timeout).
+                pool worker's failure or a pooled-planning timeout).
         """
         if self._position >= len(self.minibatches):
             return None
@@ -201,48 +160,17 @@ class JobExecution:
     def _step_minibatch(
         self, minibatch
     ) -> "tuple[IterationRecord, PaddingStats] | None":
-        degraded = False
+        pool = self._pool
+        if pool is not None and (self._degraded or pool.live_workers() == 0):
+            # Graceful degradation: the planning cluster lost every worker,
+            # so the attempt plans inline instead of failing.
+            self._degraded = True
         try:
-            if self._shared_pool is not None:
-                if self._degraded or self._shared_pool.live_workers() == 0:
-                    # Graceful degradation: the planning cluster lost every
-                    # worker, so the attempt plans inline instead of failing
-                    # (inline plans are bit-identical to pooled ones).
-                    self._degraded = degraded = True
-                    record = self.session.run_iteration(minibatch)
-                    stats = self.session.last_padding_stats
-                else:
-                    payload = self._shared_pool.wait_payload(
-                        minibatch.index, timeout=self._timeout_s, job=self._stream_key
-                    )
-                    record, stats = self.session.record_from_payload(
-                        minibatch.index, payload
-                    )
-                    self._shared_pool.notify_consumed(
-                        minibatch.index, job=self._stream_key
-                    )
-            elif self._pool is not None:
-                if not self._pool_started:
-                    self._pool.start()
-                    self._pool_started = True
-                    self._workers_spawned = self._pool.num_workers
-                if self._degraded or self._pool.live_workers() == 0:
-                    self._degraded = degraded = True
-                    record = self.session.run_iteration(minibatch)
-                    stats = self.session.last_padding_stats
-                else:
-                    # Plans are keyed by absolute iteration (the pool's
-                    # start_iteration anchors a resumed attempt's tail).
-                    payload = self._pool.wait_payload(
-                        minibatch.index, timeout=self._timeout_s
-                    )
-                    record, stats = self.session.record_from_payload(
-                        minibatch.index, payload
-                    )
-                    self._pool.notify_consumed(minibatch.index)
-            else:
+            if pool is None or self._degraded:
                 record = self.session.run_iteration(minibatch)
                 stats = self.session.last_padding_stats
+            else:
+                record, stats = self.session.pooled_step(pool, self._stream_key, minibatch)
         except _PLANNING_ERRORS as error:
             raise JobPlanningError(
                 f"job {self.job_name}: planning failed at iteration {minibatch.index}: {error}"
@@ -250,25 +178,19 @@ class JobExecution:
         except TimeoutError as error:
             raise JobPlanningError(
                 f"job {self.job_name}: no plan for iteration {minibatch.index} "
-                f"within {self._timeout_s:.1f}s: {error}"
+                f"within {self.session.config.planner_timeout_s:.1f}s: {error}"
             ) from error
         self._position += 1
-        self.last_step_degraded = degraded
+        self.last_step_degraded = self._degraded
         return record, stats
 
     def close(self) -> None:
         """Release the attempt's planning resources (idempotent).
 
-        Private pool: stop the workers (abandoned plans are dropped).
-        Shared pool: retire this attempt's stream — only *its* queued tasks
-        are drained and only *its* store namespace is evicted; the pool and
-        its workers keep serving every other job.
+        Retires this attempt's stream: only *its* queued tasks are drained
+        and only *its* retained plans are released; the pool and its
+        workers keep serving every other job.
         """
-        if self._pool is not None and self._pool_started:
-            self._pool.stop()
-            self._pool_started = False
+        if self._pool is not None:
+            self._pool.retire_job(self._stream_key)
             self._pool = None
-        if self._shared_pool is not None and not self._stream_retired:
-            self._shared_pool.retire_job(self._stream_key)
-            self._stream_retired = True
-            self._shared_pool = None

@@ -32,11 +32,6 @@ from repro.instructions.serialization import (
     instructions_from_dicts,
     instructions_to_dicts,
 )
-from repro.instructions.store import (
-    InstructionStore,
-    PlanFailedError,
-    PlanNotReadyError,
-)
 
 __all__ = [
     "PipelineInstruction",
@@ -57,7 +52,4 @@ __all__ = [
     "instruction_signature",
     "instructions_to_dicts",
     "instructions_from_dicts",
-    "InstructionStore",
-    "PlanNotReadyError",
-    "PlanFailedError",
 ]

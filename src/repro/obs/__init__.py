@@ -2,7 +2,7 @@
 
 ``repro.obs`` is the cross-layer observability substrate of the runtime —
 the "where did the time go?" answer across planner, planner pool,
-instruction store, simulation engine and fleet scheduler.  Three primitives
+simulation engine and fleet scheduler.  Three primitives
 share one process-wide home each:
 
 * :data:`~repro.obs.registry.REGISTRY` — counters / gauges / histograms

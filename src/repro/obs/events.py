@@ -3,9 +3,8 @@
 Every layer of the runtime publishes typed events here when telemetry is
 enabled: the fleet scheduler (job submitted/admitted/preempted/evicted/
 regrown/finished/failed, device failure/repair/arrival, checkpoint taken/
-restored, fault injected), the planner pool (task enqueued/planned/failed),
-the instruction store (plan pushed, failure marker pushed) and the
-simulation engine (simulation solved).  Events carry a *simulated* fleet
+restored, fault injected), the planner pool (task enqueued/planned/failed)
+and the simulation engine (simulation solved).  Events carry a *simulated* fleet
 clock when the publisher has one (``time_ms``) — never a wall clock — so a
 seeded run's event stream is reproducible modulo thread interleaving, and
 single-threaded (inline-planning) runs are reproducible exactly.

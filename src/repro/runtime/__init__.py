@@ -1,34 +1,21 @@
-"""Planner/executor runtime (paper §3, Fig. 9).
+"""Planning runtime (paper §3, Fig. 9).
 
 The real DynaPipe hides its per-iteration planning cost by running planners
 on CPU cores concurrently with GPU execution: planners pre-fetch future
-mini-batches, generate execution plans ahead of time, and push them to a
-distributed instruction store from which executors fetch them just in time.
+mini-batches, generate execution plans ahead of time, and hand them to the
+executors just in time.
 
-This package reproduces that runtime on top of the in-process substrate:
-
-* :class:`~repro.runtime.planner_pool.PlannerPool` — a pool of worker
-  *processes* (with a thread fallback) that plans future iterations ahead of
-  the executor on real CPU cores and pushes serialised plans to the
-  :class:`~repro.instructions.store.InstructionStore`.
-* :class:`~repro.runtime.executor_service.ExecutorService` — fetches plans
-  from the store (blocking until they are ready), runs them on the
-  instruction-level simulator, and records how long it had to stall waiting
-  for plans — the quantity that must stay near zero for the paper's claim
-  that planning fully overlaps with training.
-* :class:`~repro.runtime.orchestrator.TrainingOrchestrator` — wires the two
-  together for a multi-iteration run and reports the overlap statistics.
+:class:`~repro.runtime.planner_pool.PlannerPool` reproduces that hand-off: a
+pool of worker *processes* (with a thread fallback) plans the iterations of
+named job streams ahead of their executors on real CPU cores.  A consumer
+registers a stream with ``submit_job`` and steps it with ``wait_payload`` /
+``notify_consumed``; ``retire_job`` cancels one stream while the workers
+keep serving the others.  :class:`~repro.training.trainer.TrainingSession`
+(``planner_processes > 0``) and the fleet scheduler's job attempts are the
+two consumers, and the session's report measures how much planning time
+was exposed as executor waits.
 """
 
-from repro.runtime.executor_service import ExecutorService, ExecutorStats
-from repro.runtime.orchestrator import OrchestratorReport, TrainingOrchestrator
-from repro.runtime.planner_pool import PlannerPool, PlanningRecord
+from repro.runtime.planner_pool import PlanFailedError, PlannerPool, PlanningRecord
 
-__all__ = [
-    "PlannerPool",
-    "PlanningRecord",
-    "ExecutorService",
-    "ExecutorStats",
-    "TrainingOrchestrator",
-    "OrchestratorReport",
-]
+__all__ = ["PlannerPool", "PlanningRecord", "PlanFailedError"]

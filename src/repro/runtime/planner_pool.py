@@ -4,35 +4,32 @@ A :class:`PlannerPool` is the reproduction's model of the paper's CPU-side
 *planning cluster*: worker *processes* (the default backend) pull planning
 tasks from a shared task queue, plan them, and ship the serialised
 :meth:`IterationPlan.to_dict` payloads back over a result queue; the parent
-pushes each replica's plan to the shared
-:class:`~repro.instructions.store.InstructionStore` keyed by
-``(job, iteration, replica)``.  Planners travel as serialised specs — the
-cost model's profile database is spilled to disk once per planner — and
-every worker rebuilds them bit-identically, so pooled plans match serial
-planning exactly while running outside the parent's GIL (the paper's
-"planning overlaps execution using a handful of CPU cores" claim, Fig. 17).
+keeps each payload on its job stream until the executor consumes it.
+Planners travel as serialised specs — the cost model's profile database is
+spilled to disk once per planner — and every worker rebuilds them
+bit-identically, so pooled plans match serial planning exactly while
+running outside the parent's GIL (the paper's "planning overlaps execution
+using a handful of CPU cores" claim, Fig. 17).
 
-The pool serves *dynamic task streams*: besides the legacy construction-time
-``planner`` + ``minibatches`` binding (one anonymous job, used by the
-single-job runtime), :meth:`PlannerPool.submit_job` registers a named job's
-mini-batches at any time and :meth:`PlannerPool.retire_job` cancels exactly
-that job's queued tasks — one pool (and one set of spawned workers) can
-therefore serve every job of a fleet, with per-job look-ahead windows and
-per-job planned/failed/abandoned accounting.  Workers cache rebuilt
-planners per job, so a stream's planner is rebuilt once per worker, not
-once per task.
+The pool serves *named job streams*: :meth:`PlannerPool.submit_job`
+registers a job's mini-batches at any time and :meth:`PlannerPool.retire_job`
+cancels exactly that job's queued tasks — one pool (and one set of spawned
+workers) can therefore serve every job of a fleet, with per-job look-ahead
+windows and per-job planned/failed/abandoned accounting.  A consumer steps
+a stream with :meth:`~PlannerPool.wait_payload` and
+:meth:`~PlannerPool.notify_consumed`, which is the only way a plan reaches
+an executor.  Workers cache rebuilt planners per job, so a stream's planner
+is rebuilt once per worker, not once per task.
 
 A ``backend="thread"`` fallback keeps in-process workers for planners that
 cannot be serialised; it provides the same overlap architecture without the
 parallel speed-up.
 
 Failure handling is fail-fast on both backends: a worker that raises (or a
-worker process that dies) pushes a failure marker to the store — scoped to
-the failing job, so co-tenant jobs sharing the pool never observe it — and
-an executor polling :meth:`~repro.instructions.store.InstructionStore.ready`
-/ ``fetch`` for that iteration observes
-:class:`~repro.instructions.store.PlanFailedError` immediately instead of
-spinning until its fetch timeout.  :meth:`PlannerPool.stop` and
+worker process that dies) records the failure on its job's stream — so
+co-tenant jobs sharing the pool never observe it — and a consumer waiting
+on that iteration gets :class:`PlanFailedError` immediately instead of
+spinning until its timeout.  :meth:`PlannerPool.stop` and
 :meth:`PlannerPool.retire_job` report which enqueued iterations were
 *abandoned* (never planned, never failed), so a restart knows exactly what
 still needs planning.
@@ -56,7 +53,6 @@ from typing import Any, Protocol, Sequence
 
 from repro.core.planner import DynaPipePlanner, IterationPlan
 from repro.data.tasks import Sample
-from repro.instructions.store import DEFAULT_JOB, InstructionStore, PlanFailedError
 from repro.obs import state as _obs_state
 from repro.obs.events import publish as _publish
 from repro.obs.registry import REGISTRY, aggregate_snapshots
@@ -69,6 +65,20 @@ class _Planner(Protocol):
         ...  # pragma: no cover - protocol
 
 
+class PlanFailedError(RuntimeError):
+    """Raised by :meth:`PlannerPool.wait_payload` when planning failed.
+
+    Attributes:
+        iteration: The iteration whose planning failed.
+        job: The job stream the iteration belongs to.
+    """
+
+    def __init__(self, message: str, iteration: int, job: str) -> None:
+        super().__init__(message)
+        self.iteration = iteration
+        self.job = job
+
+
 @dataclass
 class PlanningRecord:
     """Bookkeeping for one planned iteration.
@@ -79,23 +89,19 @@ class PlanningRecord:
         planning_time_s: Wall-clock planning time of the iteration (measured
             inside the worker).
         num_microbatches: Micro-batches in the produced plan.
-        pushed_at: ``time.perf_counter()`` timestamp when the plan was pushed
-            to the store (parent clock).
         dp_cost_evaluations: Cost-model evaluations the DP performed (unique
             window shapes on the vectorized fast path); 0 for planners that
             do not run the DP (baselines).
         worker: Identifier of the worker that planned the iteration.
-        job: Job stream the iteration belongs to (:data:`DEFAULT_JOB` for
-            the legacy construction-time stream).
+        job: Job stream the iteration belongs to.
     """
 
     iteration: int
     planning_time_s: float
     num_microbatches: int
-    pushed_at: float
-    dp_cost_evaluations: int = 0
-    worker: str = ""
-    job: str = DEFAULT_JOB
+    dp_cost_evaluations: int
+    worker: str
+    job: str
 
 
 #: Lazily created directory for spilled planner specs; its finalizer removes
@@ -183,8 +189,6 @@ def _rebuild_planner(payload: dict[str, Any]) -> _Planner:
     if payload["kind"] == "spec_file":
         with open(payload["path"], "r", encoding="utf-8") as handle:
             return DynaPipePlanner.from_spec(json.load(handle))
-    if payload["kind"] == "spec":  # in-memory spec (kept for direct callers)
-        return DynaPipePlanner.from_spec(payload["spec"])
     return pickle.loads(payload["blob"])
 
 
@@ -209,12 +213,7 @@ def _cached_planner(cache: "OrderedDict[str, _Planner]", payload: dict[str, Any]
     return planner
 
 
-def _plan_one(
-    planner: _Planner,
-    minibatch: Sequence[Sample],
-    iteration: int,
-    job: str = DEFAULT_JOB,
-):
+def _plan_one(planner: _Planner, minibatch: Sequence[Sample], iteration: int, job: str):
     """Plan one iteration; returns (payload, record fields)."""
     with _span("plan_task", job=job, iteration=iteration):
         start = time.perf_counter()
@@ -290,12 +289,11 @@ def _process_worker(
 class _JobStream:
     """Parent-side state of one job's task stream on the pool.
 
-    The legacy construction-time ``minibatches`` binding is stream
-    :data:`~repro.instructions.store.DEFAULT_JOB`; fleet jobs register one
-    stream per attempt via :meth:`PlannerPool.submit_job`.  All iteration
-    indices are *absolute*: ``start`` names the first mini-batch's
-    iteration, so a resumed job's plans land in the store under the same
-    keys an uninterrupted run would have used.
+    Every consumer registers a stream via :meth:`PlannerPool.submit_job`
+    (a fleet job once per attempt).  All iteration indices are *absolute*:
+    ``start`` names the first mini-batch's iteration, so a resumed job's
+    plans carry the same iteration keys an uninterrupted run would have
+    used.  Payloads stay on the stream until consumed or retired.
     """
 
     name: str
@@ -303,7 +301,6 @@ class _JobStream:
     minibatches: Sequence[Sequence[Sample]]
     start: int
     lookahead: int
-    retain_payloads: bool
     #: Per-task planner reference: the live planner (thread backend) or a
     #: payload dict with a stream-unique ``cache_key`` (process backend).
     task_ref: Any = None
@@ -338,53 +335,34 @@ class _JobStream:
 
 @dataclass
 class PlannerPool:
-    """Plans iterations ahead of time and pushes them to the store.
+    """Plans the iterations of named job streams ahead of their executors.
 
-    Two usage modes share one worker group:
-
-    * **Single job** (legacy) — construct with ``planner`` + ``minibatches``;
-      the pool plans that one stream, exactly as before.
-    * **Planning cluster** (fleet) — construct with neither, then
-      :meth:`submit_job` / :meth:`retire_job` register and cancel named job
-      streams dynamically while the workers keep running.  Worker spawn is
-      paid once for the whole fleet, not once per job attempt.
+    Construct the pool, register streams with :meth:`submit_job` (before or
+    after :meth:`start`), and step each stream with :meth:`wait_payload` /
+    :meth:`notify_consumed`; :meth:`retire_job` cancels one stream while
+    the workers keep serving the others, and :meth:`stop` tears the pool
+    down.  A single training session registers one stream; a fleet
+    registers one per job attempt, so worker spawn is paid once for the
+    whole fleet.
 
     Attributes:
-        planner: The legacy stream's planner (``None`` in fleet mode).
-        minibatches: The legacy stream's samples, indexed by position.
-        store: The shared instruction store plans are pushed to, keyed
-            ``(job, iteration, replica)``.  When omitted, the pool creates
-            its own store and additionally retains the legacy stream's full
-            payloads for :meth:`wait_payload` / :meth:`payload` consumers
-            (the pooled trainer); with an external store the legacy stream
-            is not double-buffered.  Streams registered via
-            :meth:`submit_job` always retain payloads until consumed or
-            retired (their consumers step through :meth:`wait_payload`).
         num_workers: Number of planning workers (the paper parallelises
             planning over CPU cores / machines).
         lookahead: Default per-stream look-ahead: iterations planned beyond
             the last one the stream's executor has consumed (bounds plan
             memory, like the paper's prefetch window).
         backend: ``"process"`` (default; real parallelism, planners rebuilt
-            in workers from serialised specs) or ``"thread"`` (in-process
-            fallback sharing the live planner objects).
-        mp_start_method: ``multiprocessing`` start method for the process
-            backend (defaults to the platform default — ``fork`` on Linux,
-            ``spawn`` on macOS/Windows, where fork is unsafe).
-        start_iteration: Absolute iteration index of ``minibatches[0]``
-            (legacy stream); plans are keyed by absolute iteration, so a
-            resumed session passes its resume boundary here.
+            in workers from serialised specs, platform-default start
+            method) or ``"thread"`` (in-process fallback sharing the live
+            planner objects).
+        records: One :class:`PlanningRecord` per planned iteration, in
+            arrival order.
     """
 
-    planner: _Planner | None = None
-    minibatches: Sequence[Sequence[Sample]] = ()
-    store: InstructionStore | None = None
     num_workers: int = 2
     lookahead: int = 4
     backend: str = "process"
-    mp_start_method: str | None = None
-    start_iteration: int = 0
-    records: list[PlanningRecord] = field(default_factory=list)
+    records: list[PlanningRecord] = field(default_factory=list, init=False)
 
     def __post_init__(self) -> None:
         if self.num_workers < 1:
@@ -393,24 +371,8 @@ class PlannerPool:
             raise ValueError(f"lookahead must be >= 1, got {self.lookahead}")
         if self.backend not in ("process", "thread"):
             raise ValueError(f"backend must be 'process' or 'thread', got {self.backend!r}")
-        if self.start_iteration < 0:
-            raise ValueError(f"start_iteration must be >= 0, got {self.start_iteration}")
-        if self.planner is None and len(self.minibatches) > 0:
-            raise ValueError("minibatches given without a planner")
-        self._external_store = self.store is not None
-        if self.store is None:
-            self.store = InstructionStore()
         self._lock = threading.Lock()
         self._streams: dict[str, _JobStream] = {}
-        if self.planner is not None:
-            self._streams[DEFAULT_JOB] = _JobStream(
-                name=DEFAULT_JOB,
-                planner=self.planner,
-                minibatches=self.minibatches,
-                start=self.start_iteration,
-                lookahead=self.lookahead,
-                retain_payloads=not self._external_store,
-            )
         self._ref_seq = itertools.count()
         self._claims: dict[str, tuple[str, int]] = {}
         self._pool_errors: list[Exception] = []
@@ -464,10 +426,10 @@ class PlannerPool:
         """Register a named job stream on the (possibly running) pool.
 
         Args:
-            job: Stream name; becomes the store namespace of the stream's
-                plans and failure markers.  Must be unique for the pool's
-                lifetime — a retried fleet attempt submits a fresh name so
-                a dead attempt's late results can never pollute it.
+            job: Stream name; every other stream method takes it.  Must be
+                non-empty and unique for the pool's lifetime — a retried
+                fleet attempt submits a fresh name so a dead attempt's late
+                results can never pollute it.
             planner: Planner for every iteration of the stream (each
                 attempt's planner captures its gang shape).
             minibatches: The stream's mini-batches, in iteration order.
@@ -476,22 +438,17 @@ class PlannerPool:
             lookahead: Per-stream look-ahead window; defaults to the pool's.
 
         Raises:
-            ValueError: On a reserved/duplicate name or invalid window.
+            ValueError: On an empty/duplicate name or invalid window.
         """
         if not job:
-            raise ValueError("job name must be non-empty (the anonymous stream is reserved)")
+            raise ValueError("job name must be non-empty")
         if start < 0:
             raise ValueError(f"start must be >= 0, got {start}")
         window = self.lookahead if lookahead is None else lookahead
         if window < 1:
             raise ValueError(f"lookahead must be >= 1, got {window}")
         stream = _JobStream(
-            name=job,
-            planner=planner,
-            minibatches=minibatches,
-            start=start,
-            lookahead=window,
-            retain_payloads=True,
+            name=job, planner=planner, minibatches=minibatches, start=start, lookahead=window
         )
         with self._lock:
             if self._sealed:
@@ -516,8 +473,8 @@ class PlannerPool:
         keep planning undisturbed (the preemption contract of the fleet's
         shared pool).  A worker already planning one of the job's
         iterations finishes, but its late result is dropped, and the job's
-        store namespace (plans *and* failure markers) is evicted, so
-        nothing of the attempt survives into a successor stream.
+        retained plans are released, so nothing of the attempt survives
+        into a successor stream.
 
         Returns the abandoned iterations (enqueued, never planned, never
         failed), like :meth:`stop` does for the whole pool.
@@ -555,17 +512,15 @@ class PlannerPool:
             self._suspect_lost = {
                 key for key in self._suspect_lost if key[0] != job
             }
-        self.store.evict_job(job)
-        with self._lock:
             return list(stream.abandoned)
 
     def job_names(self, include_retired: bool = False) -> list[str]:
-        """Names of registered streams (the anonymous stream excluded)."""
+        """Names of registered streams."""
         with self._lock:
             return sorted(
                 name
                 for name, stream in self._streams.items()
-                if name != DEFAULT_JOB and (include_retired or not stream.retired)
+                if include_retired or not stream.retired
             )
 
     def _stream(self, job: str) -> _JobStream:
@@ -579,9 +534,9 @@ class PlannerPool:
     def _record_planned(
         self, worker: str, job: str, iteration: int, payload: dict, info: dict
     ) -> None:
-        """Push a finished iteration's plans to the store and record it.
+        """Keep a finished iteration's payload on its stream and record it.
 
-        The store push happens under the pool lock so that :meth:`stop` can
+        Recording happens under the pool lock so that :meth:`stop` can
         seal the pool and snapshot the abandoned sets atomically — a thread
         worker finishing *after* the seal must not make an "abandoned"
         iteration retroactively planned.  Results for retired streams are
@@ -602,17 +557,13 @@ class PlannerPool:
                 # and failed.
                 return
             self._suspect_lost.discard((job, iteration))
-            for replica_index, replica_payload in enumerate(payload["replicas"]):
-                self.store.push(iteration, replica_index, replica_payload, job=job)
-            if stream.retain_payloads:
-                stream.payloads[iteration] = payload
+            stream.payloads[iteration] = payload
             stream.completed.add(iteration)
             self.records.append(
                 PlanningRecord(
                     iteration=iteration,
                     planning_time_s=info["planning_time_s"],
                     num_microbatches=info["num_microbatches"],
-                    pushed_at=time.perf_counter(),
                     dp_cost_evaluations=info["dp_cost_evaluations"],
                     worker=worker,
                     job=job,
@@ -625,7 +576,7 @@ class PlannerPool:
         _publish("planner_task_planned", job=job, iteration=iteration, worker=worker)
 
     def _record_failed(self, worker: str, job: str, iteration: int, error: Exception) -> None:
-        """Record a planning failure and mark it in the store (fail fast)."""
+        """Record a planning failure on its stream (consumers fail fast)."""
         with self._lock:
             self._claims.pop(worker, None)
             if self._sealed:
@@ -641,7 +592,6 @@ class PlannerPool:
                 return
             stream.errors.append((iteration, error))
             stream.failed.add(iteration)
-            self.store.push_failure(iteration, str(error), job=job)
             _POOL_STATS["failures_recorded"] += 1
         _publish(
             "planner_task_failed", job=job, iteration=iteration, error=str(error)
@@ -685,7 +635,7 @@ class PlannerPool:
             try:
                 payload, info = _plan_one(planner, samples, iteration, job=job)
                 self._record_planned(worker_id, job, iteration, payload, info)
-            except Exception as error:  # noqa: BLE001 - surfaced via .errors + store
+            except Exception as error:  # noqa: BLE001 - surfaced via wait_payload
                 self._record_failed(worker_id, job, iteration, error)
 
     # ------------------------------------------------------------------ process backend
@@ -850,9 +800,9 @@ class PlannerPool:
             for thread in self._threads:
                 thread.start()
         else:
-            # None selects the platform-default context (fork on Linux,
-            # spawn on macOS/Windows, where forking is unsafe).
-            ctx = mp.get_context(self.mp_start_method)
+            # The platform-default context: fork on Linux, spawn on
+            # macOS/Windows, where forking is unsafe.
+            ctx = mp.get_context()
             self._queue = ctx.Queue()
             self._results = ctx.Queue()
             self._processes = [
@@ -905,15 +855,17 @@ class PlannerPool:
                     "pool", stream.name, iteration, RuntimeError(str(failure))
                 )
 
-    def notify_consumed(self, iteration: int, job: str = DEFAULT_JOB) -> None:
-        """Tell the pool the executor finished ``iteration`` (advances the window)."""
+    def notify_consumed(self, job: str, iteration: int) -> None:
+        """Tell the pool ``job``'s executor finished ``iteration``.
+
+        Releases the iteration's payload and advances the stream's window.
+        """
         with self._lock:
             stream = self._stream(job)
             if stream.retired:
                 return
             stream.consumed = max(stream.consumed, iteration)
             stream.payloads.pop(iteration, None)
-        self.store.evict_iteration(iteration, job=job)
         self._refill(stream)
 
     def _drain_tasks(self) -> None:
@@ -925,23 +877,20 @@ class PlannerPool:
             except queue.Empty:
                 break
 
-    def stop(self) -> list[int]:
-        """Stop the workers and report the abandoned iterations.
+    def stop(self) -> None:
+        """Stop the workers and record each stream's abandoned iterations.
 
         The task queue is drained so no worker picks up new work; each
         worker finishes (or is terminated after a timeout) and every
         stream's enqueued iterations that were neither planned nor failed
-        are recorded as *abandoned* (per stream — see
-        :meth:`job_abandoned`), so a restart can re-plan exactly those
-        instead of double-planning finished ones or silently skipping
-        pending ones.  Returns the legacy (anonymous) stream's abandoned
-        iterations.
+        are recorded as *abandoned* (see :meth:`job_abandoned`), so a
+        restart can re-plan exactly those instead of double-planning
+        finished ones or silently skipping pending ones.  A second call
+        keeps the first snapshot.
         """
         with self._lock:
             if self._sealed:
-                # Already stopped: keep the first snapshot instead of
-                # recomputing from a now-empty queue.
-                return self._default_abandoned_locked()
+                return
         self._stop.set()
         self._drain_tasks()
         if self._queue is not None:
@@ -965,11 +914,6 @@ class PlannerPool:
             for stream in self._streams.values():
                 if not stream.retired:
                     stream.abandoned = stream.unserved()
-            return self._default_abandoned_locked()
-
-    def _default_abandoned_locked(self) -> list[int]:
-        stream = self._streams.get(DEFAULT_JOB)
-        return list(stream.abandoned) if stream is not None else []
 
     # ------------------------------------------------------------------ fault injection
 
@@ -1010,14 +954,13 @@ class PlannerPool:
         self,
         job: str,
         iteration: int,
-        message: str = "injected transient store error: plan payload lost",
+        message: str = "injected transient fault: plan payload lost",
     ) -> bool:
         """Drop ``(job, iteration)``'s plan and mark it failed (transient fault).
 
-        Models a transient instruction-store error: whatever the workers
-        produced for the iteration is discarded (retained payload, store
-        entries) and a failure marker is pushed in its place, so the
-        consumer's next :meth:`wait_payload` raises
+        Models a transient plan-transport error: whatever the workers
+        produced for the iteration is discarded and a failure is recorded
+        in its place, so the consumer's next :meth:`wait_payload` raises
         :class:`PlanFailedError` exactly as a worker-side failure would.
         The fault is *transient* by construction — it poisons only this
         attempt's stream; a retried attempt replans the iteration under a
@@ -1042,8 +985,6 @@ class PlannerPool:
             error = RuntimeError(message)
             stream.errors.append((iteration, error))
             stream.failed.add(iteration)
-            self.store.evict_iteration(iteration, job=job)
-            self.store.push_failure(iteration, message, job=job)
         return True
 
     # ------------------------------------------------------------------ telemetry
@@ -1100,18 +1041,7 @@ class PlannerPool:
             p.is_alive() for p in self._processes
         )
 
-    @property
-    def errors(self) -> list[tuple[int, Exception]]:
-        """The legacy stream's planning failures, as (iteration, exception)
-        pairs, plus pool-level failures (worker deaths, total worker loss)
-        keyed ``-1``."""
-        with self._lock:
-            stream = self._streams.get(DEFAULT_JOB)
-            listed = list(stream.errors) if stream is not None else []
-            listed.extend((-1, error) for error in self._pool_errors)
-            return listed
-
-    def job_errors(self, job: str = DEFAULT_JOB) -> list[tuple[int, Exception]]:
+    def job_errors(self, job: str) -> list[tuple[int, Exception]]:
         """One stream's planning failures, as (iteration, exception) pairs."""
         with self._lock:
             return list(self._stream(job).errors)
@@ -1122,59 +1052,41 @@ class PlannerPool:
         with self._lock:
             return list(self._pool_errors)
 
-    @property
-    def abandoned(self) -> list[int]:
-        """Legacy-stream iterations :meth:`stop` drained before planning."""
-        with self._lock:
-            return self._default_abandoned_locked()
-
-    def job_abandoned(self, job: str = DEFAULT_JOB) -> list[int]:
+    def job_abandoned(self, job: str) -> list[int]:
         """One stream's abandoned iterations (set by stop/retire)."""
         with self._lock:
             return list(self._stream(job).abandoned)
 
-    def planned_iterations(self, job: str = DEFAULT_JOB) -> list[int]:
-        """Iterations of ``job`` whose plans have been pushed so far."""
+    def planned_iterations(self, job: str) -> list[int]:
+        """Iterations of ``job`` planned so far (consumed ones included)."""
         with self._lock:
             return sorted(record.iteration for record in self.records if record.job == job)
 
-    def failed_iterations(self, job: str = DEFAULT_JOB) -> list[int]:
+    def failed_iterations(self, job: str) -> list[int]:
         """Iterations of ``job`` whose planning failed."""
         with self._lock:
-            stream = self._streams.get(job)
-            return sorted(stream.failed) if stream is not None else []
+            return sorted(self._stream(job).failed)
 
-    def payload(self, iteration: int, job: str = DEFAULT_JOB) -> dict[str, Any] | None:
-        """The :meth:`IterationPlan.to_dict` payload of ``iteration``, if planned.
+    def payload(self, job: str, iteration: int) -> dict[str, Any] | None:
+        """The :meth:`IterationPlan.to_dict` payload of ``(job, iteration)``.
 
-        Payloads are retained for :meth:`submit_job` streams and for the
-        legacy stream of a pool that owns its store; with an external store
-        the legacy stream's plans live only in the store.
+        ``None`` until the iteration is planned, and again once it is
+        consumed or its stream retired.
         """
         with self._lock:
-            stream = self._streams.get(job)
-            return stream.payloads.get(iteration) if stream is not None else None
+            return self._stream(job).payloads.get(iteration)
 
-    def wait_payload(
-        self, iteration: int, timeout: float = 120.0, job: str = DEFAULT_JOB
-    ) -> dict[str, Any]:
+    def wait_payload(self, job: str, iteration: int, timeout: float = 120.0) -> dict[str, Any]:
         """Block until ``(job, iteration)`` is planned and return its payload.
 
         Raises:
-            RuntimeError: If the stream does not retain payloads (the legacy
-                stream of a pool built with an external store; poll the
-                store instead).
-            PlanFailedError: If planning of the iteration failed.
+            PlanFailedError: If planning of the iteration failed (the error
+                recorded for exactly this iteration, or the pool-wide
+                failure when no worker is left to plan it).
             TimeoutError: If the payload does not appear within ``timeout``.
         """
         with self._lock:
             stream = self._stream(job)
-        if not stream.retain_payloads:
-            raise RuntimeError(
-                "wait_payload() requires a pool-owned store (construct the "
-                "PlannerPool without `store`); consumers of an external store "
-                "should poll it directly"
-            )
         deadline = time.perf_counter() + timeout
         while True:
             with self._lock:

@@ -52,12 +52,16 @@ class TrainingReport:
         encoder_padding_efficiency: Mean padding efficiency of input tensors.
         decoder_padding_efficiency: Mean padding efficiency of target tensors
             (``None`` for decoder-only models).
+        plan_wait_s: Wall-clock seconds the executor spent blocked waiting
+            for pooled plans (decode excluded); ``None`` when planning ran
+            inline, where every planning second is exposed.
     """
 
     system: str
     records: list[IterationRecord] = field(default_factory=list)
     encoder_padding_efficiency: float = 0.0
     decoder_padding_efficiency: float | None = None
+    plan_wait_s: float | None = None
 
     # ------------------------------------------------------------------ throughput
 
@@ -93,6 +97,20 @@ class TrainingReport:
         if not self.records:
             return 0.0
         return mean(record.planning_time_s for record in self.records)
+
+    @property
+    def overlap_fraction(self) -> float:
+        """Fraction of planning time hidden behind execution (1.0 = all).
+
+        0.0 for inline planning; for pooled planning it is
+        ``1 - plan_wait_s / total planning time``, clamped at 0.
+        """
+        if self.plan_wait_s is None:
+            return 0.0
+        total_planning_s = sum(record.planning_time_s for record in self.records)
+        if total_planning_s <= 0:
+            return 1.0
+        return max(0.0, 1.0 - self.plan_wait_s / total_planning_s)
 
     @property
     def planning_to_iteration_ratio(self) -> float:

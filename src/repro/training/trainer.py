@@ -17,6 +17,7 @@ prediction differs from real execution on hardware.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Protocol, Sequence
 
@@ -43,6 +44,9 @@ from repro.utils.rng import SeedLike, new_rng
 #: iteration's critical path at execution time (the rest overlaps the
 #: backward pass, as Megatron/DeepSpeed gradient overlap does).
 _EXPOSED_DP_FRACTION = 0.5
+
+#: Job-stream name a pooled session registers its epoch under.
+_SESSION_STREAM = "session"
 
 
 class IterationPlanner(Protocol):
@@ -175,6 +179,9 @@ class TrainingSession:
         replicas = max(1, getattr(planner, "data_parallel_size", 1))
         for _ in range(self.config.start_iteration * replicas):
             self._noise_rng.integers(0, 2**31 - 1)
+        #: Wall-clock seconds :meth:`pooled_step` spent blocked waiting for
+        #: plans (the planning cost the pool did not hide).
+        self.plan_wait_s = 0.0
 
     # ------------------------------------------------------------------ execution
 
@@ -309,43 +316,65 @@ class TrainingSession:
     def _run_pooled(self) -> TrainingReport:
         """Epoch loop with planning fanned out to worker processes.
 
-        The pool plans ``planner_lookahead`` iterations ahead while the
-        current one executes; every consumed iteration advances the window.
-        Plans travel as serialised payloads, so execution re-derives
-        everything from the instruction streams exactly as the executor
-        service does.
+        The session registers its epoch as one job stream on a
+        :class:`PlannerPool`, which plans ``planner_lookahead`` iterations
+        ahead while the current one executes.  The report's
+        ``plan_wait_s`` is the planning time the overlap did not hide.
         """
-        report = TrainingReport(system=self.system_name)
+        self.plan_wait_s = 0.0
+        report = TrainingReport(system=self.system_name, plan_wait_s=0.0)
         minibatches = self.epoch_minibatches()
         if not minibatches:
             return report
         pool = PlannerPool(
-            planner=self.planner,
-            minibatches=[mb.samples for mb in minibatches],
             num_workers=self.config.planner_processes,
             lookahead=self.config.planner_lookahead,
-            start_iteration=minibatches[0].index,
+        )
+        # Plans are keyed by absolute iteration index: a resumed session's
+        # stream starts at its first mini-batch, as an uninterrupted run's
+        # keys would.
+        pool.submit_job(
+            _SESSION_STREAM,
+            self.planner,
+            [mb.samples for mb in minibatches],
+            start=minibatches[0].index,
         )
         enc_eff: list[float] = []
         dec_eff: list[float] = []
         pool.start()
         try:
-            # Plans are keyed by absolute iteration index (the pool's
-            # start_iteration anchors a resumed session's tail), matching
-            # the keys an uninterrupted run would use.
             for minibatch in minibatches:
-                payload = pool.wait_payload(
-                    minibatch.index, timeout=self.config.planner_timeout_s
-                )
-                record, stats = self.record_from_payload(minibatch.index, payload)
+                record, stats = self.pooled_step(pool, _SESSION_STREAM, minibatch)
                 report.records.append(record)
                 enc_eff.append(stats.encoder_efficiency)
                 if stats.decoder_efficiency is not None:
                     dec_eff.append(stats.decoder_efficiency)
-                pool.notify_consumed(minibatch.index)
         finally:
             pool.stop()
+        report.plan_wait_s = self.plan_wait_s
         return self._finalize_report(report, enc_eff, dec_eff)
+
+    def pooled_step(
+        self, pool: PlannerPool, job: str, minibatch: MiniBatch
+    ) -> tuple[IterationRecord, PaddingStats]:
+        """Execute ``minibatch`` from the plan ``pool`` made on stream ``job``.
+
+        Waits for the plan, executes it and releases it back to the pool
+        (advancing the stream's look-ahead window).  Only the wait is added
+        to :attr:`plan_wait_s`; decoding and executing the plan are not.
+
+        Raises:
+            PlanFailedError: If the pool failed to plan the iteration.
+            TimeoutError: If no plan arrives within ``planner_timeout_s``.
+        """
+        start = time.perf_counter()
+        payload = pool.wait_payload(
+            job, minibatch.index, timeout=self.config.planner_timeout_s
+        )
+        self.plan_wait_s += time.perf_counter() - start
+        record, stats = self.record_from_payload(minibatch.index, payload)
+        pool.notify_consumed(job, minibatch.index)
+        return record, stats
 
     def record_from_payload(
         self, iteration: int, payload: dict

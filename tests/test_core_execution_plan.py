@@ -1,4 +1,4 @@
-"""Tests for execution plans and their serialisation / instruction store flow."""
+"""Tests for execution plans and their serialisation."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ import pytest
 
 from repro.core.execution_plan import ExecutionPlan, PlanMetadata
 from repro.instructions.ops import ForwardPass, SendActStart
-from repro.instructions.store import InstructionStore
 from repro.model.memory import RecomputeMode
 from repro.model.transformer import MicroBatchShape
 
@@ -56,12 +55,11 @@ class TestExecutionPlan:
         restored = ExecutionPlan.from_dict(json.loads(payload))
         assert restored.metadata.schedule_name == "memory-aware-adaptive"
 
-    def test_store_roundtrip(self):
-        """Planners push serialised plans; executors fetch and rebuild them."""
-        store = InstructionStore()
+    def test_metadata_roundtrip(self):
+        """Planners ship serialised plans; executors rebuild them keyed by
+        their own iteration and replica."""
         plan = make_plan(iteration=7, replica=1)
-        store.push(7, 1, plan.to_dict())
-        fetched = ExecutionPlan.from_dict(store.fetch(7, 1))
+        fetched = ExecutionPlan.from_dict(plan.to_dict())
         assert fetched.metadata.iteration == 7
         assert fetched.metadata.replica == 1
         assert fetched.device_instructions == plan.device_instructions

@@ -6,6 +6,8 @@ examples); it is also part of tier-1 so a broken link fails fast locally.
 
 from __future__ import annotations
 
+import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -71,10 +73,41 @@ def test_architecture_doc_names_only_real_modules():
         assert (REPO_ROOT / reference).exists(), f"ARCHITECTURE.md: {reference} missing"
 
 
+def _repro_imports(directory: str) -> list[tuple[str, str, str]]:
+    """``(file, module, name)`` of every ``from repro... import name`` in
+    the top-level scripts of ``directory``, nested imports included."""
+    found = []
+    for path in sorted((REPO_ROOT / directory).glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (
+                isinstance(node, ast.ImportFrom)
+                and node.level == 0
+                and node.module is not None
+                and node.module.split(".")[0] == "repro"
+            ):
+                found.extend((path.name, node.module, alias.name) for alias in node.names)
+    return found
+
+
+@pytest.mark.parametrize("directory", ["examples", "benchmarks"])
+def test_script_imports_resolve(directory):
+    """Every name the examples and benchmarks import from ``repro`` exists
+    (compiling them alone does not catch an import of a deleted name)."""
+    imports = _repro_imports(directory)
+    assert imports, f"no repro imports found under {directory}/"
+    for filename, module_name, name in imports:
+        module = importlib.import_module(module_name)
+        if hasattr(module, name):
+            continue
+        try:  # ``from repro.pkg import submodule`` names a module.
+            importlib.import_module(f"{module_name}.{name}")
+        except ModuleNotFoundError:
+            pytest.fail(f"{directory}/{filename}: cannot import {name} from {module_name}")
+
+
 def test_fleet_modules_have_contract_docstrings():
     """Every fleet module documents its contract in the module docstring
     (the contracts used to live only in ROADMAP.md)."""
-    import importlib
     import pkgutil
 
     import repro.fleet as fleet

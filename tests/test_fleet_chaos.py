@@ -5,7 +5,7 @@ fault-plan grammar and its generators, the injector lowering onto the
 scheduler's event machinery, the seeded storm + rack-outage acceptance
 scenario (≥10 jobs, all terminal, no leaked devices, MTTR accounting) —
 plus the graceful-degradation satellites: planner-worker kills falling
-back to inline planning, transient store plan losses driving the retry
+back to inline planning, transient plan losses driving the retry
 path, planning backoff/deadline semantics, regrowth hysteresis and
 priority aging.
 """
@@ -33,9 +33,8 @@ from repro.fleet import (
     rack_outage,
     random_fault_plan,
 )
-from repro.instructions.store import InstructionStore, PlanFailedError
 from repro.parallel.config import ParallelConfig
-from repro.runtime.planner_pool import PlannerPool
+from repro.runtime.planner_pool import PlanFailedError, PlannerPool
 
 from test_fleet_checkpoint import assert_reports_identical
 
@@ -306,9 +305,7 @@ class TestPlannerKillDegradation:
         topology = ClusterTopology.for_num_gpus(2, device_spec=small_device)
         scheduler = FleetScheduler(
             topology,
-            FleetConfig(
-                shared_planner_pool=True, planner_processes=2, planner_backend="thread"
-            ),
+            FleetConfig(planner_processes=2, planner_backend="thread"),
         )
         record = scheduler.submit(
             make_spec(
@@ -341,14 +338,12 @@ class TestStoreErrorFault:
     def test_plan_loss_is_retried_to_completion(
         self, pp2_cost_model, fleet_samples, planner_config, small_device
     ):
-        """A transient store error poisons the pending plan; the job's
+        """A transient plan loss poisons the pending plan; the job's
         attempt fails planning, retries and finishes."""
         topology = ClusterTopology.for_num_gpus(2, device_spec=small_device)
         scheduler = FleetScheduler(
             topology,
-            FleetConfig(
-                shared_planner_pool=True, planner_processes=1, planner_backend="thread"
-            ),
+            FleetConfig(planner_processes=1, planner_backend="thread"),
         )
         record = scheduler.submit(
             make_spec(
@@ -701,17 +696,12 @@ def _wait_until(predicate, timeout=60.0):
 
 class TestPlannerPoolChaosPrimitives:
     def test_kill_workers_counts_and_stops_planning(self, pool_planner, pool_minibatches):
-        pool = PlannerPool(
-            planner=pool_planner,
-            minibatches=pool_minibatches,
-            num_workers=2,
-            backend="thread",
-            lookahead=1,
-        )
+        pool = PlannerPool(num_workers=2, backend="thread", lookahead=1)
+        pool.submit_job("job", pool_planner, pool_minibatches)
         assert pool.kill_workers() == 0  # not started yet: nothing to kill
         pool.start()
         try:
-            assert "replicas" in pool.wait_payload(0)
+            assert "replicas" in pool.wait_payload("job", 0)
             killed = pool.kill_workers(1)
             assert killed == 1
             assert pool.live_workers() == 1
@@ -723,22 +713,17 @@ class TestPlannerPoolChaosPrimitives:
     def test_wait_payload_fails_fast_when_every_worker_is_dead(
         self, pool_planner, pool_minibatches
     ):
-        pool = PlannerPool(
-            planner=pool_planner,
-            minibatches=pool_minibatches,
-            num_workers=1,
-            backend="thread",
-            lookahead=1,
-        )
+        pool = PlannerPool(num_workers=1, backend="thread", lookahead=1)
+        pool.submit_job("job", pool_planner, pool_minibatches)
         pool.start()
         try:
-            pool.wait_payload(0)
+            pool.wait_payload("job", 0)
             pool.kill_workers()
             # Iteration 3 is beyond the lookahead window, so it was never
             # planned; a dead pool must fail fast, not spin out the timeout.
             started = time.perf_counter()
             with pytest.raises(PlanFailedError, match="workers are dead"):
-                pool.wait_payload(3, timeout=60.0)
+                pool.wait_payload("job", 3, timeout=60.0)
             assert time.perf_counter() - started < 30.0
         finally:
             pool.stop()
@@ -746,19 +731,18 @@ class TestPlannerPoolChaosPrimitives:
     def test_inject_plan_loss_poisons_exactly_one_iteration(
         self, pool_planner, pool_minibatches
     ):
-        store = InstructionStore()
-        pool = PlannerPool(num_workers=1, backend="thread", store=store)
+        pool = PlannerPool(num_workers=1, backend="thread")
         pool.submit_job("victim", pool_planner, pool_minibatches, lookahead=4)
         pool.start()
         try:
             assert _wait_until(
-                lambda: len(pool.planned_iterations(job="victim")) >= 2
+                lambda: len(pool.planned_iterations("victim")) >= 2
             )
             assert pool.inject_plan_loss("victim", 1) is True
             with pytest.raises(PlanFailedError):
-                pool.wait_payload(1, job="victim", timeout=10.0)
+                pool.wait_payload("victim", 1, timeout=10.0)
             # Iteration 0 is untouched.
-            assert "replicas" in pool.wait_payload(0, job="victim")
+            assert "replicas" in pool.wait_payload("victim", 0)
             # Re-poisoning the failed iteration is a no-op.
             assert pool.inject_plan_loss("victim", 1) is False
             # Unknown streams and out-of-range iterations are no-ops.
@@ -770,13 +754,12 @@ class TestPlannerPoolChaosPrimitives:
     def test_inject_plan_loss_skips_consumed_iterations(
         self, pool_planner, pool_minibatches
     ):
-        store = InstructionStore()
-        pool = PlannerPool(num_workers=1, backend="thread", store=store)
+        pool = PlannerPool(num_workers=1, backend="thread")
         pool.submit_job("victim", pool_planner, pool_minibatches, lookahead=4)
         pool.start()
         try:
-            pool.wait_payload(0, job="victim")
-            pool.notify_consumed(0, job="victim")
+            pool.wait_payload("victim", 0)
+            pool.notify_consumed("victim", 0)
             assert pool.inject_plan_loss("victim", 0) is False
         finally:
             pool.stop()

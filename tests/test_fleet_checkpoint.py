@@ -240,9 +240,7 @@ class TestPooledRestore:
     def test_pooled_kill_restore(
         self, pp2_cost_model, fleet_samples, planner_config, small_device
     ):
-        pooled = dict(
-            shared_planner_pool=True, planner_processes=2, planner_backend="thread"
-        )
+        pooled = dict(planner_processes=2, planner_backend="thread")
         specs = crash_specs(pp2_cost_model, fleet_samples, planner_config)
         reference = build_scheduler(specs, small_device, make_config("fifo", **pooled))
         reference_report = reference.run()

@@ -106,7 +106,7 @@ class TestPoolFailureMarkers:
     def test_pool_failure_marker_becomes_job_retry(
         self, pp2_cost_model, fleet_samples, planner_config, small_device
     ):
-        """A worker exception mid-epoch pushes a PlanFailedError marker; the
+        """A worker exception mid-epoch surfaces as a PlanFailedError; the
         fleet turns it into one retry that resumes from the checkpoint and
         finishes — records bit-identical to an uninterrupted run."""
         attempts_built: list[int] = []
@@ -189,9 +189,9 @@ class TestPoolLifecycle:
 
     @pytest.fixture()
     def pool_registry(self, monkeypatch):
-        """Instrument JobExecution's private pools: record every instance
+        """Instrument the scheduler's planner pool: record every instance
         and count its stop() calls."""
-        import repro.fleet.session as session_module
+        import repro.fleet.scheduler as scheduler_module
         from repro.runtime.planner_pool import PlannerPool
 
         created = []
@@ -206,16 +206,16 @@ class TestPoolLifecycle:
                 self.stop_calls += 1
                 return super().stop()
 
-        monkeypatch.setattr(session_module, "PlannerPool", RegisteredPool)
+        monkeypatch.setattr(scheduler_module, "PlannerPool", RegisteredPool)
         return created
 
     def test_no_live_workers_after_injected_failures(
         self, pp2_cost_model, fleet_samples, planner_config, small_device, pool_registry
     ):
-        """Per-attempt mode under the full failure mix — a device failure
+        """Pooled planning under the full failure mix — a device failure
         preempting a pooled attempt, mid-epoch plan failures, retries —
-        leaves zero live pool workers and every started pool stopped
-        exactly once."""
+        leaves zero live pool workers, every attempt's stream retired and
+        the one fleet pool stopped exactly once."""
         attempts_built: list[int] = []
 
         def flaky_factory(spec, data_parallel):
@@ -253,14 +253,15 @@ class TestPoolLifecycle:
         scheduler.inject_device_failure(10.0, 0)
         report = scheduler.run()
         assert {job.state for job in report.jobs} == {JobState.FINISHED}
-        # One pool per attempt that reached step(); each stopped exactly once.
-        started = [pool for pool in pool_registry if pool.started]
-        assert started, "pooled attempts should have started pools"
-        assert len(started) == sum(job.attempts for job in report.jobs)
-        for pool in started:
-            assert pool.stop_calls == 1
-            assert pool.live_workers() == 0
-        assert report.planner_workers_spawned == len(started)
+        # One pool for the fleet, one stream per attempt; stopped once.
+        [pool] = pool_registry
+        assert pool.started and pool.stop_calls == 1
+        assert pool.live_workers() == 0
+        assert pool.job_names() == []
+        assert len(pool.job_names(include_retired=True)) == sum(
+            job.attempts for job in report.jobs
+        )
+        assert report.planner_workers_spawned == 1
         scheduler.allocator.check_consistent()
         assert scheduler.allocator.busy_count == 0
 
@@ -280,9 +281,7 @@ class TestPoolLifecycle:
         topology = ClusterTopology.for_num_gpus(4, device_spec=small_device)
         scheduler = FleetScheduler(
             topology,
-            FleetConfig(
-                planner_processes=1, planner_backend="thread", shared_planner_pool=True
-            ),
+            FleetConfig(planner_processes=1, planner_backend="thread"),
         )
         scheduler.submit(
             make_spec(pp2_cost_model, fleet_samples, planner_config, name="crasher")

@@ -193,7 +193,6 @@ class TestGracefulEviction:
                 policy="priority",
                 planner_processes=1,
                 planner_backend="thread",
-                shared_planner_pool=True,
             ),
         )
         low = scheduler.submit(

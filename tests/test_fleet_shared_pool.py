@@ -1,10 +1,9 @@
 """Fleet-wide shared planner pool ("planning cluster") tests.
 
-The acceptance bar: a fleet run with ``shared_planner_pool=True`` spawns
+The acceptance bar: a pooled fleet run (``planner_processes > 0``) spawns
 exactly one pool's workers for the whole fleet, survives injected device
 failures and job retries with no cross-job plan/failure leakage, and its
-per-job reports are bit-identical to per-attempt pools and to inline
-planning.
+per-job reports are bit-identical to inline planning.
 """
 
 from __future__ import annotations
@@ -19,14 +18,18 @@ from repro.parallel.config import ParallelConfig
 
 from test_fleet_scheduler import assert_records_identical, standalone_records
 
-#: The three planning modes whose per-job reports must agree bit for bit.
+#: The planning modes whose per-job reports must agree bit for bit.
 MODES = {
     "inline": dict(planner_processes=0),
-    "per_attempt": dict(planner_processes=1, planner_backend="thread"),
-    "shared": dict(
-        planner_processes=1, planner_backend="thread", shared_planner_pool=True
-    ),
+    "shared": dict(planner_processes=1, planner_backend="thread"),
 }
+
+
+def assert_no_retained_plans(scheduler):
+    """Every stream of the fleet's pool is retired and holds no plans."""
+    pool = scheduler._shared_pool
+    assert pool.job_names() == []
+    assert all(stream.retired and not stream.payloads for stream in pool._streams.values())
 
 
 @pytest.fixture(scope="module")
@@ -80,16 +83,14 @@ class TestSharedPoolBitIdentity:
             assert report.total_preemptions == 1, mode
 
     def test_reports_bit_identical_across_planning_modes(self, fleet_runs):
-        """The planning transport (inline / private pools / planning
-        cluster) must be invisible in the results: per-job records agree
-        bit for bit across all three modes."""
+        """The planning transport (inline or the planning cluster) must be
+        invisible in the results: per-job records agree bit for bit."""
         baseline_scheduler, _ = fleet_runs["inline"]
-        for mode in ("per_attempt", "shared"):
-            scheduler, _ = fleet_runs[mode]
-            for name, record in baseline_scheduler.jobs.items():
-                assert_records_identical(
-                    scheduler.jobs[name].checkpoint.records, record.checkpoint.records
-                )
+        scheduler, _ = fleet_runs["shared"]
+        for name, record in baseline_scheduler.jobs.items():
+            assert_records_identical(
+                scheduler.jobs[name].checkpoint.records, record.checkpoint.records
+            )
 
     def test_shared_mode_matches_standalone_runs(self, fleet_runs):
         """Transitively implied by the cross-mode test, but pinned directly:
@@ -106,28 +107,24 @@ class TestSharedPoolBitIdentity:
         assert_records_identical(record.checkpoint.records, expected)
 
     def test_one_pool_for_the_whole_fleet(self, fleet_runs):
-        """Worker-spawn amortisation: the shared run spawns exactly one
-        pool's workers; per-attempt mode pays one pool per attempt."""
-        _, shared_report = fleet_runs["shared"]
-        _, per_attempt_report = fleet_runs["per_attempt"]
+        """Worker-spawn amortisation: the pooled run spawns exactly one
+        pool's workers across every attempt."""
+        scheduler, shared_report = fleet_runs["shared"]
         _, inline_report = fleet_runs["inline"]
         total_attempts = sum(job.attempts for job in shared_report.jobs)
         assert total_attempts == 4  # 3 first admissions + 1 retry
         assert shared_report.planner_workers_spawned == 1
-        assert per_attempt_report.planner_workers_spawned == total_attempts
         assert inline_report.planner_workers_spawned == 0
+        assert len(scheduler._shared_pool.job_names(include_retired=True)) == total_attempts
 
     def test_shared_pool_torn_down_and_store_clean(self, fleet_runs):
         """After the run the planning cluster is stopped and every attempt's
-        stream retired — no live workers, no store residue."""
+        stream retired — no live workers, no retained plans."""
         scheduler, _ = fleet_runs["shared"]
         pool = scheduler._shared_pool
         assert pool is not None and pool.started
         assert pool.live_workers() == 0
-        assert pool.job_names() == []  # every stream retired
-        assert scheduler.store is not None
-        assert len(scheduler.store) == 0
-        assert scheduler.store.jobs() == []
+        assert_no_retained_plans(scheduler)
 
 
 class _ExplodingPlanner:
@@ -145,17 +142,12 @@ class TestSharedPoolIsolation:
     def test_doomed_job_never_perturbs_neighbours(
         self, pp2_cost_model, fleet_samples, planner_config, small_device
     ):
-        """One job's planning failures (failure markers in the shared store)
-        must stay in its own namespace: the healthy co-tenant finishes with
-        records bit-identical to a standalone run."""
+        """One job's planning failures must stay on its own streams: the
+        healthy co-tenant finishes with records bit-identical to a
+        standalone run."""
         topology = ClusterTopology.for_num_gpus(4, device_spec=small_device)
         scheduler = FleetScheduler(
-            topology,
-            FleetConfig(
-                planner_processes=1,
-                planner_backend="thread",
-                shared_planner_pool=True,
-            ),
+            topology, FleetConfig(planner_processes=1, planner_backend="thread")
         )
         scheduler.submit(
             JobSpec(
@@ -189,8 +181,8 @@ class TestSharedPoolIsolation:
         assert_records_identical(
             healthy.checkpoint.records, standalone_records(healthy.spec, 1)
         )
-        # The failed attempts' markers were evicted with their streams.
-        assert scheduler.store.jobs() == []
+        # The failed attempts' streams were retired with their plans.
+        assert_no_retained_plans(scheduler)
         assert scheduler._shared_pool.live_workers() == 0
 
     def test_shared_pool_with_process_backend(
@@ -202,7 +194,7 @@ class TestSharedPoolIsolation:
         topology = ClusterTopology.for_num_gpus(4, device_spec=small_device)
         scheduler = FleetScheduler(
             topology,
-            FleetConfig(planner_processes=1, shared_planner_pool=True),
+            FleetConfig(planner_processes=1),
         )
         specs = build_specs(pp2_cost_model, fleet_samples, planner_config)[:2]
         for spec in specs:
@@ -215,3 +207,10 @@ class TestSharedPoolIsolation:
             record = scheduler.jobs[spec.name]
             expected = standalone_records(spec, spec.parallel.data_parallel)
             assert_records_identical(record.checkpoint.records, expected)
+
+
+def test_private_planner_pools_are_gone():
+    """``shared_planner_pool`` survives only as an always-true field."""
+    assert FleetConfig().shared_planner_pool is True
+    with pytest.raises(ValueError, match="shared_planner_pool=False was removed"):
+        FleetConfig(planner_processes=1, shared_planner_pool=False)

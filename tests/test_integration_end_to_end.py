@@ -2,13 +2,15 @@
 
 These tests follow a plan from raw samples through ordering, DP
 partitioning, replica balancing, scheduling, communication planning,
-serialisation through the instruction store, and instruction-level execution
+serialisation into the planner pool's payload, and instruction-level execution
 with noise — asserting the cross-cutting invariants that unit tests cannot
 see (token conservation, memory bounds, deadlock freedom, prediction
 sanity).
 """
 
 from __future__ import annotations
+
+import json
 
 import pytest
 
@@ -17,7 +19,6 @@ from repro.comm.deadlock import check_comm_order
 from repro.core.execution_plan import ExecutionPlan
 from repro.core.planner import DynaPipePlanner, PlannerConfig
 from repro.instructions.ops import BackwardPass, ForwardPass
-from repro.instructions.store import InstructionStore
 from repro.model.memory import RecomputeMode
 from repro.simulator.executor import InstructionExecutor
 
@@ -76,14 +77,13 @@ class TestFullPipeline:
             assert forwards == backwards == num_stages * num_microbatches
             assert check_comm_order(replica.plan.device_instructions).consistent
 
-    def test_roundtrip_through_store_and_execute(self, plan, gpt_cost_model):
-        """Plans survive serialisation through the store and execute without
+    def test_roundtrip_through_payload_and_execute(self, plan, gpt_cost_model):
+        """Plans survive the planner pool's JSON payload and execute without
         deadlock under noisy execution times, within the device memory."""
-        store = InstructionStore()
-        for replica in plan.replicas:
-            store.push(0, replica.plan.metadata.replica, replica.plan.to_dict())
-        for replica_rank in range(len(plan.replicas)):
-            restored = ExecutionPlan.from_dict(store.fetch(0, replica_rank))
+        payload = json.loads(json.dumps(plan.to_dict()))
+        for replica_rank, replica_payload in enumerate(payload["replicas"]):
+            assert replica_payload["metadata"]["replica"] == replica_rank
+            restored = ExecutionPlan.from_dict(replica_payload)
             executor = _executor_for(gpt_cost_model, noise_seed=replica_rank, noise=0.1)
             result = executor.run(restored.device_instructions)
             assert result.makespan_ms > 0

@@ -81,3 +81,43 @@ class TestBaselineEdgeCases:
         plan = baseline.plan(flan_samples[:60])
         for mb in plan.all_micro_batches():
             assert mb.dec_seq_len == 1024 // 4
+
+
+class TestAllInfeasibleOrderSearch:
+    def test_identity_order_kept_when_every_permutation_scores_inf(
+        self, gpt_cost_model, flan_samples_gpt, monkeypatch
+    ):
+        """When every searched permutation scores ``inf``, the planner must
+        emit the identity order (which passed the feasibility check), not
+        the search's first candidate."""
+        from repro.simulator.incremental import IncrementalOrderSimulator
+
+        score = IncrementalOrderSimulator.score
+
+        def identity_only(self, order):
+            if list(order) != list(range(len(order))):
+                return float("inf")
+            return score(self, order)
+
+        emitted = []
+        simulation = IncrementalOrderSimulator.simulation
+
+        def record_order(self, order, *args, **kwargs):
+            emitted.append(list(order))
+            return simulation(self, order, *args, **kwargs)
+
+        monkeypatch.setattr(IncrementalOrderSimulator, "score", identity_only)
+        monkeypatch.setattr(IncrementalOrderSimulator, "simulation", record_order)
+        planner = DynaPipePlanner(
+            gpt_cost_model, config=PlannerConfig(order_search=True, tmax_sample_count=8)
+        )
+        plan = planner.plan(list(flan_samples_gpt[:96]))
+        [search] = [replica.ordering_search for replica in plan.replicas]
+        assert search is not None and search.evaluated > 1
+        # The bug needs a search whose candidates are all non-identity.
+        assert search.makespan_ms == float("inf")
+        assert search.order != list(range(len(search.order)))
+        [order] = emitted
+        assert order == list(range(plan.num_microbatches))
+        peaks = plan.plans[0].metadata.predicted_peak_memory_bytes
+        assert max(peaks) <= planner.device_memory_bytes

@@ -23,7 +23,7 @@ class TestPublicApi:
             "CostModel",
             "SyntheticFlanDataset",
             "TrainingSession",
-            "TrainingOrchestrator",
+            "PlannerPool",
             "get_model_config",
         ):
             assert name in repro.__all__

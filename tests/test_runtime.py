@@ -1,7 +1,8 @@
-"""Tests for the planner/executor runtime (planning-execution overlap)."""
+"""Tests for the planning runtime: the planner pool and pooled sessions."""
 
 from __future__ import annotations
 
+import dataclasses
 import time
 
 import pytest
@@ -9,14 +10,18 @@ import pytest
 from repro.core.execution_plan import ExecutionPlan
 from repro.core.planner import DynaPipePlanner, PlannerConfig
 from repro.data.sampler import MiniBatchSampler
-from repro.instructions.store import InstructionStore, PlanFailedError, PlanNotReadyError
-from repro.runtime.executor_service import ExecutorService
-from repro.runtime.orchestrator import TrainingOrchestrator
-from repro.runtime.planner_pool import PlannerPool
+from repro.runtime.planner_pool import PlanFailedError, PlannerPool
+from repro.training.trainer import TrainerConfig, TrainingSession
 
 
 class ExplodingPlanner:
-    """Picklable planner that always fails (exercises the failure paths)."""
+    """Picklable planner that always fails (exercises the failure paths).
+
+    ``cost_model`` is only needed when a :class:`TrainingSession` drives it.
+    """
+
+    def __init__(self, cost_model=None):
+        self.cost_model = cost_model
 
     def plan(self, samples, iteration=0):
         raise RuntimeError(f"boom on iteration {iteration}")
@@ -35,6 +40,15 @@ def _wait_until(predicate, timeout=60.0):
     while not predicate() and time.time() < deadline:
         time.sleep(0.01)
     return predicate()
+
+
+def _session(planner, samples, **config) -> TrainingSession:
+    """A GPT training session over ``samples`` (3 iterations by default)."""
+    defaults = dict(max_iterations=3, noise_std=0.02, seed=0, max_seq_len=1024)
+    defaults.update(config)
+    return TrainingSession(
+        planner, samples, global_batch_tokens=8192, config=TrainerConfig(**defaults)
+    )
 
 
 @pytest.fixture(scope="module")
@@ -114,49 +128,44 @@ class SpecNotJsonPlanner:
 
 
 class TestPlannerPool:
-    def test_plans_pushed_to_store(self, planner, minibatches):
-        store = InstructionStore()
-        pool = PlannerPool(planner=planner, minibatches=minibatches, store=store, num_workers=1)
+    def test_every_iteration_planned(self, planner, minibatches):
+        pool = PlannerPool(num_workers=1)
+        pool.submit_job("job", planner, minibatches)
         pool.start()
         try:
-            deadline = time.time() + 30
-            while len(pool.planned_iterations()) < len(minibatches) and time.time() < deadline:
-                time.sleep(0.01)
+            assert _wait_until(
+                lambda: len(pool.planned_iterations("job")) == len(minibatches)
+            ), (pool.job_errors("job"), pool.pool_errors)
         finally:
             pool.stop()
-        assert pool.planned_iterations() == list(range(len(minibatches)))
-        assert not pool.errors
-        assert store.ready(0, 0)
+        assert pool.planned_iterations("job") == list(range(len(minibatches)))
+        assert not pool.job_errors("job")
+        assert "replicas" in pool.payload("job", 0)
+        assert [record.job for record in pool.records] == ["job"] * len(minibatches)
 
     def test_lookahead_limits_planning(self, planner, minibatches):
-        store = InstructionStore()
-        pool = PlannerPool(
-            planner=planner, minibatches=minibatches, store=store, num_workers=1, lookahead=1
-        )
+        pool = PlannerPool(num_workers=1, lookahead=1)
+        pool.submit_job("job", planner, minibatches)
         pool.start()
         try:
-            deadline = time.time() + 30
-            while not store.ready(0, 0) and time.time() < deadline:
-                time.sleep(0.01)
+            pool.wait_payload("job", 0, timeout=30)
             time.sleep(0.2)
             # Without consumption only the look-ahead window is planned.
-            assert len(pool.planned_iterations()) <= 2
-            pool.notify_consumed(0)
-            deadline = time.time() + 30
-            while not store.ready(1, 0) and time.time() < deadline:
-                time.sleep(0.01)
-            assert store.ready(1, 0)
-            # Consumed iterations are evicted from the store.
-            with pytest.raises(PlanNotReadyError):
-                store.fetch(0, 0)
+            assert len(pool.planned_iterations("job")) <= 2
+            pool.notify_consumed("job", 0)
+            assert "replicas" in pool.wait_payload("job", 1, timeout=30)
+            # Consumed iterations release their payloads.
+            assert pool.payload("job", 0) is None
         finally:
             pool.stop()
 
-    def test_invalid_arguments(self, planner, minibatches):
+    def test_invalid_arguments(self):
         with pytest.raises(ValueError):
-            PlannerPool(planner=planner, minibatches=minibatches, store=InstructionStore(), num_workers=0)
+            PlannerPool(num_workers=0)
         with pytest.raises(ValueError):
-            PlannerPool(planner=planner, minibatches=minibatches, store=InstructionStore(), lookahead=0)
+            PlannerPool(lookahead=0)
+        with pytest.raises(ValueError):
+            PlannerPool(backend="gpu")
 
 
 class TestProcessPoolBitIdentical:
@@ -166,27 +175,25 @@ class TestProcessPoolBitIdentical:
         pooled = DynaPipePlanner(
             cost_model, config=PlannerConfig(order_search=False, tmax_sample_count=8)
         )
-        store = InstructionStore()
-        pool = PlannerPool(
-            planner=pooled, minibatches=batches, store=store,
-            num_workers=2, lookahead=len(batches), backend="process",
-        )
+        pool = PlannerPool(num_workers=2, lookahead=len(batches), backend="process")
+        pool.submit_job("job", pooled, batches)
         pool.start()
         try:
             assert _wait_until(
-                lambda: len(pool.planned_iterations()) >= len(batches), timeout=120
-            ), f"only planned {pool.planned_iterations()}: {pool.errors}"
+                lambda: len(pool.planned_iterations("job")) >= len(batches), timeout=120
+            ), f"only planned {pool.planned_iterations('job')}: {pool.job_errors('job')}"
         finally:
-            abandoned = pool.stop()
-        assert not pool.errors
-        assert not abandoned
+            pool.stop()
+        assert not pool.job_errors("job")
+        assert not pool.job_abandoned("job")
         serial = DynaPipePlanner(
             cost_model, config=PlannerConfig(order_search=False, tmax_sample_count=8)
         )
         for iteration, samples in enumerate(batches):
             expected = serial.plan(list(samples), iteration=iteration)
+            replicas = pool.payload("job", iteration)["replicas"]
             for replica, plan in enumerate(expected.plans):
-                stored = store.fetch(iteration, replica)
+                stored = replicas[replica]
                 want = plan.to_dict()
                 # Planning wall-clock is the only nondeterministic field.
                 want["metadata"]["planning_time_s"] = stored["metadata"]["planning_time_s"]
@@ -202,76 +209,66 @@ class TestProcessPoolBitIdentical:
 class TestPlannerPoolFailurePaths:
     @pytest.mark.parametrize("backend", ["process", "thread"])
     def test_worker_exception_pushes_failure_marker(self, backend, minibatches):
-        store = InstructionStore()
-        pool = PlannerPool(
-            planner=ExplodingPlanner(), minibatches=minibatches, store=store,
-            num_workers=1, backend=backend,
-        )
+        pool = PlannerPool(num_workers=1, backend=backend)
+        pool.submit_job("job", ExplodingPlanner(), minibatches)
         pool.start()
         try:
-            assert _wait_until(lambda: store.ready(0, 0))
-            with pytest.raises(PlanFailedError, match="boom"):
-                store.fetch(0, 0)
-            assert _wait_until(lambda: 0 in pool.failed_iterations())
-            assert any(iteration == 0 for iteration, _ in pool.errors)
+            with pytest.raises(PlanFailedError, match="boom") as excinfo:
+                pool.wait_payload("job", 0, timeout=60)
+            assert (excinfo.value.job, excinfo.value.iteration) == ("job", 0)
+            assert _wait_until(lambda: 0 in pool.failed_iterations("job"))
+            assert any(iteration == 0 for iteration, _ in pool.job_errors("job"))
         finally:
             pool.stop()
 
-    def test_executor_fails_fast_not_at_timeout(self, gpt_cost_model, minibatches):
-        """A planning failure reaches the polling executor well before its
-        fetch timeout instead of leaving it to spin until the deadline."""
-        store = InstructionStore()
-        pool = PlannerPool(
-            planner=ExplodingPlanner(), minibatches=minibatches, store=store, num_workers=1
-        )
-        service = ExecutorService(
-            cost_model=gpt_cost_model, store=store, fetch_timeout_s=120.0
-        )
+    def test_executor_fails_fast_not_at_timeout(
+        self, planner, gpt_cost_model, flan_samples_gpt
+    ):
+        """A planning failure reaches the waiting executor well before its
+        plan-wait timeout instead of leaving it to spin until the deadline."""
+        session = _session(planner, flan_samples_gpt, planner_timeout_s=120.0)
+        [minibatch] = session.epoch_minibatches()[:1]
+        pool = PlannerPool(num_workers=1)
+        pool.submit_job("job", ExplodingPlanner(), [minibatch.samples])
         pool.start()
         try:
             start = time.perf_counter()
             with pytest.raises(PlanFailedError):
-                service.run_iteration(0)
+                session.pooled_step(pool, "job", minibatch)
             assert time.perf_counter() - start < 60.0
         finally:
             pool.stop()
 
     @pytest.mark.parametrize("backend", ["process", "thread"])
     def test_stop_reports_abandoned_iterations(self, backend, planner, minibatches):
-        store = InstructionStore()
-        pool = PlannerPool(
-            planner=planner, minibatches=minibatches, store=store,
-            num_workers=1, lookahead=len(minibatches), backend=backend,
-        )
+        pool = PlannerPool(num_workers=1, lookahead=len(minibatches), backend=backend)
+        pool.submit_job("job", planner, minibatches)
         pool.start()
-        abandoned = pool.stop()
-        planned = set(pool.planned_iterations())
+        pool.stop()
+        abandoned = pool.job_abandoned("job")
+        planned = set(pool.planned_iterations("job"))
         # Every enqueued iteration is accounted for exactly once: either it
         # was planned before the drain or it is reported abandoned — so a
         # restart neither double-plans nor skips.
         assert planned.isdisjoint(abandoned)
-        assert planned | set(abandoned) | set(pool.failed_iterations()) == set(
+        assert planned | set(abandoned) | set(pool.failed_iterations("job")) == set(
             range(len(minibatches))
         )
-        assert pool.abandoned == abandoned
         # A defensive second stop() keeps the first snapshot.
-        assert pool.stop() == abandoned
-        assert pool.abandoned == abandoned
+        pool.stop()
+        assert pool.job_abandoned("job") == abandoned
 
     def test_worker_process_crash_surfaces_failure(self, minibatches):
-        store = InstructionStore()
-        pool = PlannerPool(
-            planner=HangingPlanner(), minibatches=minibatches, store=store,
-            num_workers=1, lookahead=2, backend="process",
-        )
+        pool = PlannerPool(num_workers=1, lookahead=2, backend="process")
+        pool.submit_job("job", HangingPlanner(), minibatches)
         pool.start()
         try:
             assert _wait_until(lambda: bool(pool._claims))
             pool._processes[0].kill()
-            assert _wait_until(lambda: store.ready(0, 0))
+            assert _wait_until(lambda: 0 in pool.failed_iterations("job"))
             with pytest.raises(PlanFailedError, match="died|exited"):
-                store.fetch(0, 0)
-            assert pool.errors
+                pool.wait_payload("job", 0, timeout=60)
+            assert pool.pool_errors
         finally:
             pool.stop()
 
@@ -281,66 +278,52 @@ class TestPlannerPoolFailurePaths:
         after a second pass, giving an in-flight claim message time to land."""
         import queue as queue_module
 
-        from repro.instructions.store import DEFAULT_JOB
-
-        pool = PlannerPool(
-            planner=planner, minibatches=minibatches, store=InstructionStore(),
-            num_workers=1, backend="thread",
-        )
-        stream = pool._streams[DEFAULT_JOB]
+        pool = PlannerPool(num_workers=1, backend="thread")
+        pool.submit_job("job", planner, minibatches)
+        stream = pool._streams["job"]
         pool._queue = queue_module.Queue()
         # Still safely enqueued: (job, iteration, samples, planner ref).
-        pool._queue.put((DEFAULT_JOB, 2, list(minibatches[2]), planner))
+        pool._queue.put(("job", 2, list(minibatches[2]), planner))
         stream.next_to_enqueue = 3
         stream.completed.add(0)
         # Iteration 1 was dequeued by a worker that died pre-claim: sweep 1
         # only marks it suspect, sweep 2 confirms it lost.
         pool._reconcile_lost_tasks()
-        assert pool.failed_iterations() == []
-        assert pool._suspect_lost == {(DEFAULT_JOB, 1)}
+        assert pool.failed_iterations("job") == []
+        assert pool._suspect_lost == {("job", 1)}
         pool._reconcile_lost_tasks()
-        assert pool.failed_iterations() == [1]
-        assert not pool.store.ready(2, 0)
+        assert pool.failed_iterations("job") == [1]
         with pytest.raises(PlanFailedError, match="died holding"):
-            pool.store.fetch(1, 0)
+            pool.wait_payload("job", 1, timeout=1.0)
         # The enqueued task survived the sweep's drain-and-requeue.
         assert pool._queue.get_nowait()[1] == 2
 
     def test_refill_after_total_worker_loss_fails_new_iterations(self, minibatches):
         """Once every worker is gone, iterations entering the look-ahead
-        window later must get failure markers too — not sit on a task queue
-        nobody drains while the executor spins to its fetch timeout."""
-        store = InstructionStore()
-        pool = PlannerPool(
-            planner=HangingPlanner(), minibatches=minibatches, store=store,
-            num_workers=1, lookahead=1, backend="process",
-        )
+        window later must fail too — not sit on a task queue nobody drains
+        while the executor spins to its wait timeout."""
+        pool = PlannerPool(num_workers=1, lookahead=1, backend="process")
+        pool.submit_job("job", HangingPlanner(), minibatches)
         pool.start()
         try:
             assert _wait_until(lambda: bool(pool._claims))
             pool._processes[0].kill()
-            assert _wait_until(lambda: store.ready(0, 0))
+            assert _wait_until(lambda: pool.failed_iterations("job") == [0])
             # Advance the window: iteration 1 only enters the queue now.
-            pool.notify_consumed(0)
-            assert store.ready(1, 0)
+            pool.notify_consumed("job", 0)
+            assert pool.failed_iterations("job") == [0, 1]
             with pytest.raises(PlanFailedError):
-                store.fetch(1, 0)
+                pool.wait_payload("job", 1, timeout=60)
         finally:
             pool.stop()
 
-    def test_orchestrator_raises_on_planning_failure(
-        self, gpt_cost_model, flan_samples_gpt
-    ):
-        orchestrator = TrainingOrchestrator(
-            ExplodingPlanner(),
-            gpt_cost_model,
-            flan_samples_gpt,
-            global_batch_tokens=8192,
-            num_iterations=2,
+    def test_session_raises_on_planning_failure(self, gpt_cost_model, flan_samples_gpt):
+        session = _session(
+            ExplodingPlanner(gpt_cost_model), flan_samples_gpt, planner_processes=1
         )
         start = time.perf_counter()
-        with pytest.raises(RuntimeError, match="planning failed"):
-            orchestrator.run()
+        with pytest.raises(PlanFailedError, match="planning failed for iteration 0"):
+            session.run()
         assert time.perf_counter() - start < 60.0
 
 
@@ -368,11 +351,10 @@ class TestMultiJobPool:
         self, gpt_cost_model, t5_cost_model, minibatches, minibatches_t5
     ):
         """One process pool serves two jobs with *different* planners; every
-        plan matches serial planning bit for bit, lands under its job's
-        (job, iteration, replica) store keys at absolute iterations, and
-        per-job accounting never mixes the streams."""
-        store = InstructionStore()
-        pool = PlannerPool(store=store, num_workers=2, backend="process", lookahead=8)
+        plan matches serial planning bit for bit, lands on its job's stream
+        at absolute iterations, and per-job accounting never mixes the
+        streams."""
+        pool = PlannerPool(num_workers=2, backend="process", lookahead=8)
         pool.start()
         try:
             pool.submit_job(
@@ -392,7 +374,7 @@ class TestMultiJobPool:
                 and len(pool.planned_iterations("t5-job")) >= len(minibatches_t5),
                 timeout=120,
             ), (pool.planned_iterations("gpt-job"), pool.planned_iterations("t5-job"),
-                pool.errors, pool.pool_errors)
+                pool.job_errors("gpt-job"), pool.job_errors("t5-job"), pool.pool_errors)
         finally:
             pool.stop()
         assert pool.planned_iterations("gpt-job") == list(range(len(minibatches)))
@@ -406,8 +388,9 @@ class TestMultiJobPool:
             for position, samples in enumerate(batches):
                 iteration = start + position
                 expected = serial.plan(list(samples), iteration=iteration)
+                replicas = pool.payload(job, iteration)["replicas"]
                 for replica, plan in enumerate(expected.plans):
-                    stored = store.fetch(iteration, replica, job=job)
+                    stored = replicas[replica]
                     want = plan.to_dict()
                     want["metadata"]["planning_time_s"] = stored["metadata"]["planning_time_s"]
                     assert stored == want, (job, iteration, replica)
@@ -415,8 +398,7 @@ class TestMultiJobPool:
     def test_retire_job_drains_only_its_tasks(self, planner, minibatches):
         """Retiring one stream cancels exactly its queued tasks: the
         co-tenant stream's in-flight work proceeds untouched."""
-        store = InstructionStore()
-        pool = PlannerPool(store=store, num_workers=1, backend="thread")
+        pool = PlannerPool(num_workers=1, backend="thread")
         pool.start()
         try:
             gated = GatedPlanner(planner)
@@ -431,9 +413,10 @@ class TestMultiJobPool:
             assert _wait_until(lambda: pool.planned_iterations("slow") == [0])
         finally:
             pool.stop()
-        assert store.ready(0, 0, job="slow")
-        assert not store.ready(0, 0, job="victim")
-        assert store.jobs() == ["slow"]
+        assert pool.payload("slow", 0) is not None
+        assert pool.payload("victim", 0) is None
+        assert pool.job_names() == ["slow"]
+        assert pool.job_names(include_retired=True) == ["slow", "victim"]
         assert pool.planned_iterations("victim") == []
         # A second retire keeps the first snapshot.
         assert pool.retire_job("victim") == [0, 1]
@@ -442,8 +425,7 @@ class TestMultiJobPool:
         """A worker already planning a retired job's iteration finishes, but
         its result must be discarded — the attempt it belonged to is gone,
         and a successor stream under a new name must never inherit it."""
-        store = InstructionStore()
-        pool = PlannerPool(store=store, num_workers=1, backend="thread")
+        pool = PlannerPool(num_workers=1, backend="thread")
         pool.start()
         try:
             gated = GatedPlanner(planner)
@@ -457,13 +439,12 @@ class TestMultiJobPool:
         finally:
             pool.stop()
         assert pool.planned_iterations("dying") == []
-        assert not store.ready(0, 0, job="dying")
-        assert store.jobs() == []
+        assert pool.payload("dying", 0) is None
+        assert pool.job_names() == []
 
     def test_stream_failure_marker_scoped_to_its_job(self, planner, minibatches):
-        """A failing stream's markers poison only its own namespace."""
-        store = InstructionStore()
-        pool = PlannerPool(store=store, num_workers=1, backend="thread")
+        """A failing stream's failures poison only its own stream."""
+        pool = PlannerPool(num_workers=1, backend="thread")
         pool.start()
         try:
             pool.submit_job("doomed", ExplodingPlanner(), minibatches[:2])
@@ -475,8 +456,8 @@ class TestMultiJobPool:
         finally:
             pool.stop()
         with pytest.raises(PlanFailedError, match="boom"):
-            store.fetch(0, 0, job="doomed")
-        assert store.fetch(0, 0, job="healthy") is not None
+            pool.wait_payload("doomed", 0, timeout=1.0)
+        assert "replicas" in pool.wait_payload("healthy", 0, timeout=1.0)
         assert pool.job_errors("healthy") == []
         assert [it for it, _ in pool.job_errors("doomed")] == [0, 1]
 
@@ -489,14 +470,13 @@ class TestMultiJobPool:
         import gc
         import os
 
-        store = InstructionStore()
-        pool = PlannerPool(store=store, num_workers=1, backend="process")
+        pool = PlannerPool(num_workers=1, backend="process")
         pool.start()
         try:
             local = DynaPipePlanner(gpt_cost_model, config=self._config())
             pool.submit_job("a", local, minibatches[:1])
             assert _wait_until(lambda: pool.planned_iterations("a") == [0]), (
-                pool.errors, pool.pool_errors,
+                pool.job_errors("a"), pool.pool_errors,
             )
             spec_path = pool._streams["a"].task_ref["path"]
             assert os.path.exists(spec_path)
@@ -510,7 +490,7 @@ class TestMultiJobPool:
             pool.stop()
 
     def test_submission_contract(self, planner, minibatches):
-        pool = PlannerPool(store=InstructionStore(), num_workers=1, backend="thread")
+        pool = PlannerPool(num_workers=1, backend="thread")
         with pytest.raises(ValueError, match="non-empty"):
             pool.submit_job("", planner, minibatches)
         with pytest.raises(ValueError, match="start"):
@@ -528,138 +508,146 @@ class TestMultiJobPool:
             pool.stop()
         with pytest.raises(RuntimeError, match="stopped"):
             pool.submit_job("b", planner, minibatches[:1])
-        # Fleet-mode construction: minibatches without a planner is an error.
-        with pytest.raises(ValueError, match="planner"):
-            PlannerPool(minibatches=minibatches)
+        with pytest.raises(KeyError):
+            pool.wait_payload("unknown", 0)
 
 
-class TestExecutorService:
-    def test_executes_stored_plan(self, planner, minibatches, gpt_cost_model):
-        store = InstructionStore()
-        plan = planner.plan(minibatches[0], iteration=0)
-        store.push(0, 0, plan.plans[0].to_dict())
-        service = ExecutorService(cost_model=gpt_cost_model, store=store, noise_std=0.0)
-        stats = service.run_iteration(0)
-        assert stats.simulated_ms > 0
-        assert stats.peak_memory_bytes > 0
-        assert stats.stall_s < 1.0
+class TestPooledSession:
+    """A :class:`TrainingSession` stepping its epoch through the pool."""
 
-    def test_plan_decode_is_not_stall(
-        self, planner, minibatches, gpt_cost_model, monkeypatch
-    ):
-        """Stall is the wait for the plan to appear in the store; decoding a
-        plan that is already stored is not stall."""
-        store = InstructionStore()
-        plan = planner.plan(minibatches[0], iteration=0)
-        store.push(0, 0, plan.plans[0].to_dict())
-        decode = ExecutionPlan.from_dict
+    def test_overlapped_run(self, planner, flan_samples_gpt):
+        """Planning later iterations overlaps executing earlier ones: the
+        executor's plan wait stays within the total planning time, and the
+        records match inline planning bit for bit."""
+        pooled = _session(
+            planner, flan_samples_gpt, planner_processes=2, planner_lookahead=3
+        ).run()
+        inline = _session(planner, flan_samples_gpt).run()
+        total_planning_s = sum(record.planning_time_s for record in pooled.records)
+        assert [record.iteration for record in pooled.records] == [0, 1, 2]
+        assert total_planning_s > 0
+        assert pooled.total_time_s > 0
+        assert 0.0 <= pooled.plan_wait_s <= total_planning_s
+        assert 0.0 <= pooled.overlap_fraction <= 1.0
+        assert inline.plan_wait_s is None and inline.overlap_fraction == 0.0
 
-        def slow_decode(payload):
-            time.sleep(0.3)
-            return decode(payload)
+        def outputs(report):
+            return [
+                dataclasses.replace(record, planning_time_s=0.0)
+                for record in report.records
+            ]
 
-        monkeypatch.setattr(ExecutionPlan, "from_dict", staticmethod(slow_decode))
-        service = ExecutorService(cost_model=gpt_cost_model, store=store, noise_std=0.0)
-        start = time.perf_counter()
-        stats = service.run_iteration(0)
-        assert time.perf_counter() - start >= 0.3
-        assert stats.stall_s < 0.1
-        assert service.total_stall_s() == stats.stall_s
+        assert outputs(pooled) == outputs(inline)
 
-    def test_timeout_when_plan_missing(self, gpt_cost_model):
-        service = ExecutorService(
-            cost_model=gpt_cost_model, store=InstructionStore(), fetch_timeout_s=0.05
+    def test_executes_pooled_plans(self, planner, flan_samples_gpt):
+        session = _session(planner, flan_samples_gpt, noise_std=0.0)
+        [minibatch] = session.epoch_minibatches()[:1]
+        pool = PlannerPool(num_workers=1, backend="thread")
+        pool.submit_job("job", planner, [minibatch.samples])
+        pool.start()
+        try:
+            record, stats = session.pooled_step(pool, "job", minibatch)
+        finally:
+            pool.stop()
+        assert record.iteration == minibatch.index
+        assert record.measured_ms > 0
+        assert record.measured_peak_bytes > 0
+        assert stats.actual_tokens == record.actual_tokens
+        # The consumed plan was released back to the pool.
+        assert pool.payload("job", minibatch.index) is None
+
+    def test_plan_decode_is_not_wait(self, planner, flan_samples_gpt, monkeypatch):
+        """Plan wait is the time until the payload arrives; decoding a plan
+        that is already planned is not wait."""
+        session = _session(planner, flan_samples_gpt, noise_std=0.0)
+        [minibatch] = session.epoch_minibatches()[:1]
+        pool = PlannerPool(num_workers=1, backend="thread")
+        pool.submit_job("job", planner, [minibatch.samples])
+        pool.start()
+        try:
+            assert _wait_until(lambda: pool.payload("job", 0) is not None)
+            decode = ExecutionPlan.from_dict
+
+            def slow_decode(payload):
+                time.sleep(0.3)
+                return decode(payload)
+
+            monkeypatch.setattr(ExecutionPlan, "from_dict", staticmethod(slow_decode))
+            start = time.perf_counter()
+            session.pooled_step(pool, "job", minibatch)
+            assert time.perf_counter() - start >= 0.3
+        finally:
+            pool.stop()
+        assert session.plan_wait_s < 0.1
+
+    def test_wait_is_bounded(self, planner, flan_samples_gpt):
+        """A plan that never arrives fails the step after
+        ``planner_timeout_s`` instead of blocking forever."""
+        session = _session(planner, flan_samples_gpt, planner_timeout_s=0.3)
+        [minibatch] = session.epoch_minibatches()[:1]
+        pool = PlannerPool(num_workers=1, backend="process")
+        pool.submit_job("job", HangingPlanner(), [minibatch.samples])
+        pool.start()
+        try:
+            start = time.perf_counter()
+            with pytest.raises(TimeoutError, match="iteration 0"):
+                session.pooled_step(pool, "job", minibatch)
+            assert time.perf_counter() - start < 30.0
+        finally:
+            for process in pool._processes:
+                process.kill()
+            pool.stop()
+
+    def test_failure_names_its_own_iteration(self, planner, flan_samples_gpt):
+        """A failed plan raises for exactly the iteration it belongs to,
+        with that iteration's own error — never an unrelated pool incident
+        (here a synthetic worker spawn failure)."""
+        session = _session(planner, flan_samples_gpt)
+        minibatches = session.epoch_minibatches()[:2]
+        pool = PlannerPool(num_workers=1, backend="thread")
+        pool.submit_job(
+            "job", FailingFrom(planner, 1), [minibatch.samples for minibatch in minibatches]
         )
-        with pytest.raises(PlanNotReadyError):
-            service.run_iteration(0)
-
-
-class TestOrchestrator:
-    def test_overlapped_run(self, planner, gpt_cost_model, flan_samples_gpt):
-        orchestrator = TrainingOrchestrator(
-            planner,
-            gpt_cost_model,
-            flan_samples_gpt,
-            global_batch_tokens=8192,
-            num_iterations=3,
-            planner_workers=2,
-            lookahead=3,
-            noise_std=0.02,
-            seed=0,
-        )
-        report = orchestrator.run()
-        assert report.iterations == 3
-        assert report.total_planning_s > 0
-        assert report.total_simulated_ms > 0
-        # Planning for later iterations overlaps execution of earlier ones, so
-        # the exposed stall is well below the total planning time.
-        assert report.exposed_stall_s <= report.total_planning_s
-        assert 0.0 <= report.overlap_fraction <= 1.0
-
-    def test_spawn_failure_does_not_fail_a_successful_run(
-        self, planner, gpt_cost_model, flan_samples_gpt
-    ):
-        """Regression (misattributed planning errors): a pool-level incident
-        — e.g. one worker of several failing to start while its peers plan
-        every consumed iteration — must not turn a successful run into a
-        RuntimeError blaming 'iteration -1'.  It is surfaced in the report
-        instead."""
-        orchestrator = TrainingOrchestrator(
-            planner,
-            gpt_cost_model,
-            flan_samples_gpt,
-            global_batch_tokens=8192,
-            num_iterations=2,
-            planner_workers=1,
-            planner_backend="thread",
-        )
-        orchestrator.pool._pool_errors.append(
-            RuntimeError("planner worker planner-1 failed to start: synthetic")
-        )
-        report = orchestrator.run()  # must not raise
-        assert report.iterations == 2
-        assert (-1, "planner worker planner-1 failed to start: synthetic") in [
-            (it, msg) for it, msg in report.planning_errors
-        ]
-
-    def test_loop_failure_names_the_true_cause(self, gpt_cost_model, flan_samples_gpt):
-        """Regression (misattributed planning errors): when the fetched
-        iteration's failure has no matching pool error entry, the raised
-        error must carry the failure marker's own message — not fall back
-        to errors[0], which may be an unrelated incident (here a synthetic
-        worker spawn failure recorded at key -1)."""
-        orchestrator = TrainingOrchestrator(
-            DynaPipePlanner(
-                gpt_cost_model,
-                config=PlannerConfig(order_search=False, tmax_sample_count=8),
-            ),
-            gpt_cost_model,
-            flan_samples_gpt,
-            global_batch_tokens=8192,
-            num_iterations=2,
-            planner_workers=1,
-            planner_backend="thread",
-        )
-        # The marker exists in the store, but no pool error entry matches
-        # iteration 0 — only an unrelated pool-level incident is recorded.
-        orchestrator.pool._streams.clear()  # nothing will ever be planned
-        orchestrator.store.push_failure(0, "true cause: planner OOM")
-        orchestrator.pool._pool_errors.append(
-            RuntimeError("planner worker planner-1 failed to start: unrelated")
-        )
-        with pytest.raises(RuntimeError, match="iteration 0.*true cause") as excinfo:
-            orchestrator.run()
+        pool._pool_errors.append(RuntimeError("planner worker planner-1 failed to start"))
+        pool.start()
+        try:
+            session.pooled_step(pool, "job", minibatches[0])
+            with pytest.raises(PlanFailedError, match="iteration 1.*boom on 1") as excinfo:
+                session.pooled_step(pool, "job", minibatches[1])
+        finally:
+            pool.stop()
+        assert (excinfo.value.job, excinfo.value.iteration) == ("job", 1)
         assert "failed to start" not in str(excinfo.value)
 
-    def test_too_few_minibatches_rejected(self, planner, gpt_cost_model, flan_samples_gpt):
-        with pytest.raises(ValueError):
-            TrainingOrchestrator(
-                planner,
-                gpt_cost_model,
-                flan_samples_gpt[:5],
-                global_batch_tokens=8192,
-                num_iterations=100,
-            )
+    def test_spawn_failure_does_not_fail_a_successful_run(self, planner, flan_samples_gpt):
+        """A pool-level incident — one worker of several failing to start
+        while its peers plan every consumed iteration — does not fail a
+        session whose own plans all arrive."""
+        session = _session(planner, flan_samples_gpt, max_iterations=2)
+        minibatches = session.epoch_minibatches()
+        pool = PlannerPool(num_workers=1, backend="thread")
+        pool.submit_job("job", planner, [minibatch.samples for minibatch in minibatches])
+        pool._pool_errors.append(RuntimeError("planner worker planner-1 failed to start"))
+        pool.start()
+        try:
+            records = [session.pooled_step(pool, "job", mb)[0] for mb in minibatches]
+        finally:
+            pool.stop()
+        assert [record.iteration for record in records] == [0, 1]
+        assert len(pool.pool_errors) == 1
+
+
+class FailingFrom:
+    """Thread-backend planner that fails from iteration ``first`` on."""
+
+    def __init__(self, inner, first):
+        self.inner = inner
+        self.first = first
+
+    def plan(self, samples, iteration=0):
+        if iteration >= self.first:
+            raise RuntimeError(f"boom on {iteration}")
+        return self.inner.plan(samples, iteration=iteration)
 
 
 class TestConcurrentPlanning:
@@ -668,31 +656,26 @@ class TestConcurrentPlanning:
         cost-model cache) must produce the same plans as serial planning —
         the shared window-geometry slot and DP solutions must not cross
         threads."""
-        from repro.core.planner import DynaPipePlanner, PlannerConfig
-
         shared = DynaPipePlanner(
             gpt_cost_model, config=PlannerConfig(order_search=False, tmax_sample_count=8)
         )
-        store = InstructionStore()
-        pool = PlannerPool(
-            planner=shared, minibatches=minibatches, store=store, num_workers=2,
-            backend="thread",
-        )
+        pool = PlannerPool(num_workers=2, backend="thread")
+        pool.submit_job("job", shared, minibatches)
         pool.start()
         try:
-            deadline = time.time() + 30
-            while len(pool.planned_iterations()) < len(minibatches) and time.time() < deadline:
-                time.sleep(0.01)
+            assert _wait_until(
+                lambda: len(pool.planned_iterations("job")) == len(minibatches), timeout=30
+            )
         finally:
             pool.stop()
-        assert not pool.errors
+        assert not pool.job_errors("job")
 
         serial = DynaPipePlanner(
             gpt_cost_model, config=PlannerConfig(order_search=False, tmax_sample_count=8)
         )
         for iteration, samples in enumerate(minibatches):
             expected = serial.plan(list(samples), iteration=iteration)
-            stored = store.fetch(iteration, 0)
+            stored = pool.payload("job", iteration)["replicas"][0]
             assert stored["metadata"]["num_microbatches"] == len(
                 expected.replicas[0].micro_batches
             )

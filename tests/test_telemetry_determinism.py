@@ -199,14 +199,13 @@ class TestPooledEngineStats:
         )
         minibatches = [flan_samples[i * 16 : (i + 1) * 16] for i in range(3)]
         reset_engine_stats()
-        pool = PlannerPool(
-            planner=planner, minibatches=minibatches, num_workers=1, lookahead=3
-        )
+        pool = PlannerPool(num_workers=1, lookahead=3)
+        pool.submit_job("job", planner, minibatches)
         pool.start()
         try:
             for iteration in range(3):
-                pool.wait_payload(iteration, timeout=120.0)
-                pool.notify_consumed(iteration)
+                pool.wait_payload("job", iteration, timeout=120.0)
+                pool.notify_consumed("job", iteration)
         finally:
             pool.stop()
         aggregated = pool.engine_stats()
