@@ -2,7 +2,7 @@
 
 The instruction layer (:mod:`repro.instructions.ops`) has two consumers:
 
-* ``"sim"`` — the discrete-event :class:`~repro.simulator.executor.InstructionExecutor`
+* ``"sim"`` — the one-pass :class:`~repro.simulator.executor.InstructionExecutor`
   behind :class:`~repro.backends.sim.SimBackend`: deterministic virtual
   time, deadlocks detected analytically.  This is the **oracle**.
 * ``"local"`` — :class:`~repro.backends.local.LocalBackend`: one worker

@@ -16,7 +16,7 @@ under the paper's channel semantics (§2.3/§6):
 Two backends ship with the reproduction:
 
 * ``"sim"`` — :class:`repro.simulator.executor.InstructionExecutor`, the
-  discrete-event reference implementation (deterministic virtual time,
+  one-pass reference implementation (deterministic virtual time,
   deadlocks *detected analytically*);
 * ``"local"`` — :class:`repro.backends.local.LocalBackend`, one worker
   process per device with real queues, where a mis-ordered stream really
@@ -145,14 +145,12 @@ class BackendOptions:
         activation_bytes_fn: Maps compute instructions to the activation
             bytes they allocate/free on their stage.
         static_bytes: Per-device static memory for the trackers.
-        device_capacity: Optional per-device capacity for the trackers.
     """
 
     compute_duration_fn: ComputeDurationFn = field(default=lambda instr: 0.0)
     transfer_time_fn: TransferTimeFn | None = None
     activation_bytes_fn: Callable[[PipelineInstruction], float] | None = None
     static_bytes: Sequence[float] | None = None
-    device_capacity: float | None = None
 
 
 class ExecutionBackend(abc.ABC):

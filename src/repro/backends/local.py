@@ -71,10 +71,9 @@ from repro.instructions.serialization import (
 from repro.simulator.executor import (
     CommunicationDeadlockError,
     ExecutionResult,
-    _transfer_key_for_start,
-    _transfer_key_for_wait,
     blocked_instruction_detail,
     describe_blocked_detail,
+    transfer_key,
 )
 from repro.simulator.memory_tracker import MemoryTracker
 from repro.simulator.trace import ExecutionTrace, TraceEvent
@@ -192,9 +191,7 @@ def _run_device(device: int, cfg: dict[str, Any], report: mp.Queue) -> None:
     def now_ms() -> float:
         return (time.time() - t0) * 1000.0
 
-    tracker = MemoryTracker(
-        capacity=cfg["device_capacity"], static_bytes=cfg["static_bytes"]
-    )
+    tracker = MemoryTracker(static_bytes=cfg["static_bytes"])
     channels: dict[int, _ChannelView] = {peer: _ChannelView() for peer in in_queues}
     executed: list[tuple[str, int, int, int]] = []
     events: list[tuple[tuple[str, int, int, int], float, float, str, int]] = []
@@ -238,7 +235,7 @@ def _run_device(device: int, cfg: dict[str, Any], report: mp.Queue) -> None:
                 (instruction_signature(instr), start_ms, end_ms, "compute", instr.microbatch)
             )
         elif isinstance(instr, _CommStart):
-            key = normalize_transfer_key(_transfer_key_for_start(instr))
+            key = normalize_transfer_key(transfer_key(instr))
             payload = (
                 expected_payload(key) if (instr.is_send and ship_payloads) else None
             )
@@ -255,7 +252,7 @@ def _run_device(device: int, cfg: dict[str, Any], report: mp.Queue) -> None:
                 (instruction_signature(instr), start_ms, now_ms(), "comm_start", instr.microbatch)
             )
         elif isinstance(instr, _CommWait):
-            key = normalize_transfer_key(_transfer_key_for_wait(instr))
+            key = normalize_transfer_key(transfer_key(instr))
             peer = instr.peer
             channel = channels[peer]
             reported_blocked = False
@@ -397,7 +394,6 @@ class LocalBackend(ExecutionBackend):
             "report_queue": report_queue,
             "t0": t0,
             "static_bytes": static,
-            "device_capacity": self.options.device_capacity,
             "block_report_s": self.block_report_s,
             "poll_s": self.poll_s,
             "compute_time_scale": self.compute_time_scale,
@@ -569,7 +565,7 @@ class LocalBackend(ExecutionBackend):
                     (device, instr.peer) if device < instr.peer else (instr.peer, device)
                 )
                 posted.setdefault(channel, {}).setdefault(device, []).append(
-                    (normalize_transfer_key(_transfer_key_for_start(instr)), instr.is_send)
+                    (normalize_transfer_key(transfer_key(instr)), instr.is_send)
                 )
         settle_ms = max((done[d]["finish_ms"] for d in done), default=0.0)
         for channel, sides in posted.items():

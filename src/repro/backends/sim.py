@@ -42,7 +42,6 @@ class SimBackend(ExecutionBackend):
             transfer_time_fn=self.options.transfer_time_fn,
             activation_bytes_fn=self.options.activation_bytes_fn,
             static_bytes=self.options.static_bytes,
-            device_capacity=self.options.device_capacity,
         )
 
     def run(

@@ -120,13 +120,24 @@ class SimulatedGPU:
         check_non_negative("bytes_moved", bytes_moved)
         if kernels < 1:
             raise ValueError(f"kernels must be >= 1, got {kernels}")
+        return self.apply_noise(self.noiseless_time_ms(flops, bytes_moved, kernels))
+
+    def noiseless_time_ms(self, flops, bytes_moved, kernels):
+        """Roofline time of :meth:`kernel_time_ms` before noise.
+
+        Also evaluates element-wise on equal-length numpy arrays, with the
+        same IEEE operations as the scalar form (bit-identical per element).
+        """
         compute_s = flops / self.spec.achievable_flops
         memory_s = bytes_moved / self.spec.achievable_bandwidth
-        time_ms = max(compute_s, memory_s) * 1e3 + kernels * self.spec.kernel_overhead_ms
-        return self._apply_noise(time_ms)
+        slowest = (np.maximum if isinstance(compute_s, np.ndarray) else max)(compute_s, memory_s)
+        return slowest * 1e3 + kernels * self.spec.kernel_overhead_ms
 
-    def _apply_noise(self, time_ms: float) -> float:
-        """Multiply by (1 + N(0, noise_std)) clipped so time stays positive."""
+    def apply_noise(self, time_ms: float) -> float:
+        """Multiply by (1 + N(0, noise_std)) clipped so time stays positive.
+
+        Draws one scalar from the device's generator per call (none when
+        the device is noiseless)."""
         if self._rng is None or self.noise_std == 0.0:
             return time_ms
         factor = 1.0 + float(self._rng.normal(0.0, self.noise_std))

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.instructions.ops import PipelineInstruction, _CommStart
-from repro.simulator.executor import _transfer_key_for_start
+from repro.simulator.executor import transfer_key
 
 
 @dataclass
@@ -50,7 +50,7 @@ def check_comm_order(
                 else (instruction.peer, instruction.stage)
             )
             per_side = orders.setdefault(pair, {pair[0]: [], pair[1]: []})
-            key = _transfer_key_for_start(instruction)
+            key = transfer_key(instruction)
             per_side[device].append((key, instruction.is_send))
 
     mismatches = []

@@ -146,6 +146,14 @@ def activation_components(
         return ActivationComponents(0.0, 0.0, 0.0, 0.0)
     if kv_len is None:
         kv_len = seq_len
+    return activation_terms(config, batch, seq_len, kv_len, tensor_parallel)
+
+
+def activation_terms(
+    config: ModelConfig, batch, seq_len, kv_len, tensor_parallel: int
+) -> ActivationComponents:
+    """The arithmetic of :func:`activation_components`, without its checks;
+    also evaluates element-wise (bit-identically) on int64 numpy arrays."""
     h = config.hidden_size
     p = config.attention_projection_size
     f = config.ffn_hidden_size

@@ -19,6 +19,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import NamedTuple, Sequence
+
+import numpy as np
 
 from repro.cluster.device import SimulatedGPU
 from repro.cluster.network import NetworkModel
@@ -26,12 +29,15 @@ from repro.model.config import ModelConfig
 from repro.model.flops import (
     DTYPE_BYTES,
     LayerFlops,
+    _attention_flops,
+    _ffn_flops,
     decoder_layer_flops,
     encoder_layer_flops,
 )
 from repro.model.memory import (
     RecomputeMode,
     activation_bytes_per_layer,
+    activation_terms,
     static_stage_bytes,
 )
 
@@ -128,6 +134,16 @@ class MicroBatchShape:
         return self.batch_size * (self.enc_seq_len + self.dec_seq_len)
 
 
+class StageCostTables(NamedTuple):
+    """Per-micro-batch ground-truth costs of one stage (see
+    :meth:`StageModel.cost_tables`), as lists of Python floats."""
+
+    forward_kernel_ms: list[float]
+    backward_kernel_ms: list[float]
+    tensor_parallel_ms: list[float]
+    activation_bytes: list[float]
+
+
 class StageModel:
     """Compute/memory behaviour of one pipeline stage of a model replica."""
 
@@ -147,22 +163,28 @@ class StageModel:
 
     # ------------------------------------------------------------------ FLOPs
 
+    def _stacks(self, enc_seq_len, dec_seq_len) -> list[tuple]:
+        """``(layers, seq_len, cross_len)`` of each layer stack on this stage;
+        ``cross_len`` is the encoder length a T5 decoder stack cross-attends
+        to (``None`` for self-attention only).  An empty sequence costs 0."""
+        t5 = self.config.is_encoder_decoder
+        stacks = [
+            (self.assignment.encoder_layers, enc_seq_len, None),
+            (self.assignment.decoder_layers, dec_seq_len if t5 else enc_seq_len,
+             enc_seq_len if t5 else None),
+        ]
+        return [stack for stack in stacks if stack[0]]
+
     def forward_flops(self, shape: MicroBatchShape) -> LayerFlops:
         """Aggregate forward-pass cost of this stage for one micro-batch."""
         total = LayerFlops(0.0, 0.0, 0)
-        if self.assignment.encoder_layers and shape.enc_seq_len:
-            per = encoder_layer_flops(self.config, shape.batch_size, shape.enc_seq_len)
-            total = total + per.scaled(self.assignment.encoder_layers)
-        if self.assignment.decoder_layers:
-            if self.config.is_encoder_decoder:
-                if shape.dec_seq_len:
-                    per = decoder_layer_flops(
-                        self.config, shape.batch_size, shape.dec_seq_len, shape.enc_seq_len
-                    )
-                    total = total + per.scaled(self.assignment.decoder_layers)
-            else:
-                per = encoder_layer_flops(self.config, shape.batch_size, shape.enc_seq_len)
-                total = total + per.scaled(self.assignment.decoder_layers)
+        for layers, seq, cross in self._stacks(shape.enc_seq_len, shape.dec_seq_len):
+            if seq:
+                if cross is None:
+                    per = encoder_layer_flops(self.config, shape.batch_size, seq)
+                else:
+                    per = decoder_layer_flops(self.config, shape.batch_size, seq, cross)
+                total = total + per.scaled(layers)
         return LayerFlops(
             total.flops / self.tensor_parallel,
             total.bytes_moved / self.tensor_parallel,
@@ -198,19 +220,13 @@ class StageModel:
         if self.tensor_parallel == 1:
             return 0.0
         network = NetworkModel()
-        h = self.config.hidden_size
         total = 0.0
-        if self.assignment.encoder_layers and shape.enc_seq_len:
-            nbytes = DTYPE_BYTES * shape.batch_size * shape.enc_seq_len * h
-            total += 2 * self.assignment.encoder_layers * network.allreduce_time_ms(
-                nbytes, self.tensor_parallel, same_node=True
-            )
-        dec_len = shape.dec_seq_len if self.config.is_encoder_decoder else shape.enc_seq_len
-        if self.assignment.decoder_layers and dec_len:
-            nbytes = DTYPE_BYTES * shape.batch_size * dec_len * h
-            total += 2 * self.assignment.decoder_layers * network.allreduce_time_ms(
-                nbytes, self.tensor_parallel, same_node=True
-            )
+        for layers, seq, _ in self._stacks(shape.enc_seq_len, shape.dec_seq_len):
+            if seq:
+                nbytes = DTYPE_BYTES * shape.batch_size * seq * self.config.hidden_size
+                total += 2 * layers * network.allreduce_time_ms(
+                    nbytes, self.tensor_parallel, same_node=True
+                )
         return total
 
     # ------------------------------------------------------------------ memory
@@ -221,34 +237,57 @@ class StageModel:
         """Activation memory this stage must hold between the forward and
         backward pass of one micro-batch."""
         total = 0.0
-        if self.assignment.encoder_layers and shape.enc_seq_len:
-            total += self.assignment.encoder_layers * activation_bytes_per_layer(
-                self.config,
-                shape.batch_size,
-                shape.enc_seq_len,
-                recompute=recompute,
-                tensor_parallel=self.tensor_parallel,
-            )
-        if self.assignment.decoder_layers:
-            if self.config.is_encoder_decoder:
-                if shape.dec_seq_len:
-                    total += self.assignment.decoder_layers * activation_bytes_per_layer(
-                        self.config,
-                        shape.batch_size,
-                        shape.dec_seq_len,
-                        kv_len=shape.enc_seq_len,
-                        recompute=recompute,
-                        tensor_parallel=self.tensor_parallel,
-                    )
-            else:
-                total += self.assignment.decoder_layers * activation_bytes_per_layer(
-                    self.config,
-                    shape.batch_size,
-                    shape.enc_seq_len,
-                    recompute=recompute,
-                    tensor_parallel=self.tensor_parallel,
+        for layers, seq, cross in self._stacks(shape.enc_seq_len, shape.dec_seq_len):
+            if seq:
+                total += layers * activation_bytes_per_layer(
+                    self.config, shape.batch_size, seq, cross, recompute, self.tensor_parallel
                 )
         return total
+
+    def cost_tables(
+        self,
+        gpu: SimulatedGPU,
+        shapes: Sequence[MicroBatchShape],
+        recompute: RecomputeMode = RecomputeMode.NONE,
+    ) -> StageCostTables:
+        """Ground-truth costs of every shape in one array evaluation.
+
+        ``gpu.apply_noise(forward_kernel_ms[i]) + tensor_parallel_ms[i]`` is
+        :meth:`forward_time_ms` of shape ``i`` bit for bit (likewise
+        backward), and ``activation_bytes[i]`` is :meth:`activation_bytes`:
+        the same flops, activation and all-reduce arithmetic runs on int64
+        columns, with empty-sequence stacks masked where the scalar forms
+        skip them.  (Exact while intermediate integers stay below 2**53,
+        true of every shape a device can hold.)"""
+        columns = np.array(
+            [(s.batch_size, s.enc_seq_len, s.dec_seq_len) for s in shapes], dtype=np.int64
+        ).reshape(-1, 3)
+        batch, enc, dec = columns.T
+        config, tp = self.config, self.tensor_parallel
+        flops, nbytes, comm, held = (np.zeros(len(columns)) for _ in range(4))
+        kernels = np.zeros(len(columns), dtype=np.int64)
+        network = NetworkModel()
+        for layers, seq, cross in self._stacks(enc, dec):
+            on = seq > 0
+            blocks = [_attention_flops(config, batch, seq, seq)]
+            if cross is not None:
+                blocks.append(_attention_flops(config, batch, seq, cross))
+            blocks.append(_ffn_flops(config, batch, seq))
+            flops = flops + np.where(on, sum(block[0] for block in blocks) * layers, 0.0)
+            nbytes = nbytes + np.where(on, sum(block[1] for block in blocks) * layers, 0)
+            kernels = kernels + np.where(on, sum(block[2] for block in blocks), 0)
+            if tp > 1:
+                volume = DTYPE_BYTES * batch * seq * config.hidden_size
+                allreduce = network.allreduce_time_ms(volume, tp, same_node=True)
+                comm = comm + np.where(on, 2 * layers * allreduce, 0.0)
+            kv = seq if cross is None else cross
+            per_layer = activation_terms(config, batch, seq, kv, tp).total(recompute)
+            held = held + np.where(on, layers * per_layer, 0.0)
+        flops, nbytes, kernels = flops / tp, nbytes / tp, np.maximum(kernels, 1)
+        factor = recompute.backward_flop_factor
+        forward = gpu.noiseless_time_ms(flops, nbytes, kernels)
+        backward = gpu.noiseless_time_ms(flops * factor, nbytes * factor, kernels)
+        return StageCostTables(forward.tolist(), backward.tolist(), comm.tolist(), held.tolist())
 
     def static_bytes(self) -> float:
         """Static memory (parameters, gradients, optimizer state, workspace)."""

@@ -9,8 +9,8 @@ Two levels of fidelity are provided:
   planner (e.g. to score micro-batch injection orders) and by the schedule
   robustness experiments (Fig. 7).
 
-* :mod:`repro.simulator.executor` interprets full *instruction streams*
-  (compute + communication Start/Wait ops) with NCCL-like single-channel
+* :mod:`repro.simulator.executor` runs full *instruction streams* in one
+  sweep (compute + communication Start/Wait ops) with NCCL-like single-channel
   semantics per device pair.  It faithfully reproduces the deadlocks that
   naive communication ordering causes in dynamic pipelines (§6) and is used
   to validate DynaPipe's communication plans and to "run" training

@@ -185,30 +185,39 @@ class TrainingSession:
 
     # ------------------------------------------------------------------ execution
 
-    def _make_backend(self) -> ExecutionBackend:
-        """Execution backend with fresh per-iteration noise.
+    def _make_backend(self, plan: ExecutionPlan) -> ExecutionBackend:
+        """Execution backend for one replica plan, with fresh noise.
 
         Exactly one noise-seed draw per call regardless of backend, so the
         checkpoint/resume RNG fast-forward (one draw per replica executor)
-        stays valid and the default ``"sim"`` backend remains bit-identical
-        to the pre-backend-registry trainer.
+        stays valid.  Noiseless costs of ``plan.microbatch_shapes`` under
+        ``plan.metadata.recompute`` (what every planner builds compute ops
+        from) come from one :meth:`~repro.model.transformer.StageModel.cost_tables`
+        call per stage; each op then draws its noise in execution order, bit-
+        identical to calling ``forward_time_ms``/``backward_time_ms`` per op.
         """
         noisy_gpu = SimulatedGPU(
             self.cost_model.device_spec,
             noise_std=self.config.noise_std,
             seed=int(self._noise_rng.integers(0, 2**31 - 1)),
         )
+        tables = [
+            stage_model.cost_tables(noisy_gpu, plan.microbatch_shapes, plan.metadata.recompute)
+            for stage_model in self.stage_models
+        ]
 
         def duration(instr: PipelineInstruction) -> float:
-            stage_model = self.stage_models[instr.stage]
+            table, i = tables[instr.stage], instr.microbatch
             if isinstance(instr, ForwardPass):
-                return stage_model.forward_time_ms(noisy_gpu, instr.shape)
-            if isinstance(instr, BackwardPass):
-                return stage_model.backward_time_ms(noisy_gpu, instr.shape, instr.recompute)
-            raise TypeError(f"not a compute instruction: {type(instr).__name__}")
+                kernel_ms = table.forward_kernel_ms[i]
+            elif isinstance(instr, BackwardPass):
+                kernel_ms = table.backward_kernel_ms[i]
+            else:
+                raise TypeError(f"not a compute instruction: {type(instr).__name__}")
+            return noisy_gpu.apply_noise(kernel_ms) + table.tensor_parallel_ms[i]
 
         def activation(instr: PipelineInstruction) -> float:
-            return self.stage_models[instr.stage].activation_bytes(instr.shape, instr.recompute)
+            return tables[instr.stage].activation_bytes[instr.microbatch]
 
         def transfer(nbytes: float, src: int, dst: int) -> float:
             return self.network.p2p_time_ms(nbytes, same_node=self.config.stages_same_node)
@@ -248,7 +257,7 @@ class TrainingSession:
         traces = []
         with _span("execute", num_replicas=len(plans)):
             for plan in plans:
-                backend = self._make_backend()
+                backend = self._make_backend(plan)
                 result: ExecutionResult = backend.run(plan.device_instructions)
                 replica_times.append(result.makespan_ms)
                 peak_memory = max(peak_memory, max(result.peak_memory_bytes))

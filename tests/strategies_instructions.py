@@ -17,6 +17,9 @@ the same distribution of programs:
   streams are *guaranteed* to deadlock: either the heads mismatch
   permanently or a device blocks forever on a Wait whose transfer can
   never reach the head.
+* :func:`missing_peer_streams` — well-formed planned streams with one
+  Start op deleted, so its transfer is never posted by that side and the
+  streams are guaranteed to stall.
 * :func:`known_head_mismatch_streams` — a fixed (non-hypothesis) instance
   of the above for deterministic regression tests and CI timeout guards.
 """
@@ -32,7 +35,7 @@ from repro.model.transformer import MicroBatchShape
 from repro.schedule.cyclic import cyclic_schedule
 from repro.schedule.one_f_one_b import one_f_one_b_schedule
 from repro.simulator.engine import simulate_schedule
-from repro.simulator.executor import _transfer_key_for_start
+from repro.simulator.executor import transfer_key
 
 SHAPE = MicroBatchShape(batch_size=1, enc_seq_len=64)
 
@@ -114,7 +117,7 @@ def _swappable_start_pairs(
                 (i, first), (j, second) = starts[a], starts[b]
                 if first.peer != second.peer:
                     continue
-                if _transfer_key_for_start(first) == _transfer_key_for_start(second):
+                if transfer_key(first) == transfer_key(second):
                     continue
                 pairs.append((device, i, j))
     return pairs
@@ -145,6 +148,25 @@ def head_mismatched_streams(draw):
     assert pairs, "generated schedule has no swappable Start pair"
     device, i, j = draw(st.sampled_from(pairs))
     return swap_starts(streams, device, i, j), (device, i, j)
+
+
+@st.composite
+def missing_peer_streams(draw):
+    """Planned streams with one Start op removed: the Wait for that transfer
+    (and the peer's matching Wait) can never complete.
+
+    Returns ``(streams, (device, position))`` of the removed op.
+    """
+    streams = [list(stream) for stream in streams_from_schedule(draw(schedules()))]
+    starts = [
+        (device, position)
+        for device, stream in enumerate(streams)
+        for position, instr in enumerate(stream)
+        if isinstance(instr, _CommStart)
+    ]
+    device, position = draw(st.sampled_from(starts))
+    del streams[device][position]
+    return streams, (device, position)
 
 
 def known_head_mismatch_streams():

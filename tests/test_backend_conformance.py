@@ -1,10 +1,13 @@
-"""Differential ISA-conformance suite: local backend vs the simulator oracle.
+"""Differential ISA-conformance suite: local backend vs the simulator.
 
 The simulator (:mod:`repro.simulator.executor`) is the reference
 implementation of the instruction ISA's channel semantics; the local
 backend (:mod:`repro.backends.local`) really executes the same streams on
-worker processes with real IPC.  This suite runs the *same* programs
-through both and asserts they agree on everything timing-independent:
+worker processes with real IPC.  A third party, the interpreted executor
+the simulator's one-pass sweep replaced
+(``tests/oracles/executor_interpreted.py``), runs them too.  This suite
+runs the *same* programs through all three and asserts they agree on
+everything timing-independent:
 
 * per-device instruction completion order,
 * per-channel transfer matching order and the completed-transfer set,
@@ -25,6 +28,7 @@ import pytest
 from hypothesis import given, settings
 
 import strategies_instructions
+from oracles.executor_interpreted import InstructionExecutor as InterpretedExecutor
 from repro.backends import (
     BackendOptions,
     ExecutionBackend,
@@ -33,7 +37,9 @@ from repro.backends import (
     get_backend,
     register_backend,
 )
+from repro.backends.base import BackendExecutionReport, channel_order_from_log
 from repro.core.planner import DynaPipePlanner, PlannerConfig
+from repro.instructions.serialization import instruction_signature
 from repro.simulator.executor import CommunicationDeadlockError
 from repro.training.trainer import TrainerConfig, TrainingSession
 
@@ -52,6 +58,28 @@ def unit_options() -> BackendOptions:
     )
 
 
+def interpreted(options: BackendOptions) -> InterpretedExecutor:
+    return InterpretedExecutor(
+        compute_duration_fn=options.compute_duration_fn,
+        transfer_time_fn=options.transfer_time_fn,
+        activation_bytes_fn=options.activation_bytes_fn,
+        static_bytes=options.static_bytes,
+    )
+
+
+def oracle_report(streams, options) -> BackendExecutionReport:
+    """The interpreted oracle's run, reported like the sim backend's."""
+    result = interpreted(options).run(streams)
+    return BackendExecutionReport(
+        backend="oracle",
+        result=result,
+        device_event_order=[
+            [instruction_signature(instr) for instr in stream] for stream in streams
+        ],
+        channel_transfer_order=channel_order_from_log(result.transfer_log),
+    )
+
+
 def run_both(streams, options=None):
     """Run the streams on both backends; returns (sim_report, local_report)."""
     options = options or unit_options()
@@ -61,19 +89,27 @@ def run_both(streams, options=None):
 
 
 def assert_conformant(streams, options=None):
+    options = options or unit_options()
     sim, local = run_both(streams, options)
     assert local.conformance_fingerprint() == sim.conformance_fingerprint()
+    assert oracle_report(streams, options).conformance_fingerprint() == (
+        sim.conformance_fingerprint()
+    )
     assert local.payload_errors == 0
     return sim, local
 
 
 def deadlock_verdict(backend_name, streams, options=None):
-    """Run expecting a deadlock; returns the structured error."""
-    backend = get_backend(
-        backend_name,
-        options or unit_options(),
-        **(FAST_LOCAL if backend_name == "local" else {}),
-    )
+    """Run expecting a deadlock; returns the structured error.
+
+    ``"oracle"`` names the interpreted executor."""
+    options = options or unit_options()
+    if backend_name == "oracle":
+        backend = interpreted(options)
+    else:
+        backend = get_backend(
+            backend_name, options, **(FAST_LOCAL if backend_name == "local" else {})
+        )
     with pytest.raises(CommunicationDeadlockError) as excinfo:
         backend.run(streams)
     return excinfo.value
@@ -88,6 +124,10 @@ def shared_detail(error):
 
 def assert_same_verdict(streams, options=None):
     sim_err = deadlock_verdict("sim", streams, options)
+    oracle_err = deadlock_verdict("oracle", streams, options)
+    assert str(oracle_err) == str(sim_err)
+    assert oracle_err.blocked_devices == sim_err.blocked_devices
+    assert oracle_err.blocked_detail == sim_err.blocked_detail
     local_err = deadlock_verdict("local", streams, options)
     assert local_err.blocked_devices == sim_err.blocked_devices
     assert shared_detail(local_err) == shared_detail(sim_err)
@@ -130,7 +170,7 @@ SAMPLE_SEEDS = [slice(0, 40), slice(60, 110), slice(150, 210)]
 
 
 class TestPlannerStreamConformance:
-    """Local and sim agree on every real planner-produced program."""
+    """Local, sim and the oracle agree on every real planner-produced program."""
 
     @pytest.mark.parametrize("seed_slice", SAMPLE_SEEDS, ids=["s0", "s1", "s2"])
     def test_gpt_plan_conformance(self, gpt_planner, flan_samples_gpt, seed_slice):
@@ -182,7 +222,9 @@ class TestHypothesisConformance:
             assert_same_verdict(streams, options)
         else:
             local = get_backend("local", options, **FAST_LOCAL).run_report(streams)
+            oracle = oracle_report(streams, options)
             assert local.conformance_fingerprint() == sim.conformance_fingerprint()
+            assert oracle.conformance_fingerprint() == sim.conformance_fingerprint()
 
 
 # ------------------------------------------------------------------ known hang

@@ -35,7 +35,7 @@ from repro.instructions.serialization import (
 )
 from repro.model.memory import RecomputeMode
 from repro.model.transformer import MicroBatchShape
-from repro.simulator.executor import _transfer_key_for_start, _transfer_key_for_wait
+from repro.simulator.executor import transfer_key
 
 SHAPE = MicroBatchShape(batch_size=2, enc_seq_len=128, dec_seq_len=32)
 ENC_ONLY_SHAPE = MicroBatchShape(batch_size=1, enc_seq_len=64)
@@ -112,8 +112,8 @@ class TestCommDirectionEdgeCases:
         recv = make_instruction(InstructionKind.RECV_ACT_START, stage=1, peer=0)
         send_rt = instruction_from_dict(instruction_to_dict(send))
         recv_rt = instruction_from_dict(instruction_to_dict(recv))
-        assert _transfer_key_for_start(send_rt) == _transfer_key_for_start(recv_rt)
-        assert _transfer_key_for_start(send_rt) == _transfer_key_for_start(send)
+        assert transfer_key(send_rt) == transfer_key(recv_rt)
+        assert transfer_key(send_rt) == transfer_key(send)
 
     def test_wait_keys_survive_roundtrip(self):
         """Wait ops recover the direction of the transfer they guard."""
@@ -126,7 +126,7 @@ class TestCommDirectionEdgeCases:
             wait = make_instruction(kind)
             wait_rt = instruction_from_dict(instruction_to_dict(wait))
             assert isinstance(wait_rt, _CommWait)
-            assert _transfer_key_for_wait(wait_rt) == _transfer_key_for_wait(wait)
+            assert transfer_key(wait_rt) == transfer_key(wait)
 
     def test_activation_and_gradient_keys_distinct(self):
         """Same (devices, microbatch) but opposite directions must not
@@ -134,7 +134,7 @@ class TestCommDirectionEdgeCases:
         and backward traffic to the same neighbour apart."""
         act = make_instruction(InstructionKind.SEND_ACT_START, stage=0, peer=1)
         grad = make_instruction(InstructionKind.RECV_GRAD_START, stage=0, peer=1)
-        assert _transfer_key_for_start(act) != _transfer_key_for_start(grad)
+        assert transfer_key(act) != transfer_key(grad)
 
 
 class TestFieldEdgeCases:
