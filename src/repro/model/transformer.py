@@ -193,23 +193,41 @@ class StageModel:
 
     # ------------------------------------------------------------------ time
 
-    def forward_time_ms(self, gpu: SimulatedGPU, shape: MicroBatchShape) -> float:
-        """Forward-pass time of this stage for one micro-batch."""
-        cost = self.forward_flops(shape)
-        time = gpu.kernel_time_ms(cost.flops, cost.bytes_moved, max(cost.kernels, 1))
-        return time + self._tensor_parallel_comm_ms(shape)
+    def forward_time_ms(
+        self,
+        gpu: SimulatedGPU,
+        shape: MicroBatchShape,
+        costs: tuple[float, float] | None = None,
+    ) -> float:
+        """Forward-pass time of this stage for one micro-batch.
+
+        ``costs`` is ``shape``'s ``(noiseless kernel ms, all-reduce ms)``
+        when already known from :meth:`cost_tables`; the result and the
+        noise draw are the same either way."""
+        if costs is None:
+            cost = self.forward_flops(shape)
+            time = gpu.kernel_time_ms(cost.flops, cost.bytes_moved, max(cost.kernels, 1))
+            return time + self._tensor_parallel_comm_ms(shape)
+        kernel_ms, comm_ms = costs
+        return gpu.apply_noise(kernel_ms) + comm_ms
 
     def backward_time_ms(
         self,
         gpu: SimulatedGPU,
         shape: MicroBatchShape,
         recompute: RecomputeMode = RecomputeMode.NONE,
+        costs: tuple[float, float] | None = None,
     ) -> float:
-        """Backward-pass time; recomputation re-runs (part of) the forward."""
-        cost = self.forward_flops(shape)
-        scaled = cost.scaled(recompute.backward_flop_factor)
-        time = gpu.kernel_time_ms(scaled.flops, scaled.bytes_moved, max(cost.kernels, 1))
-        return time + self._tensor_parallel_comm_ms(shape)
+        """Backward-pass time; recomputation re-runs (part of) the forward.
+
+        ``costs`` is as for :meth:`forward_time_ms`, under ``recompute``."""
+        if costs is None:
+            cost = self.forward_flops(shape)
+            scaled = cost.scaled(recompute.backward_flop_factor)
+            time = gpu.kernel_time_ms(scaled.flops, scaled.bytes_moved, max(cost.kernels, 1))
+            return time + self._tensor_parallel_comm_ms(shape)
+        kernel_ms, comm_ms = costs
+        return gpu.apply_noise(kernel_ms) + comm_ms
 
     def _tensor_parallel_comm_ms(self, shape: MicroBatchShape) -> float:
         """Per-micro-batch tensor-parallel all-reduce cost on this stage.
@@ -252,9 +270,10 @@ class StageModel:
     ) -> StageCostTables:
         """Ground-truth costs of every shape in one array evaluation.
 
-        ``gpu.apply_noise(forward_kernel_ms[i]) + tensor_parallel_ms[i]`` is
-        :meth:`forward_time_ms` of shape ``i`` bit for bit (likewise
-        backward), and ``activation_bytes[i]`` is :meth:`activation_bytes`:
+        ``(forward_kernel_ms[i], tensor_parallel_ms[i])`` are the ``costs``
+        that make :meth:`forward_time_ms` of shape ``i`` skip its formulas
+        with a bit-identical result (likewise backward), and
+        ``activation_bytes[i]`` is :meth:`activation_bytes`:
         the same flops, activation and all-reduce arithmetic runs on int64
         columns, with empty-sequence stacks masked where the scalar forms
         skip them.  (Exact while intermediate integers stay below 2**53,

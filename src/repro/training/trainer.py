@@ -193,28 +193,30 @@ class TrainingSession:
         stays valid.  Noiseless costs of ``plan.microbatch_shapes`` under
         ``plan.metadata.recompute`` (what every planner builds compute ops
         from) come from one :meth:`~repro.model.transformer.StageModel.cost_tables`
-        call per stage; each op then draws its noise in execution order, bit-
-        identical to calling ``forward_time_ms``/``backward_time_ms`` per op.
+        call per stage; each op then calls ``forward_time_ms``/``backward_time_ms``
+        with its table entries, which draws its noise in execution order.
         """
         noisy_gpu = SimulatedGPU(
             self.cost_model.device_spec,
             noise_std=self.config.noise_std,
             seed=int(self._noise_rng.integers(0, 2**31 - 1)),
         )
+        shapes, recompute = plan.microbatch_shapes, plan.metadata.recompute
         tables = [
-            stage_model.cost_tables(noisy_gpu, plan.microbatch_shapes, plan.metadata.recompute)
+            stage_model.cost_tables(noisy_gpu, shapes, recompute)
             for stage_model in self.stage_models
         ]
 
         def duration(instr: PipelineInstruction) -> float:
-            table, i = tables[instr.stage], instr.microbatch
+            stage, i = instr.stage, instr.microbatch
+            table, stage_model = tables[stage], self.stage_models[stage]
             if isinstance(instr, ForwardPass):
-                kernel_ms = table.forward_kernel_ms[i]
-            elif isinstance(instr, BackwardPass):
-                kernel_ms = table.backward_kernel_ms[i]
-            else:
-                raise TypeError(f"not a compute instruction: {type(instr).__name__}")
-            return noisy_gpu.apply_noise(kernel_ms) + table.tensor_parallel_ms[i]
+                costs = (table.forward_kernel_ms[i], table.tensor_parallel_ms[i])
+                return stage_model.forward_time_ms(noisy_gpu, shapes[i], costs)
+            if isinstance(instr, BackwardPass):
+                costs = (table.backward_kernel_ms[i], table.tensor_parallel_ms[i])
+                return stage_model.backward_time_ms(noisy_gpu, shapes[i], recompute, costs)
+            raise TypeError(f"not a compute instruction: {type(instr).__name__}")
 
         def activation(instr: PipelineInstruction) -> float:
             return tables[instr.stage].activation_bytes[instr.microbatch]

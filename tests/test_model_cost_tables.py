@@ -3,8 +3,10 @@
 :meth:`repro.model.transformer.StageModel.cost_tables` evaluates the
 noiseless forward/backward kernel time, the tensor-parallel all-reduce time
 and the activation bytes of many micro-batch shapes at once; the trainer
-executes every replica from those tables.  These properties check them bit
-for bit against the per-shape scalar methods, and check that
+executes every replica from those tables, passing each op's entries to the
+scalar ``forward_time_ms``/``backward_time_ms`` as ``costs``.  These
+properties check them bit for bit against the per-shape scalar methods
+computing from the formulas, and check that
 :meth:`~repro.cluster.device.SimulatedGPU.apply_noise` applied to the
 noiseless time draws exactly what ``kernel_time_ms`` draws.
 """
@@ -79,9 +81,11 @@ def test_noisy_tables_draw_like_scalar_calls(workload, seed):
         tables = stage.cost_tables(tabled, shapes, mode)
         for i, shape in enumerate(shapes):
             comm = tables.tensor_parallel_ms[i]
-            noisy_forward = tabled.apply_noise(tables.forward_kernel_ms[i]) + comm
+            forward_costs = (tables.forward_kernel_ms[i], comm)
+            noisy_forward = stage.forward_time_ms(tabled, shape, forward_costs)
             assert noisy_forward == stage.forward_time_ms(scalar, shape)
-            noisy_backward = tabled.apply_noise(tables.backward_kernel_ms[i]) + comm
+            backward_costs = (tables.backward_kernel_ms[i], comm)
+            noisy_backward = stage.backward_time_ms(tabled, shape, mode, backward_costs)
             assert noisy_backward == stage.backward_time_ms(scalar, shape, mode)
 
 
