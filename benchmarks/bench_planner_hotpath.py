@@ -1,6 +1,6 @@
 """Tier-2 micro-benchmark of the planner's DP hot path and planner pool.
 
-A regression guard for planning time: it exercises the vectorized fast path
+A regression guard for planning time: it exercises the window-table DP
 that dominates per-iteration planning — window-shape table construction, the
 batched cost-model query over unique shapes, and the dense-matrix DP — plus
 the process-backed :class:`~repro.runtime.planner_pool.PlannerPool`, on a
@@ -10,8 +10,10 @@ small model whose profile builds in about a second.  Run it with
 
 (or ``pytest benchmarks/ -m tier2_bench``) to catch planning-time
 regressions without the full Fig. 17 sweep.  Besides timing, it asserts that
-the vectorized partition matches the scalar reference path exactly and that
-pooled plans are bit-identical to serial planning.
+pooled plans are bit-identical to serial planning.  That the window-table
+partition matches the scalar reference DP is pinned by
+``tests/test_core_microbatch.py::TestVectorizedEquivalence`` against
+``tests/oracles/dp_scalar.py``.
 
 Set ``REPRO_BENCH_SMOKE=1`` to run a reduced workload with the timing
 assertions relaxed — the smoke mode the tier-1 suite uses to keep these
@@ -39,8 +41,8 @@ from common import emit
 #: Reduced workload + relaxed timing asserts (used as a tier-1 smoke check).
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "0") == "1"
 
-#: Ceiling on the mean vectorized split time for the largest mini-batch.
-#: The fast path runs it in well under 100 ms; the pre-vectorization scalar
+#: Ceiling on the mean split time for the largest mini-batch.
+#: The window-table DP runs it in well under 100 ms; the pre-vectorization scalar
 #: chain took several seconds, so this catches order-of-magnitude
 #: regressions with ample headroom for slow CI machines.
 SPLIT_TIME_LIMIT_S = 1.0
@@ -103,15 +105,6 @@ def run():
                 solution.num_microbatches,
             ]
         )
-
-    # Correctness guard: the fast path must match the scalar reference.
-    samples = synthetic_minibatch(MINIBATCH_SIZES[0], seed=7)
-    fast = DynamicMicroBatcher(cost_model, tmax_sample_count=16, vectorized=True)
-    slow = DynamicMicroBatcher(cost_model, tmax_sample_count=16, vectorized=False)
-    fast.split(samples)
-    slow.split(samples)
-    assert fast.last_solution.boundaries == slow.last_solution.boundaries
-    assert fast.last_solution.objective == slow.last_solution.objective
     return rows
 
 
@@ -126,7 +119,7 @@ def test_planner_hotpath(benchmark, capsys):
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
     emit(
         "planner_hotpath",
-        "Planner hot path: vectorized DP split time (solver only)",
+        "Planner hot path: window-table DP split time (solver only)",
         HEADERS,
         rows,
         capsys,

@@ -3,9 +3,9 @@
 Two workloads, timed once with telemetry disabled (the default) and once
 with the flag on:
 
-* **Fig. 7-style sweep row** — the compiled engine's batched re-simulation
-  sweep from ``bench_sim_engine`` (one geometry compile, one batched wave
-  solve over all duration tables).  The sweep's inner loop carries no
+* **Fig. 7-style sweep row** — the compiled engine's re-simulation sweep
+  from ``bench_sim_engine`` (one geometry compile, one timeline solve per
+  duration table).  The sweep's inner loop carries no
   span/event sites, so the enabled run must track the disabled run within
   noise; the disabled run is the row the cross-commit ≤ 2 % perturbation
   budget of the observability work is judged against.
@@ -76,7 +76,7 @@ def _overhead_pct(disabled_s: float, enabled_s: float) -> float:
 
 
 def _run_sweep() -> tuple[float, list[float]]:
-    """One Fig. 7-style batched re-simulation; returns (best_s, makespans)."""
+    """One Fig. 7-style re-simulation sweep; returns (best_s, makespans)."""
     rng = np.random.default_rng(17)
     forward = np.maximum(
         0.05, 1.0 + rng.normal(0.0, 0.3, (NUM_DURATION_TABLES, NUM_MICROBATCHES))
@@ -95,7 +95,7 @@ def _run_sweep() -> tuple[float, list[float]]:
             forward[:, timeline.op_microbatch],
             backward[:, timeline.op_microbatch],
         )
-        makespans = list(timeline.solve_batch(durations).makespan_ms)
+        makespans = [timeline.solve(row).makespan_ms for row in durations]
         best = min(best, time.perf_counter() - start)
     return best, makespans
 

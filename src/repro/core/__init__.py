@@ -16,7 +16,7 @@ the planner that composes them into per-iteration execution plans:
 """
 
 from repro.core.adaptive_schedule import AdaptiveScheduler, ScheduleKind, build_schedule
-from repro.core.dp_solver import DPSolution, MicroBatchCostFn, solve_partition
+from repro.core.dp_solver import DPSolution, solve_partition
 from repro.core.execution_plan import ExecutionPlan, PlanMetadata
 from repro.core.microbatch import DynamicMicroBatcher
 from repro.core.microbatch_ordering import cluster_and_order
@@ -30,7 +30,6 @@ __all__ = [
     "OrderingMethod",
     "solve_partition",
     "DPSolution",
-    "MicroBatchCostFn",
     "karmarkar_karp_partition",
     "DynamicMicroBatcher",
     "AdaptiveScheduler",

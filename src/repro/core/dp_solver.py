@@ -17,20 +17,15 @@ bound the O(N⁴) exact formulation), and for each candidate an O(N·W) DP
 finds the best partition whose micro-batches all respect ``t_max`` and the
 per-micro-batch memory limit.
 
-Two execution paths are provided:
-
-* the scalar path (``time_fn`` / ``feasible_fn`` callbacks), the reference
-  implementation, which lazily memoises window costs; and
-* the vectorized fast path (``cost_table``), which runs the inner DP against
-  a dense :class:`WindowCostTable` of precomputed window times and
-  feasibility flags (built by
-  :class:`~repro.core.microbatch.DynamicMicroBatcher` from one batched
-  cost-model query over the unique window shapes) and advances the
-  independent per-candidate DP passes together over one
-  ``(candidate, end)`` grid instead of looping candidates in Python.
-
-Both paths produce identical partitions; the fast path removes every
-per-window Python-level cost-model call from the DP inner loop.
+The inner DP runs against a dense :class:`WindowCostTable` of precomputed
+window times and feasibility flags (built by
+:class:`~repro.core.microbatch.DynamicMicroBatcher` from one batched
+cost-model query over the unique window shapes) and advances the
+independent per-candidate DP passes together over one ``(candidate, end)``
+grid instead of looping candidates in Python, so no cost-model call sits in
+the DP inner loop.  The scalar callback DP it replaced is kept in
+``tests/oracles/dp_scalar.py``; the equivalence suites require identical
+partitions from both.
 """
 
 from __future__ import annotations
@@ -39,11 +34,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-
-#: Cost of the micro-batch formed from the half-open index range [start, end).
-MicroBatchCostFn = Callable[[int, int], float]
-#: Feasibility (memory limit) of the micro-batch formed from [start, end).
-MicroBatchFeasibleFn = Callable[[int, int], bool]
 
 
 class PartitionError(ValueError):
@@ -63,9 +53,8 @@ class DPSolution:
         tmax_used: The ``t_max`` candidate that produced the best partition.
         candidates_evaluated: Number of ``t_max`` candidates tried.
         cost_evaluations: Number of cost-function evaluations performed
-            (reported by the planning-time experiment, Fig. 17).  On the
-            vectorized path this counts the unique window shapes costed by
-            the batched cost-model query.
+            (reported by the planning-time experiment, Fig. 17): the unique
+            window shapes costed by the batched cost-model query.
     """
 
     boundaries: list[tuple[int, int]]
@@ -93,7 +82,7 @@ class DPSolution:
 
 @dataclass
 class WindowCostTable:
-    """Dense window time / feasibility tables for the vectorized DP.
+    """Dense window time / feasibility tables for the DP.
 
     Row ``start``, column ``size - 1`` describes the window
     ``[start, start + size)``.  Entries beyond the sample count hold ``inf``
@@ -103,7 +92,7 @@ class WindowCostTable:
         times: ``(num_samples, max_window)`` window execution times in ms.
         feasible: ``(num_samples, max_window)`` memory-feasibility flags.
         unique_shape_evaluations: Number of unique window shapes that were
-            costed to fill the table (the fast path's ``cost_evaluations``).
+            costed to fill the table (the DP's ``cost_evaluations``).
     """
 
     times: np.ndarray
@@ -133,39 +122,9 @@ class WindowCostTable:
         """Window time of ``[start, end)``."""
         return float(self.times[start, end - start - 1])
 
-    def is_feasible(self, start: int, end: int) -> bool:
-        """Whether ``[start, end)`` respects the memory limit."""
-        return bool(self.feasible[start, end - start - 1])
-
-
-class _CostCache:
-    """Memoises the window cost/feasibility functions and counts calls."""
-
-    def __init__(self, time_fn: MicroBatchCostFn, feasible_fn: MicroBatchFeasibleFn | None):
-        self._time_fn = time_fn
-        self._feasible_fn = feasible_fn
-        self._time: dict[tuple[int, int], float] = {}
-        self._feasible: dict[tuple[int, int], bool] = {}
-        self.evaluations = 0
-
-    def time(self, start: int, end: int) -> float:
-        key = (start, end)
-        if key not in self._time:
-            self._time[key] = float(self._time_fn(start, end))
-            self.evaluations += 1
-        return self._time[key]
-
-    def feasible(self, start: int, end: int) -> bool:
-        if self._feasible_fn is None:
-            return True
-        key = (start, end)
-        if key not in self._feasible:
-            self._feasible[key] = bool(self._feasible_fn(start, end))
-        return self._feasible[key]
-
 
 def _tmax_candidates(
-    time: MicroBatchCostFn,
+    time: Callable[[int, int], float],
     num_samples: int,
     max_microbatch_size: int,
     sample_count: int,
@@ -204,49 +163,6 @@ def _tmax_candidates(
     return sorted(set(picked))
 
 
-def _partition_for_tmax(
-    cache: _CostCache,
-    num_samples: int,
-    tmax: float,
-    max_microbatch_size: int,
-) -> tuple[list[tuple[int, int]], list[float]] | None:
-    """Optimal partition with every micro-batch time <= ``tmax`` (Eq. 2).
-
-    Returns ``None`` when no feasible partition exists for this ``tmax``.
-    """
-    best_cost = [float("inf")] * (num_samples + 1)
-    best_prev = [-1] * (num_samples + 1)
-    best_cost[0] = 0.0
-    for end in range(1, num_samples + 1):
-        window_limit = min(max_microbatch_size, end)
-        for size in range(1, window_limit + 1):
-            start = end - size
-            window_time = cache.time(start, end)
-            if window_time > tmax:
-                # Window times grow with window size, so larger windows
-                # cannot satisfy the bound either.
-                break
-            if not cache.feasible(start, end):
-                break
-            if best_cost[start] == float("inf"):
-                continue
-            candidate = best_cost[start] + window_time
-            if candidate < best_cost[end]:
-                best_cost[end] = candidate
-                best_prev[end] = start
-    if best_cost[num_samples] == float("inf"):
-        return None
-    boundaries: list[tuple[int, int]] = []
-    end = num_samples
-    while end > 0:
-        start = best_prev[end]
-        boundaries.append((start, end))
-        end = start
-    boundaries.reverse()
-    times = [cache.time(start, end) for start, end in boundaries]
-    return boundaries, times
-
-
 def _partitions_for_tmax_batch(
     end_times: np.ndarray,
     end_feasible: np.ndarray,
@@ -261,8 +177,8 @@ def _partitions_for_tmax_batch(
     each step evaluates every candidate's admissible window sizes with one
     batch of numpy operations.  Arithmetic, admissible-prefix computation and
     argmin tie-breaking (first minimum → smallest window) are exactly those
-    of the single-candidate recurrence, so each candidate's partition is
-    bit-identical to running it alone.
+    of the single-candidate recurrence (``tests/oracles/dp_scalar.py``), so
+    each candidate's partition is bit-identical to running it alone.
 
     Returns one ``(boundaries, times)`` pair — or ``None`` when infeasible —
     per candidate, in input order.
@@ -310,124 +226,58 @@ def _partitions_for_tmax_batch(
     return results
 
 
-def _end_major_tables(table: WindowCostTable) -> tuple[np.ndarray, np.ndarray]:
-    """Re-index the (start, size) tables by (end, size) for the DP inner loop."""
-    n, max_window = table.num_samples, table.max_window
+def _end_major_tables(
+    times: np.ndarray, feasible: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Re-index (start, size) window tables by (end, size) for the DP inner loop."""
+    n, max_window = times.shape
     ends = np.arange(1, n + 1)[:, None]
     sizes = np.arange(1, max_window + 1)[None, :]
     starts = ends - sizes
     valid = starts >= 0
     clipped = np.where(valid, starts, 0)
-    end_times = np.where(valid, table.times[clipped, sizes - 1], np.inf)
-    end_feasible = valid & table.feasible[clipped, sizes - 1]
+    end_times = np.where(valid, times[clipped, sizes - 1], np.inf)
+    end_feasible = valid & feasible[clipped, sizes - 1]
     return end_times, end_feasible
 
 
 def solve_partition(
-    num_samples: int,
+    cost_table: WindowCostTable,
     num_stages: int,
-    time_fn: MicroBatchCostFn | None = None,
-    feasible_fn: MicroBatchFeasibleFn | None = None,
     sum_weight: float = 1.0,
     max_microbatch_size: int = 512,
     tmax_sample_count: int = 24,
-    cost_table: WindowCostTable | None = None,
 ) -> DPSolution:
     """Find the micro-batch partition minimising the Eq. 1 objective.
 
     Args:
-        num_samples: Number of (already ordered) samples.
+        cost_table: Dense window costs of the (already ordered) samples;
+            the number of samples is its row count.
         num_stages: Number of pipeline stages ``c``.
-        time_fn: Window time ``t(M)`` for a half-open sample index range
-            (scalar path; ignored when ``cost_table`` is given).
-        feasible_fn: Optional memory-limit check for a window (scalar path).
         sum_weight: Weight of the Σ t(M) term (``1/|D|`` under data parallelism).
         max_microbatch_size: Upper bound on samples per micro-batch (bounds
             the DP inner loop; generous by default).
         tmax_sample_count: Number of ``t_max`` candidates to evaluate.
-        cost_table: Precomputed dense window costs; selects the vectorized
-            fast path.
 
     Raises:
         PartitionError: If even single-sample micro-batches are infeasible.
     """
+    num_samples = cost_table.num_samples
     if num_samples < 1:
-        raise ValueError(f"num_samples must be >= 1, got {num_samples}")
+        raise ValueError(f"cost table must cover >= 1 sample, got {num_samples}")
     if num_stages < 1:
         raise ValueError(f"num_stages must be >= 1, got {num_stages}")
     if sum_weight <= 0:
         raise ValueError(f"sum_weight must be > 0, got {sum_weight}")
     if max_microbatch_size < 1:
         raise ValueError(f"max_microbatch_size must be >= 1, got {max_microbatch_size}")
-    if cost_table is None and time_fn is None:
-        raise ValueError("either time_fn or cost_table is required")
-
-    if cost_table is not None:
-        return _solve_partition_table(
-            cost_table,
-            num_samples,
-            num_stages,
-            sum_weight,
-            max_microbatch_size,
-            tmax_sample_count,
-        )
-
-    cache = _CostCache(time_fn, feasible_fn)
-    for i in range(num_samples):
-        if not cache.feasible(i, i + 1):
-            raise PartitionError(
-                f"sample {i} alone exceeds the per-micro-batch memory limit; "
-                "increase the device memory limit or enable recomputation"
-            )
-
-    candidates = _tmax_candidates(
-        cache.time, num_samples, max_microbatch_size, tmax_sample_count
-    )
-
-    best: DPSolution | None = None
-    for tmax in candidates:
-        result = _partition_for_tmax(cache, num_samples, tmax, max_microbatch_size)
-        if result is None:
-            continue
-        boundaries, times = result
-        objective = (num_stages - 1) * max(times) + sum_weight * sum(times)
-        if best is None or objective < best.objective:
-            best = DPSolution(
-                boundaries=boundaries,
-                times=times,
-                objective=objective,
-                tmax_used=tmax,
-            )
-    if best is None:
-        raise PartitionError(
-            "no feasible partition found for any t_max candidate; this indicates "
-            "an inconsistency between the time and feasibility functions"
-        )
-    best.candidates_evaluated = len(candidates)
-    best.cost_evaluations = cache.evaluations
-    return best
-
-
-def _solve_partition_table(
-    table: WindowCostTable,
-    num_samples: int,
-    num_stages: int,
-    sum_weight: float,
-    max_microbatch_size: int,
-    tmax_sample_count: int,
-) -> DPSolution:
-    """Vectorized fast path of :func:`solve_partition`."""
-    if table.num_samples != num_samples:
+    if cost_table.max_window < min(max_microbatch_size, num_samples):
         raise ValueError(
-            f"cost table covers {table.num_samples} samples, expected {num_samples}"
-        )
-    if table.max_window < min(max_microbatch_size, num_samples):
-        raise ValueError(
-            f"cost table max window {table.max_window} is smaller than "
+            f"cost table max window {cost_table.max_window} is smaller than "
             f"max_microbatch_size {max_microbatch_size}"
         )
 
-    singleton_feasible = table.feasible[:, 0]
+    singleton_feasible = cost_table.feasible[:, 0]
     if not singleton_feasible.all():
         index = int(np.argmin(singleton_feasible))
         raise PartitionError(
@@ -436,20 +286,17 @@ def _solve_partition_table(
         )
 
     candidates = _tmax_candidates(
-        table.time, num_samples, max_microbatch_size, tmax_sample_count
+        cost_table.time, num_samples, max_microbatch_size, tmax_sample_count
     )
 
-    window = min(max_microbatch_size, num_samples, table.max_window)
-    trimmed = WindowCostTable(
-        times=table.times[:, :window],
-        feasible=table.feasible[:, :window],
-        unique_shape_evaluations=table.unique_shape_evaluations,
+    window = min(max_microbatch_size, num_samples)
+    end_times, end_feasible = _end_major_tables(
+        cost_table.times[:, :window], cost_table.feasible[:, :window]
     )
-    end_times, end_feasible = _end_major_tables(trimmed)
 
     # All candidate DP passes advance together in one (candidate, end) grid;
     # the selection below scans candidates in their original (sorted) order,
-    # so the winner matches the sequential loop exactly.
+    # so the winner matches a sequential per-candidate loop exactly.
     results = _partitions_for_tmax_batch(end_times, end_feasible, num_samples, candidates)
 
     best: DPSolution | None = None
@@ -471,5 +318,5 @@ def _solve_partition_table(
             "an inconsistency between the time and feasibility functions"
         )
     best.candidates_evaluated = len(candidates)
-    best.cost_evaluations = table.unique_shape_evaluations
+    best.cost_evaluations = cost_table.unique_shape_evaluations
     return best

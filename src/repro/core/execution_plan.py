@@ -11,7 +11,7 @@ dictionaries, the form the planner pool ships them in.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any
 
 from repro.instructions.ops import PipelineInstruction
 from repro.instructions.serialization import instructions_from_dicts, instructions_to_dicts
@@ -123,8 +123,3 @@ class ExecutionPlan:
             instructions_from_dicts(stream) for stream in payload["device_instructions"]
         ]
         return cls(device_instructions=streams, microbatch_shapes=shapes, metadata=metadata)
-
-
-def shapes_of(micro_batches: Sequence) -> list[MicroBatchShape]:
-    """Padded shapes of a sequence of :class:`~repro.batching.base.MicroBatch`."""
-    return [mb.shape() for mb in micro_batches]

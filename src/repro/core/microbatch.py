@@ -7,7 +7,7 @@ the per-micro-batch memory limit, and returns the resulting micro-batches
 in partition order together with the DP solution metadata (used by the
 planning-time experiment and by tests).
 
-The default (vectorized) path precomputes the padded shape of every
+The batcher precomputes the padded shape of every
 candidate ``[start, start + size)`` window with sliding maxima over the
 ordered sample lengths — O(1) per window when the ordering is monotone, as
 under SORT ordering — dedupes the windows to their unique shapes with a 1-D
@@ -20,8 +20,9 @@ table stops there and the DP rejects it without the larger shapes ever
 being costed.  The window *geometry* (shapes and their dedup indices) does
 not depend on the recomputation mode, so it is cached and reused across the
 planner's recomputation-mode retries; only the batched cost query is
-re-issued per mode.  ``vectorized=False`` selects the scalar reference path,
-which produces identical partitions one cost-model call at a time.
+re-issued per mode.  The scalar reference batcher, which produces identical
+partitions one cost-model call at a time, is kept in
+``tests/oracles/dp_scalar.py``.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from repro.core.ordering import OrderingMethod, order_samples
 from repro.costmodel.cost_model import CostModel
 from repro.data.tasks import Sample
 from repro.model.memory import RecomputeMode
-from repro.model.transformer import MicroBatchShape
 
 
 def sliding_window_maxima(values: np.ndarray, max_window: int) -> np.ndarray:
@@ -114,8 +114,6 @@ class DynamicMicroBatcher(BatchingStrategy):
             micro-batches will be spread over ``|D|`` data-parallel replicas).
         tmax_sample_count: Number of ``t_max`` candidates for the DP.
         max_microbatch_size: Upper bound on samples per micro-batch.
-        vectorized: Whether to use the batched window-cost fast path; the
-            scalar reference path produces identical partitions.
     """
 
     name = "dynapipe-dp"
@@ -129,7 +127,6 @@ class DynamicMicroBatcher(BatchingStrategy):
         sum_weight: float = 1.0,
         tmax_sample_count: int = 24,
         max_microbatch_size: int = 256,
-        vectorized: bool = True,
     ) -> None:
         super().__init__(decoder_only=not cost_model.config.is_encoder_decoder)
         self.cost_model = cost_model
@@ -143,7 +140,6 @@ class DynamicMicroBatcher(BatchingStrategy):
         self.sum_weight = sum_weight
         self.tmax_sample_count = tmax_sample_count
         self.max_microbatch_size = max_microbatch_size
-        self.vectorized = vectorized
         #: DP solution of the most recent :meth:`split` call (for inspection).
         self.last_solution: DPSolution | None = None
         # One-slot (key, geometry) cache of the latest mini-batch's window
@@ -153,31 +149,7 @@ class DynamicMicroBatcher(BatchingStrategy):
         # mini-batch's geometry.
         self._geometry_entry: tuple[tuple, _WindowGeometry] | None = None
 
-    # ------------------------------------------------------------------ helpers
-
-    def _window_shape(self, ordered: Sequence[Sample], start: int, end: int) -> MicroBatchShape:
-        """Padded shape of the micro-batch formed from ``ordered[start:end]``."""
-        window = ordered[start:end]
-        if self.decoder_only:
-            enc = max(s.total_tokens for s in window)
-            dec = 0
-        else:
-            enc = max(s.input_tokens for s in window)
-            dec = max(s.target_tokens for s in window)
-        return MicroBatchShape(batch_size=end - start, enc_seq_len=enc, dec_seq_len=dec)
-
-    def window_time_ms(self, ordered: Sequence[Sample], start: int, end: int) -> float:
-        """Modelled ``t(M)`` of the window (bottleneck-stage forward+backward)."""
-        shape = self._window_shape(ordered, start, end)
-        return self.cost_model.microbatch_time_ms(shape, self.recompute)
-
-    def window_feasible(self, ordered: Sequence[Sample], start: int, end: int) -> bool:
-        """Whether the window's activation footprint respects the memory limit."""
-        shape = self._window_shape(ordered, start, end)
-        activation = self.cost_model.microbatch_activation_bytes(shape, self.recompute)
-        return activation <= self.per_microbatch_memory_bytes
-
-    # ------------------------------------------------------------------ fast path
+    # ------------------------------------------------------------------ window table
 
     def _window_geometry(self, ordered: Sequence[Sample]) -> _WindowGeometry:
         """Unique shapes of all candidate windows of the ordered mini-batch."""
@@ -228,7 +200,7 @@ class DynamicMicroBatcher(BatchingStrategy):
     def build_window_cost_table(
         self, ordered: Sequence[Sample], recompute: RecomputeMode | None = None
     ) -> WindowCostTable:
-        """Dense window time/feasibility tables for the DP fast path.
+        """Dense window time/feasibility tables for the DP.
 
         Batched cost-model queries cover the unique window shapes; the
         results are scattered back to dense ``(start, size)`` tables.  The
@@ -287,46 +259,21 @@ class DynamicMicroBatcher(BatchingStrategy):
     ) -> tuple[BatchingResult, DPSolution | None]:
         """:meth:`split` returning the DP solution directly.
 
-        Concurrent planners sharing one batcher (e.g. planner-pool worker
-        threads) must use this instead of reading ``last_solution``, which is
-        last-writer-wins across threads.
+        Planners sharing one batcher across threads must use this instead
+        of reading ``last_solution``, which is last-writer-wins across
+        threads.
         """
         if not samples:
             return BatchingResult(micro_batches=[]), None
         mode = self.recompute if recompute is None else recompute
         ordered = order_samples(samples, self.ordering, decoder_only=self.decoder_only)
-        if self.vectorized:
-            solution = solve_partition(
-                num_samples=len(ordered),
-                num_stages=self.cost_model.num_stages,
-                cost_table=self.build_window_cost_table(ordered, mode),
-                sum_weight=self.sum_weight,
-                max_microbatch_size=self.max_microbatch_size,
-                tmax_sample_count=self.tmax_sample_count,
-            )
-        else:
-            shape_cache: dict[tuple[int, int], MicroBatchShape] = {}
-
-            def window_shape(start: int, end: int) -> MicroBatchShape:
-                key = (start, end)
-                if key not in shape_cache:
-                    shape_cache[key] = self._window_shape(ordered, start, end)
-                return shape_cache[key]
-
-            solution = solve_partition(
-                num_samples=len(ordered),
-                num_stages=self.cost_model.num_stages,
-                time_fn=lambda start, end: self.cost_model.microbatch_time_ms(
-                    window_shape(start, end), mode
-                ),
-                feasible_fn=lambda start, end: self.cost_model.microbatch_activation_bytes(
-                    window_shape(start, end), mode
-                )
-                <= self.per_microbatch_memory_bytes,
-                sum_weight=self.sum_weight,
-                max_microbatch_size=self.max_microbatch_size,
-                tmax_sample_count=self.tmax_sample_count,
-            )
+        solution = solve_partition(
+            self.build_window_cost_table(ordered, mode),
+            num_stages=self.cost_model.num_stages,
+            sum_weight=self.sum_weight,
+            max_microbatch_size=self.max_microbatch_size,
+            tmax_sample_count=self.tmax_sample_count,
+        )
         micro_batches = [
             MicroBatch.from_samples(ordered[start:end], decoder_only=self.decoder_only)
             for start, end in solution.boundaries

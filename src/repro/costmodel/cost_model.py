@@ -121,9 +121,9 @@ class CostModel:
         self._stage_cost_cache: dict[
             tuple[int, MicroBatchShape, RecomputeMode], StageCost
         ] = {}
-        #: (shape, mode) -> (bottleneck total_ms, forward_ms, activation_bytes)
+        #: (shape, mode) -> (bottleneck total_ms, activation_bytes)
         self._bottleneck_cache: dict[
-            tuple[MicroBatchShape, RecomputeMode], tuple[float, float, float]
+            tuple[MicroBatchShape, RecomputeMode], tuple[float, float]
         ] = {}
         self._static_bytes_cache: dict[int, float] = {}
         # One-slot (key, tables) memo for the stage-independent per-layer
@@ -341,25 +341,20 @@ class CostModel:
         enc: np.ndarray,
         dec: np.ndarray,
         recompute: RecomputeMode,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(total_ms, forward_ms, activation_bytes) bottleneck arrays."""
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(total_ms, activation_bytes) bottleneck arrays."""
         tables = self._layer_tables_arrays(batch, enc, dec, recompute)
         # Stages sharing a layer assignment have identical costs, so the
         # bottleneck max only needs one evaluation per distinct assignment.
         distinct = {(a.encoder_layers, a.decoder_layers): a for a in self.assignments}
-        totals, forwards, activations = [], [], []
+        totals, activations = [], []
         for assignment in distinct.values():
             forward, backward, activation = self._assignment_costs(
                 assignment, tables, len(batch)
             )
             totals.append(forward + backward)
-            forwards.append(forward)
             activations.append(activation)
-        return (
-            np.max(totals, axis=0),
-            np.max(forwards, axis=0),
-            np.max(activations, axis=0),
-        )
+        return np.max(totals, axis=0), np.max(activations, axis=0)
 
     def window_costs_arrays(
         self,
@@ -375,14 +370,13 @@ class CostModel:
         mini-batch, for which per-shape cache bookkeeping costs more than the
         batched interpolation itself.
         """
-        total, _, activation = self._bottleneck_arrays(batch, enc, dec, recompute)
-        return total, activation
+        return self._bottleneck_arrays(batch, enc, dec, recompute)
 
     def _bottleneck_many(
         self, shapes: Sequence[MicroBatchShape], recompute: RecomputeMode
-    ) -> list[tuple[float, float, float]]:
-        """(total_ms, forward_ms, activation_bytes) bottleneck triples (cached)."""
-        results: dict[MicroBatchShape, tuple[float, float, float]] = {}
+    ) -> list[tuple[float, float]]:
+        """(total_ms, activation_bytes) bottleneck pairs (cached)."""
+        results: dict[MicroBatchShape, tuple[float, float]] = {}
         missing: list[MicroBatchShape] = []
         for shape in shapes:
             if shape in results:
@@ -391,10 +385,10 @@ class CostModel:
             if cached is not None:
                 results[shape] = cached
             else:
-                results[shape] = (0.0, 0.0, 0.0)  # placeholder
+                results[shape] = (0.0, 0.0)  # placeholder
                 missing.append(shape)
         if missing:
-            total, forward, activation = self._bottleneck_arrays(
+            total, activation = self._bottleneck_arrays(
                 np.array([s.batch_size for s in missing], dtype=float),
                 np.array([s.enc_seq_len for s in missing], dtype=float),
                 np.array([s.dec_seq_len for s in missing], dtype=float),
@@ -402,9 +396,9 @@ class CostModel:
             )
             self._cache_guard(self._bottleneck_cache)
             for i, shape in enumerate(missing):
-                triple = (float(total[i]), float(forward[i]), float(activation[i]))
-                results[shape] = triple
-                self._bottleneck_cache[(shape, recompute)] = triple
+                pair = (float(total[i]), float(activation[i]))
+                results[shape] = pair
+                self._bottleneck_cache[(shape, recompute)] = pair
         return [results[shape] for shape in shapes]
 
     def microbatch_times_ms(
@@ -413,7 +407,7 @@ class CostModel:
         recompute: RecomputeMode = RecomputeMode.NONE,
     ) -> np.ndarray:
         """Batched :meth:`microbatch_time_ms`: ``t(M)`` for many shapes."""
-        return np.array([t for t, _, _ in self._bottleneck_many(shapes, recompute)])
+        return np.array([t for t, _ in self._bottleneck_many(shapes, recompute)])
 
     def microbatch_activation_bytes_many(
         self,
@@ -421,7 +415,7 @@ class CostModel:
         recompute: RecomputeMode = RecomputeMode.NONE,
     ) -> np.ndarray:
         """Batched :meth:`microbatch_activation_bytes` for many shapes."""
-        return np.array([a for _, _, a in self._bottleneck_many(shapes, recompute)])
+        return np.array([a for _, a in self._bottleneck_many(shapes, recompute)])
 
     # ------------------------------------------------------------------ aggregates
 
@@ -437,17 +431,11 @@ class CostModel:
         """
         return self._bottleneck_many([shape], recompute)[0][0]
 
-    def microbatch_forward_ms(
-        self, shape: MicroBatchShape, recompute: RecomputeMode = RecomputeMode.NONE
-    ) -> float:
-        """Forward time of the bottleneck stage for ``shape``."""
-        return self._bottleneck_many([shape], recompute)[0][1]
-
     def microbatch_activation_bytes(
         self, shape: MicroBatchShape, recompute: RecomputeMode = RecomputeMode.NONE
     ) -> float:
         """Largest per-stage activation footprint of ``shape``."""
-        return self._bottleneck_many([shape], recompute)[0][2]
+        return self._bottleneck_many([shape], recompute)[0][1]
 
     def iteration_time_ms(
         self,
@@ -460,7 +448,7 @@ class CostModel:
         """
         if not shapes:
             return 0.0
-        times = [t for t, _, _ in self._bottleneck_many(shapes, recompute)]
+        times = [t for t, _ in self._bottleneck_many(shapes, recompute)]
         return (self.num_stages - 1) * max(times) + sum(times)
 
     # ------------------------------------------------------------------ memory

@@ -171,7 +171,6 @@ class FleetConfig:
         shared_planner_pool: Must stay ``True``: per-attempt private pools
             were removed, so ``False`` raises :class:`ValueError`.
         planner_lookahead: Plan-ahead window of each job stream.
-        planner_backend: Pool backend (``"process"`` or ``"thread"``).
         planner_timeout_s: Per-iteration plan wait bound of the pooled mode.
         max_events: Safety valve on processed scheduler events.
         planning_backoff_base_ms: When > 0, a planning failure delays the
@@ -213,7 +212,6 @@ class FleetConfig:
     planner_processes: int = 0
     shared_planner_pool: bool = True
     planner_lookahead: int = 4
-    planner_backend: str = "process"
     planner_timeout_s: float = 600.0
     max_events: int = 1_000_000
     planning_backoff_base_ms: float = 0.0
@@ -420,7 +418,6 @@ class FleetScheduler:
             self._shared_pool = PlannerPool(
                 num_workers=self.config.planner_processes,
                 lookahead=self.config.planner_lookahead,
-                backend=self.config.planner_backend,
             )
             self._shared_pool.start()
             self._planner_workers_spawned += self._shared_pool.num_workers
@@ -513,8 +510,8 @@ class FleetScheduler:
         Kinds:
 
         * ``"planner_kill"`` — kill ``count`` live workers of the shared
-          planner pool.  Thread-backend kills are cooperative; a pool whose
-          workers are all dead degrades its jobs to inline planning.
+          planner pool; a pool whose workers are all dead degrades its
+          jobs to inline planning.
         * ``"store_error"`` — a transient plan-transport fault: ``count``
           running pooled jobs (in job order) lose their next pending plan
           payload, exercising the :class:`PlanFailedError` → retry/backoff

@@ -124,11 +124,6 @@ class JobExecution:
             )
 
     @property
-    def total_iterations(self) -> int:
-        """Last iteration index this attempt will reach (epoch-bounded)."""
-        return self.start_iteration + len(self.minibatches)
-
-    @property
     def stream_key(self) -> str | None:
         """This attempt's stream name on the pool (``None`` when inline)."""
         return self._stream_key

@@ -17,7 +17,6 @@ formulas in :mod:`repro.model.flops` / :mod:`repro.model.memory` and a
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -40,13 +39,6 @@ from repro.model.memory import (
     activation_terms,
     static_stage_bytes,
 )
-
-
-class LayerKind(str, enum.Enum):
-    """Which stack a Transformer layer belongs to."""
-
-    ENCODER = "encoder"
-    DECODER = "decoder"
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,8 @@ mini-batches, generate execution plans ahead of time, and hand them to the
 executors just in time.
 
 :class:`~repro.runtime.planner_pool.PlannerPool` reproduces that hand-off: a
-pool of worker *processes* (with a thread fallback) plans the iterations of
-named job streams ahead of their executors on real CPU cores.  A consumer
+pool of worker *processes* plans the iterations of named job streams ahead
+of their executors on real CPU cores.  A consumer
 registers a stream with ``submit_job`` and steps it with ``wait_payload`` /
 ``notify_consumed``; ``retire_job`` cancels one stream while the workers
 keep serving the others.  :class:`~repro.training.trainer.TrainingSession`

@@ -1,15 +1,18 @@
 """Asynchronous planning ahead of execution, on real CPU cores.
 
 A :class:`PlannerPool` is the reproduction's model of the paper's CPU-side
-*planning cluster*: worker *processes* (the default backend) pull planning
-tasks from a shared task queue, plan them, and ship the serialised
+*planning cluster*: worker *processes* pull planning tasks from a shared
+task queue, plan them, and ship the serialised
 :meth:`IterationPlan.to_dict` payloads back over a result queue; the parent
 keeps each payload on its job stream until the executor consumes it.
-Planners travel as serialised specs — the cost model's profile database is
-spilled to disk once per planner — and every worker rebuilds them
-bit-identically, so pooled plans match serial planning exactly while
-running outside the parent's GIL (the paper's "planning overlaps execution
-using a handful of CPU cores" claim, Fig. 17).
+A :class:`~repro.core.planner.DynaPipePlanner` travels as a serialised
+spec — the cost model's profile database is spilled to disk once per
+planner — and every worker rebuilds it bit-identically, so pooled plans
+match serial planning exactly while running outside the parent's GIL (the
+paper's "planning overlaps execution using a handful of CPU cores" claim,
+Fig. 17).  Any other planner, subclasses included, is pickled whole; a
+planner that cannot be pickled is rejected with :class:`TypeError` when
+its stream is submitted.
 
 The pool serves *named job streams*: :meth:`PlannerPool.submit_job`
 registers a job's mini-batches at any time and :meth:`PlannerPool.retire_job`
@@ -21,12 +24,8 @@ a stream with :meth:`~PlannerPool.wait_payload` and
 an executor.  Workers cache rebuilt planners per job, so a stream's planner
 is rebuilt once per worker, not once per task.
 
-A ``backend="thread"`` fallback keeps in-process workers for planners that
-cannot be serialised; it provides the same overlap architecture without the
-parallel speed-up.
-
-Failure handling is fail-fast on both backends: a worker that raises (or a
-worker process that dies) records the failure on its job's stream — so
+Failure handling is fail-fast: a worker that raises (or a worker process
+that dies) records the failure on its job's stream — so
 co-tenant jobs sharing the pool never observe it — and a consumer waiting
 on that iteration gets :class:`PlanFailedError` immediately instead of
 spinning until its timeout.  :meth:`PlannerPool.stop` and
@@ -90,7 +89,7 @@ class PlanningRecord:
             inside the worker).
         num_microbatches: Micro-batches in the produced plan.
         dp_cost_evaluations: Cost-model evaluations the DP performed (unique
-            window shapes on the vectorized fast path); 0 for planners that
+            window shapes costed for its window table); 0 for planners that
             do not run the DP (baselines).
         worker: Identifier of the worker that planned the iteration.
         job: Job stream the iteration belongs to.
@@ -107,8 +106,8 @@ class PlanningRecord:
 #: Lazily created directory for spilled planner specs; its finalizer removes
 #: anything left over at interpreter shutdown.
 _SPEC_SPILL_DIR: tempfile.TemporaryDirectory | None = None
-#: One spilled spec file per live planner object, so repeated ``start()``
-#: calls and multiple pools sharing one planner re-ship only a path.  Each
+#: One spilled spec file per live planner object, so repeated submissions
+#: and multiple pools sharing one planner re-ship only a path.  Each
 #: entry's file is unlinked (via ``weakref.finalize``) when its planner is
 #: garbage-collected, so churning through planners — e.g. one per fleet job
 #: attempt — does not accumulate profile-sized temp files.
@@ -137,7 +136,7 @@ def _spill_spec_path(planner: _Planner) -> str:
     """Write ``planner.to_spec()`` to a JSON file once and return its path.
 
     The profile database dominates the spec, so serialising it per
-    ``start()`` (and re-pickling it into every worker under the spawn start
+    submission (and re-pickling it into every worker under the spawn start
     method) is the pool's main startup cost.  Spilling the spec to disk once
     per planner object means workers receive a short path and ``mmap``-read
     the profile themselves; JSON keeps the payload bit-exact (the spec is
@@ -170,13 +169,18 @@ def _spill_spec_path(planner: _Planner) -> str:
 def _planner_payload(planner: _Planner) -> dict[str, Any]:
     """Serialise ``planner`` for shipment to worker processes.
 
-    Planners exposing ``to_spec`` (the DynaPipe planner) travel as the
-    *path* of a spilled spec file — the profile database is written to disk
-    once per planner, not re-pickled per ``start()`` or per task — and are
-    rebuilt via ``from_spec``, which is robust across start methods.
-    Anything else is pickled whole.
+    A :class:`DynaPipePlanner` travels as the *path* of a spilled spec file
+    — the profile database is written to disk once per planner, not
+    re-pickled per stream or per task — and is rebuilt via ``from_spec``,
+    which is robust across start methods.  Anything else is pickled whole:
+    ``from_spec`` rebuilds the base class, so a subclass (whose ``plan``
+    may differ) must not take the spec path.
+
+    Raises:
+        pickle.PicklingError, TypeError, AttributeError: If the planner
+            cannot be pickled (e.g. it holds a lambda or a lock).
     """
-    if hasattr(planner, "to_spec"):
+    if type(planner) is DynaPipePlanner:
         try:
             return {"kind": "spec_file", "path": _spill_spec_path(planner)}
         except TypeError:
@@ -301,9 +305,9 @@ class _JobStream:
     minibatches: Sequence[Sequence[Sample]]
     start: int
     lookahead: int
-    #: Per-task planner reference: the live planner (thread backend) or a
-    #: payload dict with a stream-unique ``cache_key`` (process backend).
-    task_ref: Any = None
+    #: Per-task planner reference: the serialised planner payload with a
+    #: stream-unique ``cache_key``.
+    task_ref: dict[str, Any] | None = None
     consumed: int = field(init=False)
     next_to_enqueue: int = field(init=False)
     num_minibatches: int = field(init=False)
@@ -351,17 +355,12 @@ class PlannerPool:
         lookahead: Default per-stream look-ahead: iterations planned beyond
             the last one the stream's executor has consumed (bounds plan
             memory, like the paper's prefetch window).
-        backend: ``"process"`` (default; real parallelism, planners rebuilt
-            in workers from serialised specs, platform-default start
-            method) or ``"thread"`` (in-process fallback sharing the live
-            planner objects).
         records: One :class:`PlanningRecord` per planned iteration, in
             arrival order.
     """
 
     num_workers: int = 2
     lookahead: int = 4
-    backend: str = "process"
     records: list[PlanningRecord] = field(default_factory=list, init=False)
 
     def __post_init__(self) -> None:
@@ -369,8 +368,6 @@ class PlannerPool:
             raise ValueError(f"num_workers must be >= 1, got {self.num_workers}")
         if self.lookahead < 1:
             raise ValueError(f"lookahead must be >= 1, got {self.lookahead}")
-        if self.backend not in ("process", "thread"):
-            raise ValueError(f"backend must be 'process' or 'thread', got {self.backend!r}")
         self._lock = threading.Lock()
         self._streams: dict[str, _JobStream] = {}
         self._ref_seq = itertools.count()
@@ -384,11 +381,7 @@ class PlannerPool:
         #: the planned/failed/abandoned accounting stays consistent.
         self._sealed = False
         self._started = False
-        #: Cooperative kill set of the thread backend: a worker whose name
-        #: lands here exits at the top of its next loop (chaos harness).
-        self._killed: set[str] = set()
         self._stop = threading.Event()
-        self._threads: list[threading.Thread] = []
         self._processes: list[mp.process.BaseProcess] = []
         self._collector: threading.Thread | None = None
         self._exited: set[str] = set()
@@ -396,23 +389,30 @@ class PlannerPool:
         #: (counters are monotonic between resets, so latest-per-worker sums
         #: to an exact fleet-wide view).
         self._worker_metrics: dict[str, dict[str, Any]] = {}
-        self._queue: Any = None  # queue.Queue (thread) or mp.Queue (process)
-        self._results: Any = None  # mp.Queue (process backend only)
+        self._queue: Any = None  # task queue (mp.Queue once started)
+        self._results: Any = None  # result queue (mp.Queue once started)
 
     # ------------------------------------------------------------------ job streams
 
-    def _make_task_ref(self, stream: _JobStream) -> Any:
-        """Build the per-task planner reference of one stream.
+    def _task_ref(self, job: str, planner: _Planner) -> dict[str, Any]:
+        """Serialise ``planner`` into the per-task reference of stream ``job``.
 
-        Serialising a planner spills the whole profile database (spec file)
-        or pickles the planner, so this is never called under the pool lock
-        — the collector and co-tenant consumers must not stall on one
-        stream's registration.
+        Serialising spills the whole profile database (spec file) or pickles
+        the planner, so this is never called under the pool lock — the
+        collector and co-tenant consumers must not stall on one stream's
+        registration.
+
+        Raises:
+            TypeError: If the planner cannot be serialised; names the job.
         """
-        if self.backend == "thread":
-            return stream.planner
-        payload = _planner_payload(stream.planner)
-        payload["cache_key"] = f"{stream.name}#{next(self._ref_seq)}"
+        try:
+            payload = _planner_payload(planner)
+        except (pickle.PicklingError, TypeError, AttributeError) as error:
+            raise TypeError(
+                f"planner of job stream {job!r} cannot be serialised for the "
+                f"pool's worker processes: {type(error).__name__}: {error}"
+            ) from error
+        payload["cache_key"] = f"{job}#{next(self._ref_seq)}"
         return payload
 
     def submit_job(
@@ -439,6 +439,8 @@ class PlannerPool:
 
         Raises:
             ValueError: On an empty/duplicate name or invalid window.
+            TypeError: If the planner cannot be serialised for the worker
+                processes; the name stays free and nothing is enqueued.
         """
         if not job:
             raise ValueError("job name must be non-empty")
@@ -447,24 +449,30 @@ class PlannerPool:
         window = self.lookahead if lookahead is None else lookahead
         if window < 1:
             raise ValueError(f"lookahead must be >= 1, got {window}")
+        with self._lock:
+            self._check_submittable(job)
         stream = _JobStream(
-            name=job, planner=planner, minibatches=minibatches, start=start, lookahead=window
+            name=job,
+            planner=planner,
+            minibatches=minibatches,
+            start=start,
+            lookahead=window,
+            task_ref=self._task_ref(job, planner),
         )
         with self._lock:
-            if self._sealed:
-                raise RuntimeError("cannot submit jobs to a stopped pool")
-            if job in self._streams:
-                raise ValueError(f"duplicate job stream {job!r}")
-            self._streams[job] = stream  # reserves the name
+            # Checked again: the name may have been taken (or the pool
+            # stopped) while the planner was being serialised.
+            self._check_submittable(job)
+            self._streams[job] = stream
             started = self._started
         if started:
-            # Planner serialisation (profile-DB spill / pickling) happens
-            # outside the lock so one registration never stalls the
-            # collector or co-tenant consumers.
-            ref = self._make_task_ref(stream)
-            with self._lock:
-                stream.task_ref = ref
             self._refill(stream)
+
+    def _check_submittable(self, job: str) -> None:
+        if self._sealed:
+            raise RuntimeError("cannot submit jobs to a stopped pool")
+        if job in self._streams:
+            raise ValueError(f"duplicate job stream {job!r}")
 
     def retire_job(self, job: str) -> list[int]:
         """Cancel a job stream: drain *its* queued tasks, evict its state.
@@ -537,10 +545,11 @@ class PlannerPool:
         """Keep a finished iteration's payload on its stream and record it.
 
         Recording happens under the pool lock so that :meth:`stop` can
-        seal the pool and snapshot the abandoned sets atomically — a thread
-        worker finishing *after* the seal must not make an "abandoned"
-        iteration retroactively planned.  Results for retired streams are
-        dropped for the same reason: the attempt they belong to is gone.
+        seal the pool and snapshot the abandoned sets atomically — a result
+        the collector delivers *after* the seal must not make an
+        "abandoned" iteration retroactively planned.  Results for retired
+        streams are dropped for the same reason: the attempt they belong to
+        is gone.
         """
         with self._lock:
             self._claims.pop(worker, None)
@@ -617,28 +626,7 @@ class PlannerPool:
         if spans:
             _RECORDER.extend_dicts(spans, origin=worker_id)
 
-    # ------------------------------------------------------------------ thread backend
-
-    def _thread_worker(self, worker_id: str) -> None:
-        while not self._stop.is_set():
-            if worker_id in self._killed:
-                break
-            try:
-                task = self._queue.get(timeout=0.05)
-            except queue.Empty:
-                continue
-            if task is None:
-                break
-            job, iteration, samples, planner = task
-            with self._lock:
-                self._claims[worker_id] = (job, iteration)
-            try:
-                payload, info = _plan_one(planner, samples, iteration, job=job)
-                self._record_planned(worker_id, job, iteration, payload, info)
-            except Exception as error:  # noqa: BLE001 - surfaced via wait_payload
-                self._record_failed(worker_id, job, iteration, error)
-
-    # ------------------------------------------------------------------ process backend
+    # ------------------------------------------------------------------ workers
 
     def _collect(self) -> None:
         """Parent-side collector: drain worker results, watch for crashes."""
@@ -661,7 +649,7 @@ class PlannerPool:
                     # (unless we are stopping, where pending work is
                     # *abandoned*, not failed).
                     if not self._stop.is_set():
-                        self._fail_unserved("all planner workers exited")
+                        self._fail_unserved("all planner workers are dead")
                     return
                 if deaths_seen and not self._stop.is_set():
                     # Sweeps continue only while suspects remain; otherwise
@@ -788,46 +776,30 @@ class PlannerPool:
 
     def start(self) -> None:
         """Start the workers and enqueue every stream's initial window."""
-        if self.backend == "thread":
-            self._queue = queue.Queue()
-            self._threads = [
-                threading.Thread(
-                    target=self._thread_worker, args=(f"planner-{i}",),
-                    name=f"planner-{i}", daemon=True,
-                )
-                for i in range(self.num_workers)
-            ]
-            for thread in self._threads:
-                thread.start()
-        else:
-            # The platform-default context: fork on Linux, spawn on
-            # macOS/Windows, where forking is unsafe.
-            ctx = mp.get_context()
-            self._queue = ctx.Queue()
-            self._results = ctx.Queue()
-            self._processes = [
-                ctx.Process(
-                    target=_process_worker,
-                    args=(f"planner-{i}", self._queue, self._results),
-                    name=f"planner-{i}",
-                    daemon=True,
-                )
-                for i in range(self.num_workers)
-            ]
-            for process in self._processes:
-                process.start()
-            self._collector = threading.Thread(
-                target=self._collect, name="planner-collector", daemon=True
+        # The platform-default context: fork on Linux, spawn on
+        # macOS/Windows, where forking is unsafe.
+        ctx = mp.get_context()
+        self._queue = ctx.Queue()
+        self._results = ctx.Queue()
+        self._processes = [
+            ctx.Process(
+                target=_process_worker,
+                args=(f"planner-{i}", self._queue, self._results),
+                name=f"planner-{i}",
+                daemon=True,
             )
-            self._collector.start()
+            for i in range(self.num_workers)
+        ]
+        for process in self._processes:
+            process.start()
+        self._collector = threading.Thread(
+            target=self._collect, name="planner-collector", daemon=True
+        )
+        self._collector.start()
         with self._lock:
             self._started = True
             streams = [s for s in self._streams.values() if not s.retired]
         for stream in streams:
-            if stream.task_ref is None:
-                ref = self._make_task_ref(stream)
-                with self._lock:
-                    stream.task_ref = ref
             self._refill(stream)
 
     def _refill(self, stream: _JobStream) -> None:
@@ -896,8 +868,6 @@ class PlannerPool:
         if self._queue is not None:
             for _ in range(self.num_workers):
                 self._queue.put(None)
-        for thread in self._threads:
-            thread.join(timeout=5.0)
         for process in self._processes:
             process.join(timeout=10.0)
             if process.is_alive():  # pragma: no cover - hung-worker safety net
@@ -907,9 +877,9 @@ class PlannerPool:
             self._collector.join(timeout=5.0)
         self._drain_tasks()
         with self._lock:
-            # Seal and snapshot atomically: a still-running thread worker
-            # finishing after this point has its result dropped, so nothing
-            # reported abandoned here can later turn up planned.
+            # Seal and snapshot atomically: a late result delivered after
+            # this point is dropped, so nothing reported abandoned here can
+            # later turn up planned.
             self._sealed = True
             for stream in self._streams.values():
                 if not stream.retired:
@@ -920,32 +890,20 @@ class PlannerPool:
     def kill_workers(self, count: int | None = None) -> int:
         """Kill up to ``count`` live workers (all of them when ``None``).
 
-        The chaos harness's worker-loss primitive.  Process workers are
+        The chaos harness's worker-loss primitive.  Worker processes are
         terminated — a worker holding a task dies with it, and the
         collector's existing crash machinery fails the orphaned iteration
         so consumers observe a :class:`PlanFailedError` instead of a hang.
-        Thread workers are killed cooperatively (they exit before taking
-        another task; the current task, if any, completes).  The call
-        blocks until the victims are actually gone, so
+        The call blocks until the victims are actually gone, so
         :meth:`live_workers` is accurate when it returns.
 
         Returns the number of workers killed.
         """
-        if not self._started:
-            return 0
-        victims: list[Any] = [
-            thread
-            for thread in self._threads
-            if thread.is_alive() and thread.name not in self._killed
-        ]
-        victims.extend(process for process in self._processes if process.is_alive())
+        victims = [process for process in self._processes if process.is_alive()]
         if count is not None:
             victims = victims[: max(0, count)]
         for victim in victims:
-            if isinstance(victim, threading.Thread):
-                self._killed.add(victim.name)
-            else:
-                victim.terminate()
+            victim.terminate()
         for victim in victims:
             victim.join(timeout=10.0)
         return len(victims)
@@ -989,18 +947,6 @@ class PlannerPool:
 
     # ------------------------------------------------------------------ telemetry
 
-    def worker_metrics(self) -> dict[str, dict[str, Any]]:
-        """Latest metrics snapshot shipped by each worker process.
-
-        Empty for the thread backend (thread workers record straight into
-        the parent registry) and until the first result arrives.
-        """
-        with self._lock:
-            return {
-                worker: dict(snapshot)
-                for worker, snapshot in self._worker_metrics.items()
-            }
-
     def telemetry_snapshot(self) -> dict[str, Any]:
         """Fleet-wide metrics view: parent registry + every worker's latest.
 
@@ -1036,10 +982,8 @@ class PlannerPool:
         return self._started
 
     def live_workers(self) -> int:
-        """Worker threads/processes currently alive (0 after a clean stop)."""
-        return sum(t.is_alive() for t in self._threads) + sum(
-            p.is_alive() for p in self._processes
-        )
+        """Worker processes currently alive (0 after a clean stop)."""
+        return sum(p.is_alive() for p in self._processes)
 
     def job_errors(self, job: str) -> list[tuple[int, Exception]]:
         """One stream's planning failures, as (iteration, exception) pairs."""

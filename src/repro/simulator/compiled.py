@@ -12,19 +12,17 @@ timing recurrence of :mod:`repro.simulator.engine` in topological order:
   backward) as an op id, ``-1`` when the op has none;
 * ``prev`` holds the same-device predecessor (devices execute their schedule
   in order, one op at a time);
-* ops are grouped into *waves* (topological levels of the dependency DAG).
-  All ops in one wave are independent.  ``solve`` walks the ops of one
-  duration vector in wave-major order with scalar floats (a wave holds only
-  a few ops); ``solve_batch`` solves many duration vectors with a handful of
-  vectorized array operations per wave.
+* ``solve`` walks the ops of one duration vector in a topological order of
+  the dependency DAG with scalar floats.
 
 Compilation is schedule-order only: durations and communication times are
 *inputs to the solve*, so one compiled geometry can be re-solved for many
-duration vectors (``solve_batch``) or for permuted micro-batch orders
-(:mod:`repro.simulator.incremental`).  The arithmetic performed per op is
-bit-identical to a per-op event loop's (same operand order, same ``max``
-structure); the equivalence suite pins it against such a loop kept as a
-test oracle.
+duration vectors or for permuted micro-batch orders
+(:mod:`repro.simulator.incremental`).  Each op reads only the end times of
+its two predecessors, so any topological order gives the same floats; the
+arithmetic performed per op is bit-identical to a per-op event loop's (same
+operand order, same ``max`` structure), and the equivalence suite pins it
+against such a loop kept as a test oracle.
 """
 
 from __future__ import annotations
@@ -124,7 +122,7 @@ class CompiledTimeline:
         self.stage_offsets = stage_offsets
         self.num_microbatches = int(op_microbatch.max()) + 1 if self.num_ops else 0
         self._build_dependencies()
-        self._build_waves()
+        self._build_order()
         _STATS["geometry_compiles"] += 1
 
     # ------------------------------------------------------------------ construction
@@ -236,13 +234,11 @@ class CompiledTimeline:
             return _op_name(mb, st, True)
         return _op_name(mb, st + 1, False)
 
-    def _build_waves(self) -> None:
-        """Topologically level the dependency DAG (Kahn), detect deadlocks,
-        and lay the solver arrays out in wave-major order."""
+    def _build_order(self) -> None:
+        """Topologically order the dependency DAG (Kahn) and detect deadlocks."""
         n = self.num_ops
-        dep, prev = self.dep, self.prev
-        level = np.zeros(n, dtype=np.int64)
-        indegree = ((dep >= 0).astype(np.int64) + (prev >= 0)).tolist()
+        dep, prev = self.dep.tolist(), self.prev.tolist()
+        indegree = [(d >= 0) + (p >= 0) for d, p in zip(dep, prev)]
         children: list[list[int]] = [[] for _ in range(n)]
         for i in range(n):
             if dep[i] >= 0:
@@ -250,24 +246,23 @@ class CompiledTimeline:
             if prev[i] >= 0:
                 children[prev[i]].append(i)
         queue: deque[int] = deque(i for i in range(n) if indegree[i] == 0)
-        resolved = np.zeros(n, dtype=bool)
+        order: list[int] = []
+        resolved = [False] * n
         while queue:
             i = queue.popleft()
+            order.append(i)
             resolved[i] = True
-            level_i = level[i]
             for j in children[i]:
-                if level_i + 1 > level[j]:
-                    level[j] = level_i + 1
                 indegree[j] -= 1
                 if indegree[j] == 0:
                     queue.append(j)
-        if n and not resolved.all():
-            i = int(np.flatnonzero(~resolved)[0])  # first blocked, stage-major
+        if len(order) < n:
+            i = resolved.index(False)  # first blocked, stage-major
             blocker = None
             if dep[i] >= 0 and not resolved[dep[i]]:
-                blocker = int(dep[i])
+                blocker = dep[i]
             elif prev[i] >= 0 and not resolved[prev[i]]:
-                blocker = int(prev[i])
+                blocker = prev[i]
             blocker_name = (
                 _op_name(
                     int(self.op_microbatch[blocker]),
@@ -283,27 +278,11 @@ class CompiledTimeline:
                 f" is blocked waiting for {blocker_name}, which cannot execute "
                 "(circular or misordered schedule dependencies)"
             )
-        # Wave-major layout: `order` maps wave position -> op id.
-        order = np.argsort(level, kind="stable")
-        inverse = np.empty(n, dtype=np.int64)
-        inverse[order] = np.arange(n, dtype=np.int64)
-        sorted_levels = level[order]
-        boundaries = np.flatnonzero(np.diff(sorted_levels)) + 1
-        offsets = np.concatenate(([0], boundaries, [n])).astype(np.int64)
-        self.order = order
-        self.inverse = inverse
-        self.wave_offsets = offsets
-        dep_w = np.where(dep[order] >= 0, inverse[np.maximum(dep[order], 0)], -1)
-        prev_w = np.where(prev[order] >= 0, inverse[np.maximum(prev[order], 0)], -1)
-        self._has_dep_w = dep_w >= 0
-        self._dep_clip_w = np.maximum(dep_w, 0)
-        self._has_prev_w = prev_w >= 0
-        self._prev_clip_w = np.maximum(prev_w, 0)
         # Scalar-walk layouts of :meth:`solve` (op ids in topological order)
         # and :meth:`peak_activation` (stage-major).
-        self._order_list = order.tolist()
-        self._dep_list = dep.tolist()
-        self._prev_list = prev.tolist()
+        self._order_list = order
+        self._dep_list = dep
+        self._prev_list = prev
         self._microbatch_list = self.op_microbatch.tolist()
         self._forward_list = self.op_is_forward.tolist()
         self._offset_list = self.stage_offsets.tolist()
@@ -331,10 +310,10 @@ class CompiledTimeline:
     def solve(self, durations: np.ndarray, comm: np.ndarray | None = None) -> TimelineSolution:
         """Solve the timing recurrence for one duration vector.
 
-        Walks the ops once in topological (wave-major) order with scalar
-        floats: a wave holds only a few ops, so per-wave array calls would
-        cost more than the arithmetic.  The operands and their order are the
-        same as :meth:`solve_batch`'s, so the results are bit-identical.
+        Walks the ops once in topological order with scalar floats: each
+        op's start is the later of its cross-stage dependency's end (plus
+        the edge's communication time) and its same-device predecessor's
+        end.
 
         Args:
             durations: Per-op durations in op-id (stage-major) order.
@@ -363,54 +342,6 @@ class CompiledTimeline:
             ends=np.array(ends),
             makespan_ms=max(ends) if ends else 0.0,
         )
-
-    def solve_batch(
-        self, durations: np.ndarray, comm: np.ndarray | None = None
-    ) -> TimelineSolution:
-        """Solve many duration vectors at once.
-
-        Args:
-            durations: ``(num_solves, num_ops)`` duration matrix.
-            comm: Optional comm times, either ``(num_ops,)`` (shared) or
-                ``(num_solves, num_ops)``.
-
-        Returns:
-            A :class:`TimelineSolution` whose ``starts``/``ends`` have shape
-            ``(num_solves, num_ops)`` and whose ``makespan_ms`` is an array of
-            per-solve makespans.
-        """
-        n = self.num_ops
-        d = np.maximum(np.asarray(durations, dtype=np.float64), 0.0)
-        if d.ndim != 2:
-            raise ValueError(f"expected a (num_solves, num_ops) matrix, got shape {d.shape}")
-        d_w = d[:, self.order]
-        c_w = None
-        if comm is not None:
-            c = np.asarray(comm, dtype=np.float64)
-            c_w = c[self.order] if c.ndim == 1 else c[:, self.order]
-        num_solves = d_w.shape[0]
-        starts_w = np.zeros((num_solves, n), dtype=np.float64)
-        ends_w = np.zeros((num_solves, n), dtype=np.float64)
-        offsets = self.wave_offsets
-        for w in range(len(offsets) - 1):
-            a, b = int(offsets[w]), int(offsets[w + 1])
-            dep_ready = ends_w[:, self._dep_clip_w[a:b]]
-            if c_w is not None:
-                dep_ready = dep_ready + (c_w[a:b] if c_w.ndim == 1 else c_w[:, a:b])
-            dep_ready = np.where(self._has_dep_w[a:b], dep_ready, 0.0)
-            prev_ready = np.where(
-                self._has_prev_w[a:b], ends_w[:, self._prev_clip_w[a:b]], 0.0
-            )
-            start = np.maximum(prev_ready, dep_ready)
-            starts_w[:, a:b] = start
-            ends_w[:, a:b] = start + d_w[:, a:b]
-        starts = np.empty_like(starts_w)
-        ends = np.empty_like(ends_w)
-        starts[:, self.order] = starts_w
-        ends[:, self.order] = ends_w
-        makespans = ends_w.max(axis=1) if n else np.zeros(num_solves)
-        _STATS["timeline_solves"] += num_solves
-        return TimelineSolution(starts=starts, ends=ends, makespan_ms=makespans)
 
     # ------------------------------------------------------------------ accounting
 

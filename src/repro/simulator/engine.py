@@ -14,8 +14,8 @@ under the pipeline's data dependencies:
 
 The engine compiles the schedule into a
 :class:`~repro.simulator.compiled.CompiledTimeline` — flat numpy arrays plus
-a precomputed dependency index — and solves it wave-by-wave in topological
-levels.  Compiled geometries are cached by schedule structure, so
+a precomputed dependency index — and solves it op by op in a topological
+order of the dependency DAG.  Compiled geometries are cached by schedule structure, so
 re-simulating the same geometry (order search, fleet iterations with
 unchanged plans) skips compilation entirely.  A schedule that lists an op
 twice or uses a negative micro-batch index is rejected with

@@ -352,8 +352,8 @@ class TrainingSession:
         )
         enc_eff: list[float] = []
         dec_eff: list[float] = []
-        pool.start()
         try:
+            pool.start()
             for minibatch in minibatches:
                 record, stats = self.pooled_step(pool, _SESSION_STREAM, minibatch)
                 report.records.append(record)

@@ -2,7 +2,7 @@
 
 This is the original per-op Python event loop that
 :func:`repro.simulator.engine.simulate_schedule` replaced with the compiled
-wave solver.  It resolves the same timing recurrence one op at a time, in
+timeline solver.  It resolves the same timing recurrence one op at a time, in
 the same operand order, so the equivalence suites compare the two
 bit-for-bit (op start/end times, makespan, busy/idle time, peak activation
 memory).  It lives in ``tests/`` because nothing in the library selects it.

@@ -12,6 +12,8 @@ import numpy as np
 
 from repro.core.dp_solver import PartitionError, WindowCostTable, solve_partition
 
+from oracles.dp_scalar import solve_partition_scalar
+
 
 def window_time_from_lengths(lengths, cost_per_token: float = 1.0):
     """Window time model: padded tokens of the window (batch * max length)."""
@@ -21,6 +23,28 @@ def window_time_from_lengths(lengths, cost_per_token: float = 1.0):
         return cost_per_token * len(window) * max(window)
 
     return time_fn
+
+
+def table_from_fns(num_samples, max_window, time_fn, feasible_fn=None):
+    """Dense WindowCostTable built by evaluating the scalar callbacks."""
+    window = min(max_window, num_samples)
+    times = np.full((num_samples, window), np.inf)
+    feasible = np.zeros((num_samples, window), dtype=bool)
+    for start in range(num_samples):
+        for size in range(1, min(window, num_samples - start) + 1):
+            times[start, size - 1] = time_fn(start, start + size)
+            feasible[start, size - 1] = (
+                feasible_fn(start, start + size) if feasible_fn else True
+            )
+    return WindowCostTable(
+        times=times, feasible=feasible, unique_shape_evaluations=num_samples * window
+    )
+
+
+def solve(num_samples, num_stages, time_fn, feasible_fn=None, **kwargs):
+    """``solve_partition`` over a table filled from the scalar callbacks."""
+    table = table_from_fns(num_samples, 512, time_fn, feasible_fn)
+    return solve_partition(table, num_stages, **kwargs)
 
 
 def brute_force_best(lengths, num_stages, sum_weight=1.0):
@@ -47,19 +71,17 @@ class TestBasicPartitioning:
         def time_with_overhead(start: int, end: int) -> float:
             return 50.0 + window_time_from_lengths(lengths)(start, end)
 
-        solution = solve_partition(16, num_stages=4, time_fn=time_with_overhead)
+        solution = solve(16, 4, time_with_overhead)
         assert solution.num_microbatches < 16
 
     def test_single_sample(self):
-        solution = solve_partition(1, 4, time_fn=window_time_from_lengths([100]))
+        solution = solve(1, 4, window_time_from_lengths([100]))
         assert solution.boundaries == [(0, 1)]
         assert solution.num_microbatches == 1
 
     def test_boundaries_cover_all_samples_contiguously(self):
         lengths = [10, 20, 500, 30, 40, 600, 50]
-        solution = solve_partition(
-            len(lengths), 3, time_fn=window_time_from_lengths(lengths)
-        )
+        solution = solve(len(lengths), 3, window_time_from_lengths(lengths))
         expected_start = 0
         for start, end in solution.boundaries:
             assert start == expected_start
@@ -70,18 +92,18 @@ class TestBasicPartitioning:
     def test_times_match_time_fn(self):
         lengths = [10, 20, 500, 30]
         time_fn = window_time_from_lengths(lengths)
-        solution = solve_partition(4, 3, time_fn=time_fn)
+        solution = solve(4, 3, time_fn)
         for (start, end), recorded in zip(solution.boundaries, solution.times):
             assert recorded == pytest.approx(time_fn(start, end))
 
     def test_objective_consistent_with_partition(self):
         lengths = [10, 20, 500, 30, 40]
-        solution = solve_partition(5, 4, time_fn=window_time_from_lengths(lengths))
+        solution = solve(5, 4, window_time_from_lengths(lengths))
         expected = 3 * solution.max_time + solution.total_time
         assert solution.objective == pytest.approx(expected)
 
     def test_metadata_populated(self):
-        solution = solve_partition(6, 2, time_fn=window_time_from_lengths([10] * 6))
+        solution = solve(6, 2, window_time_from_lengths([10] * 6))
         assert solution.candidates_evaluated >= 1
         assert solution.cost_evaluations > 0
         assert solution.tmax_used >= solution.max_time - 1e-9
@@ -101,10 +123,10 @@ class TestOptimality:
     @pytest.mark.parametrize("num_stages", [1, 2, 4])
     def test_matches_brute_force(self, lengths, num_stages):
         """With enough t_max candidates the DP matches exhaustive search."""
-        solution = solve_partition(
+        solution = solve(
             len(lengths),
             num_stages,
-            time_fn=window_time_from_lengths(lengths),
+            window_time_from_lengths(lengths),
             tmax_sample_count=256,
         )
         assert solution.objective == pytest.approx(
@@ -115,20 +137,16 @@ class TestOptimality:
         """A small Σ-weight (many data-parallel replicas) favours more, smaller
         micro-batches because the max-term dominates."""
         lengths = [100] * 12
-        heavy_sum = solve_partition(
-            12, 8, time_fn=window_time_from_lengths(lengths), sum_weight=1.0
-        )
-        light_sum = solve_partition(
-            12, 8, time_fn=window_time_from_lengths(lengths), sum_weight=1.0 / 8
-        )
+        heavy_sum = solve(12, 8, window_time_from_lengths(lengths), sum_weight=1.0)
+        light_sum = solve(12, 8, window_time_from_lengths(lengths), sum_weight=1.0 / 8)
         assert light_sum.num_microbatches >= heavy_sum.num_microbatches
 
     def test_more_stages_prefer_smaller_max(self):
         """With more stages the (c-1)*max term grows, so the largest
         micro-batch shrinks (or stays the same)."""
         lengths = [50, 60, 70, 80, 500, 90, 100, 110]
-        few = solve_partition(8, 2, time_fn=window_time_from_lengths(lengths))
-        many = solve_partition(8, 16, time_fn=window_time_from_lengths(lengths))
+        few = solve(8, 2, window_time_from_lengths(lengths))
+        many = solve(8, 16, window_time_from_lengths(lengths))
         assert many.max_time <= few.max_time + 1e-9
 
 
@@ -139,82 +157,54 @@ class TestConstraints:
         def feasible(start: int, end: int) -> bool:
             return (end - start) <= 3  # at most 3 samples per micro-batch
 
-        solution = solve_partition(
-            10, 2, time_fn=window_time_from_lengths(lengths), feasible_fn=feasible
-        )
+        solution = solve(10, 2, window_time_from_lengths(lengths), feasible)
         assert all(end - start <= 3 for start, end in solution.boundaries)
 
     def test_max_microbatch_size_respected(self):
         lengths = [10] * 20
-        solution = solve_partition(
-            20, 1, time_fn=window_time_from_lengths(lengths), max_microbatch_size=4
-        )
+        solution = solve(20, 1, window_time_from_lengths(lengths), max_microbatch_size=4)
         assert all(end - start <= 4 for start, end in solution.boundaries)
 
     def test_infeasible_singleton_raises(self):
         with pytest.raises(PartitionError):
-            solve_partition(
-                3,
-                2,
-                time_fn=window_time_from_lengths([10, 10, 10]),
-                feasible_fn=lambda start, end: False,
-            )
+            solve(3, 2, window_time_from_lengths([10, 10, 10]), lambda start, end: False)
 
     def test_invalid_arguments(self):
-        time_fn = window_time_from_lengths([1])
+        table = table_from_fns(1, 512, window_time_from_lengths([1]))
+        empty = WindowCostTable(times=np.zeros((0, 1)), feasible=np.zeros((0, 1), dtype=bool))
         with pytest.raises(ValueError):
-            solve_partition(0, 1, time_fn=time_fn)
+            solve_partition(empty, 1)
         with pytest.raises(ValueError):
-            solve_partition(1, 0, time_fn=time_fn)
+            solve_partition(table, 0)
         with pytest.raises(ValueError):
-            solve_partition(1, 1, time_fn=time_fn, sum_weight=0.0)
+            solve_partition(table, 1, sum_weight=0.0)
         with pytest.raises(ValueError):
-            solve_partition(1, 1, time_fn=time_fn, max_microbatch_size=0)
-
-
-def table_from_fns(num_samples, max_window, time_fn, feasible_fn=None):
-    """Dense WindowCostTable built by evaluating the scalar callbacks."""
-    window = min(max_window, num_samples)
-    times = np.full((num_samples, window), np.inf)
-    feasible = np.zeros((num_samples, window), dtype=bool)
-    for start in range(num_samples):
-        for size in range(1, min(window, num_samples - start) + 1):
-            times[start, size - 1] = time_fn(start, start + size)
-            feasible[start, size - 1] = (
-                feasible_fn(start, start + size) if feasible_fn else True
-            )
-    return WindowCostTable(
-        times=times, feasible=feasible, unique_shape_evaluations=num_samples * window
-    )
+            solve_partition(table, 1, max_microbatch_size=0)
 
 
 class TestTmaxSampleGuard:
     def test_single_candidate_count(self):
         """tmax_sample_count=1 must not divide by zero when thinning (the
-        probe set is larger than one candidate for diverse lengths)."""
+        probe set is larger than one candidate for diverse lengths); the
+        scalar oracle makes the same single choice."""
         lengths = [10, 25, 40, 700, 90, 1000, 15, 300, 55, 80, 120, 650]
-        solution = solve_partition(
-            len(lengths),
-            4,
-            time_fn=window_time_from_lengths(lengths),
-            tmax_sample_count=1,
-        )
-        assert solution.candidates_evaluated == 1
+        time_fn = window_time_from_lengths(lengths)
+        solution = solve(len(lengths), 4, time_fn, tmax_sample_count=1)
+        reference = solve_partition_scalar(len(lengths), 4, time_fn, tmax_sample_count=1)
+        assert solution.candidates_evaluated == reference.candidates_evaluated == 1
+        assert solution.boundaries == reference.boundaries
         assert solution.boundaries[0][0] == 0
-        assert solution.boundaries[-1][1] == len(lengths)
 
     def test_single_candidate_count_table_path(self):
         lengths = [10, 25, 40, 700, 90, 1000, 15, 300, 55, 80, 120, 650]
         table = table_from_fns(len(lengths), 512, window_time_from_lengths(lengths))
-        solution = solve_partition(
-            len(lengths), 4, cost_table=table, tmax_sample_count=1
-        )
+        solution = solve_partition(table, 4, tmax_sample_count=1)
         assert solution.candidates_evaluated == 1
         assert solution.boundaries[-1][1] == len(lengths)
 
 
 class TestVectorizedTablePath:
-    """The dense-table fast path must reproduce the scalar path exactly."""
+    """The dense-table DP must reproduce the scalar oracle exactly."""
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("num_stages", [1, 4])
@@ -228,14 +218,12 @@ class TestVectorizedTablePath:
             # Monotone in window size (mirrors the activation-memory limit).
             return (end - start) * max(lengths[start:end]) <= 4096
 
-        scalar = solve_partition(
+        scalar = solve_partition_scalar(
             len(lengths), num_stages, time_fn=time_fn, feasible_fn=feasible_fn,
             tmax_sample_count=16,
         )
         table = table_from_fns(len(lengths), 512, time_fn, feasible_fn)
-        vectorized = solve_partition(
-            len(lengths), num_stages, cost_table=table, tmax_sample_count=16
-        )
+        vectorized = solve_partition(table, num_stages, tmax_sample_count=16)
         assert vectorized.boundaries == scalar.boundaries
         assert vectorized.times == scalar.times
         assert vectorized.objective == scalar.objective
@@ -245,9 +233,7 @@ class TestVectorizedTablePath:
     def test_max_microbatch_size_respected(self):
         lengths = [10] * 20
         table = table_from_fns(20, 4, window_time_from_lengths(lengths))
-        solution = solve_partition(
-            20, 1, cost_table=table, max_microbatch_size=4
-        )
+        solution = solve_partition(table, 1, max_microbatch_size=4)
         assert all(end - start <= 4 for start, end in solution.boundaries)
 
     def test_infeasible_singleton_raises(self):
@@ -255,16 +241,12 @@ class TestVectorizedTablePath:
             3, 512, window_time_from_lengths([10, 10, 10]), lambda s, e: False
         )
         with pytest.raises(PartitionError):
-            solve_partition(3, 2, cost_table=table)
+            solve_partition(table, 2)
 
     def test_table_too_small_rejected(self):
         table = table_from_fns(8, 4, window_time_from_lengths([10] * 8))
         with pytest.raises(ValueError):
-            solve_partition(8, 2, cost_table=table, max_microbatch_size=8)
-
-    def test_missing_time_source_rejected(self):
-        with pytest.raises(ValueError):
-            solve_partition(4, 2)
+            solve_partition(table, 2, max_microbatch_size=8)
 
 
 class TestProperties:
@@ -278,9 +260,7 @@ class TestProperties:
         whose objective is at least as good as the two trivial partitions
         (all singletons; one big micro-batch)."""
         time_fn = window_time_from_lengths(lengths)
-        solution = solve_partition(
-            len(lengths), num_stages, time_fn=time_fn, tmax_sample_count=64
-        )
+        solution = solve(len(lengths), num_stages, time_fn, tmax_sample_count=64)
         # Contiguous cover.
         assert solution.boundaries[0][0] == 0
         assert solution.boundaries[-1][1] == len(lengths)

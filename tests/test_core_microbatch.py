@@ -14,6 +14,8 @@ from repro.core.ordering import OrderingMethod
 from repro.data.tasks import Sample
 from repro.model.memory import RecomputeMode
 
+from oracles.dp_scalar import ScalarMicroBatcher
+
 
 @pytest.fixture(scope="module")
 def gpt_batcher(gpt_cost_model):
@@ -136,13 +138,12 @@ class TestQuality:
         limit = (full_need + none_need) / 2.0
 
         messages = []
-        for vectorized in (True, False):
+        for batcher_class in (DynamicMicroBatcher, ScalarMicroBatcher):
             with pytest.raises(PartitionError) as excinfo:
-                DynamicMicroBatcher(
+                batcher_class(
                     gpt_cost_model,
                     per_microbatch_memory_bytes=limit,
                     recompute=RecomputeMode.NONE,
-                    vectorized=vectorized,
                 ).split(samples)
             messages.append(str(excinfo.value))
         ordered = order_samples(samples, OrderingMethod.SORT, decoder_only=True)
@@ -184,14 +185,13 @@ class TestQuality:
         fast = DynaPipePlanner(gpt_cost_model, config=config)
         reference = DynaPipePlanner(gpt_cost_model, config=config)
         batcher = reference._batcher
-        reference._batcher = DynamicMicroBatcher(
+        reference._batcher = ScalarMicroBatcher(
             gpt_cost_model,
             ordering=batcher.ordering,
             per_microbatch_memory_bytes=batcher.per_microbatch_memory_bytes,
             sum_weight=batcher.sum_weight,
             tmax_sample_count=batcher.tmax_sample_count,
             max_microbatch_size=batcher.max_microbatch_size,
-            vectorized=False,
         )
         fast_plan = fast.plan(samples)
         reference_plan = reference.plan(samples)
@@ -336,11 +336,11 @@ class TestSlidingWindowMaxima:
 
 
 class TestVectorizedEquivalence:
-    """The window-table fast path must reproduce the scalar DP exactly."""
+    """The window-table batcher must reproduce the scalar oracle exactly."""
 
     def _compare(self, cost_model, samples, **kwargs):
-        fast = DynamicMicroBatcher(cost_model, vectorized=True, **kwargs)
-        slow = DynamicMicroBatcher(cost_model, vectorized=False, **kwargs)
+        fast = DynamicMicroBatcher(cost_model, **kwargs)
+        slow = ScalarMicroBatcher(cost_model, **kwargs)
         fast_result = fast.split(samples)
         slow_result = slow.split(samples)
         assert fast.last_solution.boundaries == slow.last_solution.boundaries

@@ -305,7 +305,7 @@ class TestPlannerKillDegradation:
         topology = ClusterTopology.for_num_gpus(2, device_spec=small_device)
         scheduler = FleetScheduler(
             topology,
-            FleetConfig(planner_processes=2, planner_backend="thread"),
+            FleetConfig(planner_processes=2),
         )
         record = scheduler.submit(
             make_spec(
@@ -343,7 +343,7 @@ class TestStoreErrorFault:
         topology = ClusterTopology.for_num_gpus(2, device_spec=small_device)
         scheduler = FleetScheduler(
             topology,
-            FleetConfig(planner_processes=1, planner_backend="thread"),
+            FleetConfig(planner_processes=1),
         )
         record = scheduler.submit(
             make_spec(
@@ -696,7 +696,7 @@ def _wait_until(predicate, timeout=60.0):
 
 class TestPlannerPoolChaosPrimitives:
     def test_kill_workers_counts_and_stops_planning(self, pool_planner, pool_minibatches):
-        pool = PlannerPool(num_workers=2, backend="thread", lookahead=1)
+        pool = PlannerPool(num_workers=2, lookahead=1)
         pool.submit_job("job", pool_planner, pool_minibatches)
         assert pool.kill_workers() == 0  # not started yet: nothing to kill
         pool.start()
@@ -713,7 +713,7 @@ class TestPlannerPoolChaosPrimitives:
     def test_wait_payload_fails_fast_when_every_worker_is_dead(
         self, pool_planner, pool_minibatches
     ):
-        pool = PlannerPool(num_workers=1, backend="thread", lookahead=1)
+        pool = PlannerPool(num_workers=1, lookahead=1)
         pool.submit_job("job", pool_planner, pool_minibatches)
         pool.start()
         try:
@@ -731,7 +731,7 @@ class TestPlannerPoolChaosPrimitives:
     def test_inject_plan_loss_poisons_exactly_one_iteration(
         self, pool_planner, pool_minibatches
     ):
-        pool = PlannerPool(num_workers=1, backend="thread")
+        pool = PlannerPool(num_workers=1)
         pool.submit_job("victim", pool_planner, pool_minibatches, lookahead=4)
         pool.start()
         try:
@@ -754,7 +754,7 @@ class TestPlannerPoolChaosPrimitives:
     def test_inject_plan_loss_skips_consumed_iterations(
         self, pool_planner, pool_minibatches
     ):
-        pool = PlannerPool(num_workers=1, backend="thread")
+        pool = PlannerPool(num_workers=1)
         pool.submit_job("victim", pool_planner, pool_minibatches, lookahead=4)
         pool.start()
         try:

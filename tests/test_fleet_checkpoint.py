@@ -235,12 +235,12 @@ class TestKillRestoreBitIdentity:
 
 
 class TestPooledRestore:
-    """Restore works with the shared planning cluster (thread backend)."""
+    """Restore works with the shared planning cluster."""
 
     def test_pooled_kill_restore(
         self, pp2_cost_model, fleet_samples, planner_config, small_device
     ):
-        pooled = dict(planner_processes=2, planner_backend="thread")
+        pooled = dict(planner_processes=2)
         specs = crash_specs(pp2_cost_model, fleet_samples, planner_config)
         reference = build_scheduler(specs, small_device, make_config("fifo", **pooled))
         reference_report = reference.run()

@@ -48,6 +48,32 @@ class _ExplodingPlanner:
         raise OutOfMemoryError("synthetic planning failure")
 
 
+class _CrashFromIteration1(DynaPipePlanner):
+    """A planner whose pool worker crashes from iteration 1 on."""
+
+    def plan(self, samples, iteration=0):
+        if iteration >= 1:
+            raise RuntimeError("synthetic worker crash")
+        return super().plan(samples, iteration=iteration)
+
+
+def first_attempt_crashes():
+    """Planner factory: the first attempt's planner crashes from iteration 1,
+    every later attempt's planner is healthy."""
+    built: list[type] = []
+
+    def factory(spec, data_parallel):
+        planner_class = DynaPipePlanner if built else _CrashFromIteration1
+        built.append(planner_class)
+        return planner_class(
+            spec.cost_model,
+            data_parallel_size=data_parallel,
+            config=spec.planner_config,
+        )
+
+    return factory
+
+
 class TestRetryExhaustion:
     def test_job_fails_after_bounded_retries(
         self, pp2_cost_model, fleet_samples, planner_config, small_device
@@ -109,41 +135,15 @@ class TestPoolFailureMarkers:
         """A worker exception mid-epoch surfaces as a PlanFailedError; the
         fleet turns it into one retry that resumes from the checkpoint and
         finishes — records bit-identical to an uninterrupted run."""
-        attempts_built: list[int] = []
-
-        def flaky_factory(spec, data_parallel):
-            attempt = len(attempts_built)
-            attempts_built.append(attempt)
-            planner = DynaPipePlanner(
-                spec.cost_model,
-                data_parallel_size=data_parallel,
-                config=spec.planner_config,
-            )
-            if attempt == 0:
-                real_plan = planner.plan
-
-                def plan(samples, iteration=0):
-                    if iteration >= 1:
-                        raise RuntimeError("synthetic worker crash")
-                    return real_plan(samples, iteration=iteration)
-
-                planner.plan = plan
-            return planner
-
         topology = ClusterTopology.for_num_gpus(2, device_spec=small_device)
-        scheduler = FleetScheduler(
-            topology,
-            # Thread backend: the flaky closure is not picklable, and the
-            # marker path is identical on both backends.
-            FleetConfig(planner_processes=1, planner_backend="thread"),
-        )
+        scheduler = FleetScheduler(topology, FleetConfig(planner_processes=1))
         spec = make_spec(
             pp2_cost_model,
             fleet_samples,
             planner_config,
             name="flaky",
             max_retries=1,
-            planner_factory=flaky_factory,
+            planner_factory=first_attempt_crashes(),
         )
         record = scheduler.submit(spec)
         report = scheduler.run()
@@ -164,7 +164,7 @@ class TestPoolFailureMarkers:
     ):
         topology = ClusterTopology.for_num_gpus(2, device_spec=small_device)
         scheduler = FleetScheduler(
-            topology, FleetConfig(planner_processes=1, planner_backend="thread")
+            topology, FleetConfig(planner_processes=1)
         )
         record = scheduler.submit(
             make_spec(
@@ -216,35 +216,14 @@ class TestPoolLifecycle:
         preempting a pooled attempt, mid-epoch plan failures, retries —
         leaves zero live pool workers, every attempt's stream retired and
         the one fleet pool stopped exactly once."""
-        attempts_built: list[int] = []
-
-        def flaky_factory(spec, data_parallel):
-            attempt = len(attempts_built)
-            attempts_built.append(attempt)
-            planner = DynaPipePlanner(
-                spec.cost_model,
-                data_parallel_size=data_parallel,
-                config=spec.planner_config,
-            )
-            if attempt == 0:
-                real_plan = planner.plan
-
-                def plan(samples, iteration=0):
-                    if iteration >= 1:
-                        raise RuntimeError("synthetic worker crash")
-                    return real_plan(samples, iteration=iteration)
-
-                planner.plan = plan
-            return planner
-
         topology = ClusterTopology.for_num_gpus(4, device_spec=small_device)
         scheduler = FleetScheduler(
-            topology, FleetConfig(planner_processes=1, planner_backend="thread")
+            topology, FleetConfig(planner_processes=1)
         )
         scheduler.submit(
             make_spec(
                 pp2_cost_model, fleet_samples, planner_config,
-                name="flaky", max_retries=1, planner_factory=flaky_factory,
+                name="flaky", max_retries=1, planner_factory=first_attempt_crashes(),
             )
         )
         scheduler.submit(
@@ -271,7 +250,7 @@ class TestPoolLifecycle:
         """A non-planning crash mid-run (here: execution of a fetched
         payload explodes) propagates, but the shared planning cluster and
         every running attempt's stream are still torn down — the event
-        loop's failure must not leak worker threads/processes."""
+        loop's failure must not leak worker processes."""
         from repro.training.trainer import TrainingSession
 
         def boom(self, iteration, payload):
@@ -281,7 +260,7 @@ class TestPoolLifecycle:
         topology = ClusterTopology.for_num_gpus(4, device_spec=small_device)
         scheduler = FleetScheduler(
             topology,
-            FleetConfig(planner_processes=1, planner_backend="thread"),
+            FleetConfig(planner_processes=1),
         )
         scheduler.submit(
             make_spec(pp2_cost_model, fleet_samples, planner_config, name="crasher")

@@ -192,7 +192,6 @@ class TestGracefulEviction:
             FleetConfig(
                 policy="priority",
                 planner_processes=1,
-                planner_backend="thread",
             ),
         )
         low = scheduler.submit(

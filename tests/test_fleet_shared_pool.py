@@ -21,7 +21,7 @@ from test_fleet_scheduler import assert_records_identical, standalone_records
 #: The planning modes whose per-job reports must agree bit for bit.
 MODES = {
     "inline": dict(planner_processes=0),
-    "shared": dict(planner_processes=1, planner_backend="thread"),
+    "shared": dict(planner_processes=1),
 }
 
 
@@ -128,7 +128,7 @@ class TestSharedPoolBitIdentity:
 
 
 class _ExplodingPlanner:
-    """A planner that can never produce a plan (picklable-free, thread mode)."""
+    """A planner that can never produce a plan."""
 
     def __init__(self, cost_model, data_parallel_size):
         self.cost_model = cost_model
@@ -147,7 +147,7 @@ class TestSharedPoolIsolation:
         standalone run."""
         topology = ClusterTopology.for_num_gpus(4, device_spec=small_device)
         scheduler = FleetScheduler(
-            topology, FleetConfig(planner_processes=1, planner_backend="thread")
+            topology, FleetConfig(planner_processes=1)
         )
         scheduler.submit(
             JobSpec(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import os
 import time
 
 import pytest
@@ -117,6 +118,23 @@ class TestSpecSpill:
         assert isinstance(pickle.loads(payload["blob"]), SpecNotJsonPlanner)
 
 
+class RefusingPlanner(DynaPipePlanner):
+    """A DynaPipePlanner subclass whose ``plan`` always fails."""
+
+    def plan(self, samples, iteration=0):
+        raise RuntimeError(f"refused iteration {iteration}")
+
+
+class LambdaPlanner:
+    """A planner that cannot be pickled: it holds a lambda."""
+
+    def __init__(self):
+        self.hook = lambda: None
+
+    def plan(self, samples, iteration=0):  # pragma: no cover - never planned
+        raise NotImplementedError
+
+
 class SpecNotJsonPlanner:
     """Exposes ``to_spec`` but its spec is not JSON-safe (and it pickles fine)."""
 
@@ -164,8 +182,6 @@ class TestPlannerPool:
             PlannerPool(num_workers=0)
         with pytest.raises(ValueError):
             PlannerPool(lookahead=0)
-        with pytest.raises(ValueError):
-            PlannerPool(backend="gpu")
 
 
 class TestProcessPoolBitIdentical:
@@ -175,7 +191,7 @@ class TestProcessPoolBitIdentical:
         pooled = DynaPipePlanner(
             cost_model, config=PlannerConfig(order_search=False, tmax_sample_count=8)
         )
-        pool = PlannerPool(num_workers=2, lookahead=len(batches), backend="process")
+        pool = PlannerPool(num_workers=2, lookahead=len(batches))
         pool.submit_job("job", pooled, batches)
         pool.start()
         try:
@@ -206,10 +222,74 @@ class TestProcessPoolBitIdentical:
         self._assert_pool_matches_serial(t5_cost_model, minibatches_t5)
 
 
+class TestPlannerSerialisation:
+    def test_subclass_plans_with_its_own_plan(self, gpt_cost_model, minibatches):
+        """A DynaPipePlanner subclass is pickled whole, so the worker runs the
+        subclass's ``plan`` instead of a base-class rebuild from its spec."""
+        from repro.runtime.planner_pool import _planner_payload
+
+        refusing = RefusingPlanner(
+            gpt_cost_model, config=PlannerConfig(order_search=False, tmax_sample_count=8)
+        )
+        assert _planner_payload(refusing)["kind"] == "pickle"
+        pool = PlannerPool(num_workers=1)
+        pool.submit_job("job", refusing, minibatches[:1])
+        pool.start()
+        try:
+            with pytest.raises(PlanFailedError, match="refused iteration 0"):
+                pool.wait_payload("job", 0, timeout=60)
+        finally:
+            pool.stop()
+
+    def test_unpicklable_planner_on_started_pool_keeps_name_free(
+        self, planner, minibatches
+    ):
+        """Submitting an unpicklable planner raises a TypeError naming the
+        job and reserves nothing: the name can be submitted again."""
+        pool = PlannerPool(num_workers=1)
+        pool.start()
+        try:
+            with pytest.raises(TypeError, match="'job'"):
+                pool.submit_job("job", LambdaPlanner(), minibatches[:1])
+            assert pool.job_names() == []
+            pool.submit_job("job", planner, minibatches[:1])
+            assert "replicas" in pool.wait_payload("job", 0, timeout=60)
+        finally:
+            pool.stop()
+
+    def test_unpicklable_planner_rejected_before_workers_spawn(self, minibatches):
+        """An unstarted pool rejects the planner at submission, so a later
+        ``start()`` never spawns workers for a stream it cannot serve."""
+        pool = PlannerPool(num_workers=1)
+        with pytest.raises(TypeError, match="'job'"):
+            pool.submit_job("job", LambdaPlanner(), minibatches[:1])
+        assert pool.job_names() == []
+        assert not pool.started and pool.live_workers() == 0
+
+    def test_session_stops_workers_when_start_fails(
+        self, planner, flan_samples_gpt, monkeypatch
+    ):
+        """A pooled session whose pool fails after spawning its workers
+        still stops them."""
+        pools = []
+        spawn = PlannerPool.start
+
+        def failing_start(self):
+            spawn(self)
+            pools.append(self)
+            raise RuntimeError("synthetic start failure")
+
+        monkeypatch.setattr(PlannerPool, "start", failing_start)
+        session = _session(planner, flan_samples_gpt, planner_processes=1)
+        with pytest.raises(RuntimeError, match="synthetic start failure"):
+            session.run()
+        [pool] = pools
+        assert pool.live_workers() == 0
+
+
 class TestPlannerPoolFailurePaths:
-    @pytest.mark.parametrize("backend", ["process", "thread"])
-    def test_worker_exception_pushes_failure_marker(self, backend, minibatches):
-        pool = PlannerPool(num_workers=1, backend=backend)
+    def test_worker_exception_pushes_failure_marker(self, minibatches):
+        pool = PlannerPool(num_workers=1)
         pool.submit_job("job", ExplodingPlanner(), minibatches)
         pool.start()
         try:
@@ -239,9 +319,8 @@ class TestPlannerPoolFailurePaths:
         finally:
             pool.stop()
 
-    @pytest.mark.parametrize("backend", ["process", "thread"])
-    def test_stop_reports_abandoned_iterations(self, backend, planner, minibatches):
-        pool = PlannerPool(num_workers=1, lookahead=len(minibatches), backend=backend)
+    def test_stop_reports_abandoned_iterations(self, planner, minibatches):
+        pool = PlannerPool(num_workers=1, lookahead=len(minibatches))
         pool.submit_job("job", planner, minibatches)
         pool.start()
         pool.stop()
@@ -259,7 +338,7 @@ class TestPlannerPoolFailurePaths:
         assert pool.job_abandoned("job") == abandoned
 
     def test_worker_process_crash_surfaces_failure(self, minibatches):
-        pool = PlannerPool(num_workers=1, lookahead=2, backend="process")
+        pool = PlannerPool(num_workers=1, lookahead=2)
         pool.submit_job("job", HangingPlanner(), minibatches)
         pool.start()
         try:
@@ -278,7 +357,7 @@ class TestPlannerPoolFailurePaths:
         after a second pass, giving an in-flight claim message time to land."""
         import queue as queue_module
 
-        pool = PlannerPool(num_workers=1, backend="thread")
+        pool = PlannerPool(num_workers=1)
         pool.submit_job("job", planner, minibatches)
         stream = pool._streams["job"]
         pool._queue = queue_module.Queue()
@@ -302,7 +381,7 @@ class TestPlannerPoolFailurePaths:
         """Once every worker is gone, iterations entering the look-ahead
         window later must fail too — not sit on a task queue nobody drains
         while the executor spins to its wait timeout."""
-        pool = PlannerPool(num_workers=1, lookahead=1, backend="process")
+        pool = PlannerPool(num_workers=1, lookahead=1)
         pool.submit_job("job", HangingPlanner(), minibatches)
         pool.start()
         try:
@@ -328,16 +407,21 @@ class TestPlannerPoolFailurePaths:
 
 
 class GatedPlanner:
-    """Thread-backend planner that blocks until released (one test's gate)."""
+    """Picklable planner that blocks until its gate file exists."""
 
-    def __init__(self, inner):
-        import threading
-
-        self.gate = threading.Event()
+    def __init__(self, inner, gate):
         self.inner = inner
+        self.gate = str(gate)
+
+    def open(self):
+        """Release every copy of the planner, in any process."""
+        with open(self.gate, "w"):
+            pass
 
     def plan(self, samples, iteration=0):
-        self.gate.wait(30)
+        deadline = time.time() + 30
+        while not os.path.exists(self.gate) and time.time() < deadline:
+            time.sleep(0.01)
         return self.inner.plan(samples, iteration=iteration)
 
 
@@ -354,7 +438,7 @@ class TestMultiJobPool:
         plan matches serial planning bit for bit, lands on its job's stream
         at absolute iterations, and per-job accounting never mixes the
         streams."""
-        pool = PlannerPool(num_workers=2, backend="process", lookahead=8)
+        pool = PlannerPool(num_workers=2, lookahead=8)
         pool.start()
         try:
             pool.submit_job(
@@ -395,13 +479,13 @@ class TestMultiJobPool:
                     want["metadata"]["planning_time_s"] = stored["metadata"]["planning_time_s"]
                     assert stored == want, (job, iteration, replica)
 
-    def test_retire_job_drains_only_its_tasks(self, planner, minibatches):
+    def test_retire_job_drains_only_its_tasks(self, planner, minibatches, tmp_path):
         """Retiring one stream cancels exactly its queued tasks: the
         co-tenant stream's in-flight work proceeds untouched."""
-        pool = PlannerPool(num_workers=1, backend="thread")
+        pool = PlannerPool(num_workers=1)
         pool.start()
         try:
-            gated = GatedPlanner(planner)
+            gated = GatedPlanner(planner, tmp_path / "gate")
             pool.submit_job("slow", gated, minibatches[:1])
             # The single worker is now blocked inside slow:0.
             assert _wait_until(lambda: bool(pool._claims))
@@ -409,7 +493,7 @@ class TestMultiJobPool:
             abandoned = pool.retire_job("victim")
             assert abandoned == [0, 1]
             assert pool.job_abandoned("victim") == [0, 1]
-            gated.gate.set()
+            gated.open()
             assert _wait_until(lambda: pool.planned_iterations("slow") == [0])
         finally:
             pool.stop()
@@ -421,18 +505,20 @@ class TestMultiJobPool:
         # A second retire keeps the first snapshot.
         assert pool.retire_job("victim") == [0, 1]
 
-    def test_late_result_of_retired_stream_is_dropped(self, planner, minibatches):
+    def test_late_result_of_retired_stream_is_dropped(
+        self, planner, minibatches, tmp_path
+    ):
         """A worker already planning a retired job's iteration finishes, but
         its result must be discarded — the attempt it belonged to is gone,
         and a successor stream under a new name must never inherit it."""
-        pool = PlannerPool(num_workers=1, backend="thread")
+        pool = PlannerPool(num_workers=1)
         pool.start()
         try:
-            gated = GatedPlanner(planner)
+            gated = GatedPlanner(planner, tmp_path / "gate")
             pool.submit_job("dying", gated, minibatches[:1])
             assert _wait_until(lambda: bool(pool._claims))
             assert pool.retire_job("dying") == [0]
-            gated.gate.set()
+            gated.open()
             # The worker completes the plan, the pool drops it.
             assert _wait_until(lambda: not pool._claims)
             time.sleep(0.05)
@@ -444,7 +530,7 @@ class TestMultiJobPool:
 
     def test_stream_failure_marker_scoped_to_its_job(self, planner, minibatches):
         """A failing stream's failures poison only its own stream."""
-        pool = PlannerPool(num_workers=1, backend="thread")
+        pool = PlannerPool(num_workers=1)
         pool.start()
         try:
             pool.submit_job("doomed", ExplodingPlanner(), minibatches[:2])
@@ -470,7 +556,7 @@ class TestMultiJobPool:
         import gc
         import os
 
-        pool = PlannerPool(num_workers=1, backend="process")
+        pool = PlannerPool(num_workers=1)
         pool.start()
         try:
             local = DynaPipePlanner(gpt_cost_model, config=self._config())
@@ -490,7 +576,7 @@ class TestMultiJobPool:
             pool.stop()
 
     def test_submission_contract(self, planner, minibatches):
-        pool = PlannerPool(num_workers=1, backend="thread")
+        pool = PlannerPool(num_workers=1)
         with pytest.raises(ValueError, match="non-empty"):
             pool.submit_job("", planner, minibatches)
         with pytest.raises(ValueError, match="start"):
@@ -542,7 +628,7 @@ class TestPooledSession:
     def test_executes_pooled_plans(self, planner, flan_samples_gpt):
         session = _session(planner, flan_samples_gpt, noise_std=0.0)
         [minibatch] = session.epoch_minibatches()[:1]
-        pool = PlannerPool(num_workers=1, backend="thread")
+        pool = PlannerPool(num_workers=1)
         pool.submit_job("job", planner, [minibatch.samples])
         pool.start()
         try:
@@ -561,7 +647,7 @@ class TestPooledSession:
         that is already planned is not wait."""
         session = _session(planner, flan_samples_gpt, noise_std=0.0)
         [minibatch] = session.epoch_minibatches()[:1]
-        pool = PlannerPool(num_workers=1, backend="thread")
+        pool = PlannerPool(num_workers=1)
         pool.submit_job("job", planner, [minibatch.samples])
         pool.start()
         try:
@@ -585,7 +671,7 @@ class TestPooledSession:
         ``planner_timeout_s`` instead of blocking forever."""
         session = _session(planner, flan_samples_gpt, planner_timeout_s=0.3)
         [minibatch] = session.epoch_minibatches()[:1]
-        pool = PlannerPool(num_workers=1, backend="process")
+        pool = PlannerPool(num_workers=1)
         pool.submit_job("job", HangingPlanner(), [minibatch.samples])
         pool.start()
         try:
@@ -604,7 +690,7 @@ class TestPooledSession:
         (here a synthetic worker spawn failure)."""
         session = _session(planner, flan_samples_gpt)
         minibatches = session.epoch_minibatches()[:2]
-        pool = PlannerPool(num_workers=1, backend="thread")
+        pool = PlannerPool(num_workers=1)
         pool.submit_job(
             "job", FailingFrom(planner, 1), [minibatch.samples for minibatch in minibatches]
         )
@@ -625,7 +711,7 @@ class TestPooledSession:
         session whose own plans all arrive."""
         session = _session(planner, flan_samples_gpt, max_iterations=2)
         minibatches = session.epoch_minibatches()
-        pool = PlannerPool(num_workers=1, backend="thread")
+        pool = PlannerPool(num_workers=1)
         pool.submit_job("job", planner, [minibatch.samples for minibatch in minibatches])
         pool._pool_errors.append(RuntimeError("planner worker planner-1 failed to start"))
         pool.start()
@@ -638,7 +724,7 @@ class TestPooledSession:
 
 
 class FailingFrom:
-    """Thread-backend planner that fails from iteration ``first`` on."""
+    """Picklable planner that fails from iteration ``first`` on."""
 
     def __init__(self, inner, first):
         self.inner = inner
@@ -652,14 +738,13 @@ class FailingFrom:
 
 class TestConcurrentPlanning:
     def test_two_workers_match_serial_plans(self, gpt_cost_model, minibatches):
-        """Concurrent workers sharing one planner (and hence one batcher and
-        cost-model cache) must produce the same plans as serial planning —
-        the shared window-geometry slot and DP solutions must not cross
-        threads."""
+        """Two workers planning one stream concurrently, each from its own
+        rebuild of the shared planner, produce the same plans as serial
+        planning."""
         shared = DynaPipePlanner(
             gpt_cost_model, config=PlannerConfig(order_search=False, tmax_sample_count=8)
         )
-        pool = PlannerPool(num_workers=2, backend="thread")
+        pool = PlannerPool(num_workers=2)
         pool.submit_job("job", shared, minibatches)
         pool.start()
         try:

@@ -1,6 +1,6 @@
 """Vectorized-engine equivalence and incremental re-simulation tests.
 
-The vectorized timeline solver must be *bit-identical* to the scalar oracle
+The compiled timeline solver must be *bit-identical* to the scalar oracle
 in ``tests/oracles/sim_scalar.py`` (op start/end times, makespan, busy/idle,
 peak activation memory), and the
 incremental order-search scorer must match the legacy build-and-simulate
@@ -28,7 +28,7 @@ from repro.model.transformer import MicroBatchShape
 from repro.schedule.cyclic import ScheduleDeadlockError, cyclic_schedule
 from repro.schedule.events import OpType, PipelineSchedule, StageSchedule
 from repro.schedule.one_f_one_b import one_f_one_b_schedule
-from repro.simulator.compiled import CompiledTimeline, SimulationError
+from repro.simulator.compiled import SimulationError
 from repro.simulator.engine import (
     clear_geometry_cache,
     engine_stats,
@@ -117,29 +117,6 @@ class TestVectorScalarBitIdentity:
         assert vector.op_times == scalar.op_times
         assert _events(vector.trace) == _events(scalar.trace)
         assert vector.bubble_fraction == scalar.bubble_fraction
-
-    @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
-    def test_scalar_solve_matches_wave_solve_batch(self, seed):
-        rng = random.Random(seed)
-        schedule, durations, comm_time, _, _ = _random_case(rng)
-        timeline = CompiledTimeline.from_schedule(schedule)
-        rows = np.array(
-            [
-                [durations[op] * rng.choice([1.0, 0.5, 3.0]) for op in schedule.all_ops()]
-                for _ in range(3)
-            ]
-        )
-        comm = timeline.comm_from(comm_time) if comm_time is not None else None
-        batch = timeline.solve_batch(rows, comm)
-        for row, starts, ends, makespan in zip(
-            rows, batch.starts, batch.ends, batch.makespan_ms
-        ):
-            single = timeline.solve(row, comm)
-            # Bit patterns, not just values: signed zeros must agree too.
-            assert single.starts.tobytes() == starts.tobytes()
-            assert single.ends.tobytes() == ends.tobytes()
-            assert single.makespan_ms == makespan
 
     @pytest.mark.parametrize("model", ["gpt", "t5"])
     @pytest.mark.parametrize("recompute", [RecomputeMode.NONE, RecomputeMode.FULL])
