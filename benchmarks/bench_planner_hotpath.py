@@ -1,8 +1,8 @@
 """Tier-2 micro-benchmark of the planner's DP hot path and planner pool.
 
 A regression guard for planning time: it exercises the window-table DP
-that dominates per-iteration planning — window-shape table construction, the
-batched cost-model query over unique shapes, and the dense-matrix DP — plus
+that dominates per-iteration planning — window-table construction, the
+batched cost-model queries over unique shapes, and the table DP — plus
 the process-backed :class:`~repro.runtime.planner_pool.PlannerPool`, on a
 small model whose profile builds in about a second.  Run it with
 

@@ -17,13 +17,13 @@ bound the O(N⁴) exact formulation), and for each candidate an O(N·W) DP
 finds the best partition whose micro-batches all respect ``t_max`` and the
 per-micro-batch memory limit.
 
-The inner DP runs against a dense :class:`WindowCostTable` of precomputed
-window times and feasibility flags (built by
-:class:`~repro.core.microbatch.DynamicMicroBatcher` from one batched
-cost-model query over the unique window shapes) and advances the
-independent per-candidate DP passes together over one ``(candidate, end)``
-grid instead of looping candidates in Python, so no cost-model call sits in
-the DP inner loop.  The scalar callback DP it replaced is kept in
+The inner DP runs against a :class:`WindowCostTable` of precomputed window
+times and feasibility flags (built by
+:class:`~repro.core.microbatch.DynamicMicroBatcher`, which costs only the
+windows the DP can admit and the ``t_max`` probe windows), so no cost-model
+call sits in the DP inner loop.  It advances every candidate's pass together,
+end by end, scanning at each end only the widest admissible prefix of window
+sizes.  The scalar callback DP it replaced is kept in
 ``tests/oracles/dp_scalar.py``; the equivalence suites require identical
 partitions from both.
 """
@@ -31,7 +31,7 @@ partitions from both.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -54,7 +54,8 @@ class DPSolution:
         candidates_evaluated: Number of ``t_max`` candidates tried.
         cost_evaluations: Number of cost-function evaluations performed
             (reported by the planning-time experiment, Fig. 17): the unique
-            window shapes costed by the batched cost-model query.
+            window shapes costed to fill the table: only the windows the DP
+            can admit and the ``t_max`` probe windows.
     """
 
     boundaries: list[tuple[int, int]]
@@ -82,11 +83,13 @@ class DPSolution:
 
 @dataclass
 class WindowCostTable:
-    """Dense window time / feasibility tables for the DP.
+    """Window time / feasibility tables for the DP.
 
     Row ``start``, column ``size - 1`` describes the window
-    ``[start, start + size)``.  Entries beyond the sample count hold ``inf``
-    time and ``False`` feasibility.
+    ``[start, start + size)``.  Entries beyond the sample count and uncosted
+    windows hold ``inf`` time and ``False`` feasibility.  The DP reads the
+    windows of each end up to its first infeasible one and the windows of
+    :func:`tmax_probe_windows`, so those must be costed.
 
     Attributes:
         times: ``(num_samples, max_window)`` window execution times in ms.
@@ -118,36 +121,39 @@ class WindowCostTable:
         """Largest window size the table covers."""
         return self.times.shape[1]
 
-    def time(self, start: int, end: int) -> float:
-        """Window time of ``[start, end)``."""
-        return float(self.times[start, end - start - 1])
+
+def tmax_probe_windows(
+    num_samples: int, max_microbatch_size: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(starts, sizes)`` of the windows probed for ``t_max`` candidates.
+
+    Every few start positions (a stride of ``num_samples // 64``, at least
+    1), the windows of power-of-two sizes up to ``max_microbatch_size`` that
+    fit in the mini-batch, start-major.  The window-cost table must cost
+    these windows (besides the ones the DP can admit) for
+    :func:`_tmax_candidates` to see their true times.
+    """
+    starts = np.arange(0, num_samples, max(1, num_samples // 64))
+    sizes = 1 << np.arange(int(max_microbatch_size).bit_length())
+    fits = starts[:, None] + sizes[None, :] <= num_samples
+    start_index, size_index = np.nonzero(fits)
+    return starts[start_index], sizes[size_index]
 
 
 def _tmax_candidates(
-    time: Callable[[int, int], float],
-    num_samples: int,
-    max_microbatch_size: int,
-    sample_count: int,
+    singleton_times: np.ndarray, probe_times: np.ndarray, sample_count: int
 ) -> list[float]:
     """Candidate values for the maximum micro-batch execution time.
 
     The exact formulation enumerates all O(N²) window times; the paper's
-    speed-up samples the range at fixed intervals.  We probe window times at
-    geometrically growing window sizes from every few start positions, then
-    thin the sorted unique values down to ``sample_count`` candidates.  The
-    smallest candidate is always the largest singleton time (any smaller
-    ``t_max`` admits no feasible partition).
+    speed-up samples the range at fixed intervals.  We probe the window
+    times of :func:`tmax_probe_windows`, then thin the sorted unique values
+    down to ``sample_count`` candidates.  The smallest candidate is always
+    the largest singleton time (any smaller ``t_max`` admits no feasible
+    partition).
     """
-    singleton_max = max(time(i, i + 1) for i in range(num_samples))
-    probed: set[float] = set()
-    stride = max(1, num_samples // 64)
-    for start in range(0, num_samples, stride):
-        size = 1
-        while size <= max_microbatch_size and start + size <= num_samples:
-            window_time = time(start, start + size)
-            if window_time >= singleton_max:
-                probed.add(window_time)
-            size *= 2
+    singleton_max = float(np.max(singleton_times))
+    probed = set(probe_times[probe_times >= singleton_max].tolist())
     probed.add(singleton_max)
     values = sorted(probed)
     if len(values) <= sample_count:
@@ -163,55 +169,89 @@ def _tmax_candidates(
     return sorted(set(picked))
 
 
+#: Ends whose admissible window times the DP materialises at a time (bounds
+#: its memory to ``_END_BLOCK × candidates × widest window`` floats).
+_END_BLOCK = 32
+
+
+def _end_major(table: np.ndarray, fill: float | bool) -> np.ndarray:
+    """``(end - 1, size - 1)`` view of a ``(start, size - 1)`` window table.
+
+    Window ``[end - size, end)`` is ``table[end - size, size - 1]``, so a step
+    along a view row is a step up and right in ``table``; windows starting
+    before sample 0 read the ``max_window - 1`` rows of ``fill`` padded above.
+    """
+    num_samples, max_window = table.shape
+    padded = np.full((num_samples + max_window - 1, max_window), fill, dtype=table.dtype)
+    padded[max_window - 1 :] = table
+    row, column = padded.strides
+    return np.lib.stride_tricks.as_strided(
+        padded[max_window - 1 :], table.shape, (row, column - row), writeable=False
+    )
+
+
 def _partitions_for_tmax_batch(
-    end_times: np.ndarray,
-    end_feasible: np.ndarray,
-    num_samples: int,
+    times: np.ndarray,
+    feasible: np.ndarray,
     tmaxes: Sequence[float],
 ) -> list[tuple[list[tuple[int, int]], list[float]] | None]:
     """Eq. 2 DP for *all* ``t_max`` candidates in one (candidate, end) pass.
 
-    The per-candidate DP passes are independent (ROADMAP: "Parallel t_max
-    candidates"), so instead of looping candidates in Python the recurrence
-    advances a ``(num_candidates, num_samples + 1)`` cost matrix end by end:
-    each step evaluates every candidate's admissible window sizes with one
-    batch of numpy operations.  Arithmetic, admissible-prefix computation and
-    argmin tie-breaking (first minimum → smallest window) are exactly those
-    of the single-candidate recurrence (``tests/oracles/dp_scalar.py``), so
-    each candidate's partition is bit-identical to running it alone.
+    The per-candidate passes are independent, so the recurrence advances
+    every candidate together end by end.  The windows a candidate admits at
+    ``end`` are a prefix of sizes: each must be memory-feasible and within
+    ``t_max``, and window times grow with size.  Every ``(candidate, end)``
+    prefix length is computed once — the end's feasible run, capped by a
+    running maximum of its window times against the bound — and other window
+    times are replaced by ``inf``, so each end scans only its widest prefix.
+    Arithmetic and argmin tie-breaking (first minimum → smallest window) are
+    those of the single-candidate recurrence (``tests/oracles/dp_scalar.py``),
+    so each candidate's partition is bit-identical to running it alone.
 
     Returns one ``(boundaries, times)`` pair — or ``None`` when infeasible —
     per candidate, in input order.
     """
-    num_candidates = len(tmaxes)
-    max_window = end_times.shape[1]
-    bounds = np.asarray(list(tmaxes), dtype=float)[:, None]
-    best_cost = np.full((num_candidates, num_samples + 1), np.inf)
-    best_prev = np.full((num_candidates, num_samples + 1), -1, dtype=np.int64)
-    best_cost[:, 0] = 0.0
+    num_samples = times.shape[0]
+    feasible_run = np.logical_and.accumulate(_end_major(feasible, False), axis=1).sum(axis=1)
+    width = int(feasible_run.max())
+    end_times = _end_major(times[:, :width], np.inf)
+    running_max = np.maximum.accumulate(end_times, axis=1)
+    bounds = np.asarray(list(tmaxes), dtype=float)
+    # prefix[end - 1, c]: the window sizes candidate c admits at `end`.
+    prefix = np.minimum(
+        (running_max[:, None, :] <= bounds[None, :, None]).sum(axis=2), feasible_run[:, None]
+    )
+    widest = prefix.max(axis=1).tolist()
+    sizes = np.arange(1, width + 1)
+
+    num_candidates = len(bounds)
     rows = np.arange(num_candidates)
+    # reversed_cost[:, num_samples - e] is the best cost of the first e
+    # samples, so sizes 1..w ending at `end` read one forward slice.  Every
+    # candidate admits every singleton (the smallest t_max is the largest
+    # singleton time), and no prefix runs past sample 0, so 1 <= w <= end.
+    # best_prev of an unreachable (inf) state is never followed.
+    reversed_cost = np.full((num_candidates, num_samples + 1), np.inf)
+    reversed_cost[:, num_samples] = 0.0
+    best_prev = np.full((num_candidates, num_samples + 1), -1, dtype=np.int64)
     for end in range(1, num_samples + 1):
-        row_times = end_times[end - 1]
-        # Admissible sizes form a contiguous prefix (window times grow with
-        # window size); logical-and accumulation stops at the first violation.
-        admissible = (row_times[None, :] <= bounds) & end_feasible[end - 1][None, :]
-        prefix_mask = np.logical_and.accumulate(admissible, axis=1)
-        # Window size s ends at `end` and starts at `end - s`; sizes
-        # 1..min(max_window, end) map onto best_cost[:, end - 1 .. end - s],
-        # i.e. a reversed slice (padded with inf for sizes larger than end).
-        width = min(max_window, end)
-        prev_cost = np.full((num_candidates, max_window), np.inf)
-        prev_cost[:, :width] = best_cost[:, end - width : end][:, ::-1]
-        candidates = np.where(prefix_mask, prev_cost + row_times[None, :], np.inf)
-        pick = np.argmin(candidates, axis=1)
-        values = candidates[rows, pick]
-        update = np.isfinite(values)
-        best_cost[update, end] = values[update]
-        best_prev[update, end] = end - (pick[update] + 1)
+        row = (end - 1) % _END_BLOCK
+        if row == 0:
+            # (end, candidate, size) window times, inf where inadmissible.
+            block = slice(end - 1, end - 1 + _END_BLOCK)
+            admissible_times = np.where(
+                sizes <= prefix[block, :, None], end_times[block, None, :], np.inf
+            )
+        w = widest[end - 1]
+        offset = num_samples - end + 1
+        candidates = reversed_cost[:, offset : offset + w] + admissible_times[row, :, :w]
+        pick = candidates.argmin(axis=1)
+        reversed_cost[:, offset - 1] = candidates[rows, pick]
+        best_prev[:, end] = end - 1 - pick
 
     results: list[tuple[list[tuple[int, int]], list[float]] | None] = []
     for c in range(num_candidates):
-        if not np.isfinite(best_cost[c, num_samples]):
+        if not np.isfinite(reversed_cost[c, 0]):
             results.append(None)
             continue
         boundaries: list[tuple[int, int]] = []
@@ -221,24 +261,10 @@ def _partitions_for_tmax_batch(
             boundaries.append((start, end))
             end = start
         boundaries.reverse()
-        times = [float(end_times[end - 1, end - start - 1]) for start, end in boundaries]
-        results.append((boundaries, times))
+        results.append(
+            (boundaries, [float(times[start, end - start - 1]) for start, end in boundaries])
+        )
     return results
-
-
-def _end_major_tables(
-    times: np.ndarray, feasible: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Re-index (start, size) window tables by (end, size) for the DP inner loop."""
-    n, max_window = times.shape
-    ends = np.arange(1, n + 1)[:, None]
-    sizes = np.arange(1, max_window + 1)[None, :]
-    starts = ends - sizes
-    valid = starts >= 0
-    clipped = np.where(valid, starts, 0)
-    end_times = np.where(valid, times[clipped, sizes - 1], np.inf)
-    end_feasible = valid & feasible[clipped, sizes - 1]
-    return end_times, end_feasible
 
 
 def solve_partition(
@@ -285,19 +311,20 @@ def solve_partition(
             "increase the device memory limit or enable recomputation"
         )
 
+    probe_starts, probe_sizes = tmax_probe_windows(num_samples, max_microbatch_size)
     candidates = _tmax_candidates(
-        cost_table.time, num_samples, max_microbatch_size, tmax_sample_count
-    )
-
-    window = min(max_microbatch_size, num_samples)
-    end_times, end_feasible = _end_major_tables(
-        cost_table.times[:, :window], cost_table.feasible[:, :window]
+        cost_table.times[:, 0],
+        cost_table.times[probe_starts, probe_sizes - 1],
+        tmax_sample_count,
     )
 
     # All candidate DP passes advance together in one (candidate, end) grid;
     # the selection below scans candidates in their original (sorted) order,
     # so the winner matches a sequential per-candidate loop exactly.
-    results = _partitions_for_tmax_batch(end_times, end_feasible, num_samples, candidates)
+    window = min(max_microbatch_size, num_samples)
+    results = _partitions_for_tmax_batch(
+        cost_table.times[:, :window], cost_table.feasible[:, :window], candidates
+    )
 
     best: DPSolution | None = None
     for tmax, result in zip(candidates, results):

@@ -7,22 +7,16 @@ the per-micro-batch memory limit, and returns the resulting micro-batches
 in partition order together with the DP solution metadata (used by the
 planning-time experiment and by tests).
 
-The batcher precomputes the padded shape of every
-candidate ``[start, start + size)`` window with sliding maxima over the
-ordered sample lengths — O(1) per window when the ordering is monotone, as
-under SORT ordering — dedupes the windows to their unique shapes with a 1-D
-``np.unique`` over one packed int64 key per window, costs the unique shapes
-in batched cost-model queries, and hands the resulting dense
-:class:`~repro.core.dp_solver.WindowCostTable` to the DP.  The size-1
-shapes are costed first; when a sample alone breaks the memory limit (the
-usual fate of the planner's first recomputation mode on large models) the
-table stops there and the DP rejects it without the larger shapes ever
-being costed.  The window *geometry* (shapes and their dedup indices) does
-not depend on the recomputation mode, so it is cached and reused across the
-planner's recomputation-mode retries; only the batched cost query is
-re-issued per mode.  The scalar reference batcher, which produces identical
-partitions one cost-model call at a time, is kept in
-``tests/oracles/dp_scalar.py``.
+The batcher hands the DP a :class:`~repro.core.dp_solver.WindowCostTable`
+holding every window the DP can read (:meth:`build_window_cost_table`).
+Sliding maxima over the ordered sample lengths give each window's padded
+shape — O(1) per window under SORT ordering — and are cached across the
+planner's recomputation-mode retries.  Per mode, only the windows the
+memory limit lets the DP admit, plus the ``t_max`` probe windows, are
+costed, in batched cost-model queries over their unique shapes.  The dense
+builder it replaced is kept in ``tests/oracles/window_table_dense.py``, and
+the scalar reference batcher, which produces identical partitions one
+cost-model call at a time, in ``tests/oracles/dp_scalar.py``.
 """
 
 from __future__ import annotations
@@ -32,7 +26,12 @@ from typing import Sequence
 import numpy as np
 
 from repro.batching.base import BatchingResult, BatchingStrategy, MicroBatch
-from repro.core.dp_solver import DPSolution, WindowCostTable, solve_partition
+from repro.core.dp_solver import (
+    DPSolution,
+    WindowCostTable,
+    solve_partition,
+    tmax_probe_windows,
+)
 from repro.core.ordering import OrderingMethod, order_samples
 from repro.costmodel.cost_model import CostModel
 from repro.data.tasks import Sample
@@ -69,34 +68,7 @@ def sliding_window_maxima(values: np.ndarray, max_window: int) -> np.ndarray:
     return out
 
 
-class _WindowGeometry:
-    """Unique window shapes of one ordered mini-batch (mode-independent).
-
-    ``unique`` holds one ``(batch_size, enc_seq_len, dec_seq_len)`` row per
-    distinct window shape, in lexicographic (size-major) order, so the
-    size-1 shapes form its leading block; ``inverse`` maps each valid
-    ``(start, size)`` window (flattened per ``start_index`` /
-    ``size_index``) to its row.  Rows are deduped as packed keys
-    (``np.ravel_multi_index`` in ``(size, enc, dec)`` order, which sorts
-    like the rows); lengths whose key space overflows int64 raise
-    ``ValueError``.
-    """
-
-    def __init__(
-        self,
-        unique: np.ndarray,
-        inverse: np.ndarray,
-        start_index: np.ndarray,
-        size_index: np.ndarray,
-        num_samples: int,
-        max_window: int,
-    ) -> None:
-        self.unique = unique
-        self.inverse = inverse
-        self.start_index = start_index
-        self.size_index = size_index
-        self.num_samples = num_samples
-        self.max_window = max_window
+_FIRST_BLOCK_END = 16  #: last window size of the first block after the singletons
 
 
 class DynamicMicroBatcher(BatchingStrategy):
@@ -142,17 +114,25 @@ class DynamicMicroBatcher(BatchingStrategy):
         self.max_microbatch_size = max_microbatch_size
         #: DP solution of the most recent :meth:`split` call (for inspection).
         self.last_solution: DPSolution | None = None
-        # One-slot (key, geometry) cache of the latest mini-batch's window
-        # geometry, reused across recomputation-mode retries (the geometry is
+        # One-slot (key, maxima) cache of the latest mini-batch's window
+        # maxima, reused across recomputation-mode retries (the maxima are
         # mode-free).  Stored as a single tuple so concurrent planners reading
         # and replacing the slot never observe a key paired with another
-        # mini-batch's geometry.
-        self._geometry_entry: tuple[tuple, _WindowGeometry] | None = None
+        # mini-batch's maxima.
+        self._maxima_entry: tuple[tuple, tuple] | None = None
 
     # ------------------------------------------------------------------ window table
 
-    def _window_geometry(self, ordered: Sequence[Sample]) -> _WindowGeometry:
-        """Unique shapes of all candidate windows of the ordered mini-batch."""
+    def _window_maxima(
+        self, ordered: Sequence[Sample]
+    ) -> tuple[np.ndarray, np.ndarray, tuple[int, int, int]]:
+        """``(enc, dec, dims)``: sliding maxima of the ordered lengths, cached.
+
+        ``enc[start, size - 1]`` / ``dec[start, size - 1]`` are the padded
+        lengths of window ``[start, start + size)``; ``dims`` packs
+        ``(size, enc, dec)`` into int64 keys (``np.ravel_multi_index``, which
+        sorts like the rows; an overflowing key space raises ``ValueError``).
+        """
         if self.decoder_only:
             enc = np.array([s.total_tokens for s in ordered], dtype=np.int64)
             dec = np.zeros(len(ordered), dtype=np.int64)
@@ -160,82 +140,75 @@ class DynamicMicroBatcher(BatchingStrategy):
             enc = np.array([s.input_tokens for s in ordered], dtype=np.int64)
             dec = np.array([s.target_tokens for s in ordered], dtype=np.int64)
         key = (len(ordered), self.max_microbatch_size, enc.tobytes(), dec.tobytes())
-        entry = self._geometry_entry
+        entry = self._maxima_entry
         if entry is not None and entry[0] == key:
             return entry[1]
-
-        n = len(ordered)
-        window = min(self.max_microbatch_size, n)
-        enc_max = sliding_window_maxima(enc, window)
-        dec_max = sliding_window_maxima(dec, window)
-        sizes = np.arange(1, window + 1)[None, :]
-        starts = np.arange(n)[:, None]
-        valid = starts + sizes <= n
-        start_index, size_index = np.nonzero(valid)
-        # Row-major packing in (size, enc, dec) order sorts like the rows
-        # themselves, so a 1-D unique over the keys yields the same rows and
-        # inverse as ``np.unique(triples, axis=0)`` without its void-view sort.
-        dims = (window + 1, int(enc.max()) + 1, int(dec.max()) + 1)
-        keys = np.ravel_multi_index(
-            (
-                size_index + 1,
-                enc_max[start_index, size_index],
-                dec_max[start_index, size_index],
-            ),
-            dims,
+        window = min(self.max_microbatch_size, len(ordered))
+        maxima = (
+            sliding_window_maxima(enc, window),
+            sliding_window_maxima(dec, window),
+            (window + 1, int(enc.max()) + 1, int(dec.max()) + 1),
         )
-        unique_keys, inverse = np.unique(keys, return_inverse=True)
-        unique = np.stack(np.unravel_index(unique_keys, dims), axis=1)
-        geometry = _WindowGeometry(
-            unique=unique,
-            inverse=inverse.reshape(-1),
-            start_index=start_index,
-            size_index=size_index,
-            num_samples=n,
-            max_window=window,
-        )
-        self._geometry_entry = (key, geometry)
-        return geometry
+        self._maxima_entry = (key, maxima)
+        return maxima
 
     def build_window_cost_table(
         self, ordered: Sequence[Sample], recompute: RecomputeMode | None = None
     ) -> WindowCostTable:
-        """Dense window time/feasibility tables for the DP.
+        """Window time/feasibility tables holding every window the DP can read.
 
-        Batched cost-model queries cover the unique window shapes; the
-        results are scattered back to dense ``(start, size)`` tables.  The
-        size-1 shapes (the leading block of the size-major ``unique``) are
-        costed first: if any sample alone breaks the memory limit, only
-        column 0 is filled and :func:`solve_partition` rejects the table
-        without the larger shapes ever being costed.
+        Sizes are costed in blocks ``1``, ``2..16``, ``17..32``, ``33..64``, …,
+        one batched cost-model query per block over its unique shapes (a query
+        has a fixed cost worth about a thousand shapes, and the memory limit
+        rarely cuts a window below 16 samples).  Size 1 is the singleton gate:
+        if a sample alone breaks the memory limit, only column 0 is filled and
+        :func:`solve_partition` rejects the table.  Otherwise an end stops at
+        the block holding its first infeasible window (the DP admits nothing
+        past it), and each block also costs the probe windows of its sizes
+        (:func:`~repro.core.dp_solver.tmax_probe_windows` for this batcher's
+        ``max_microbatch_size``).  Other entries hold ``inf`` time and
+        ``False`` feasibility.
         """
         mode = self.recompute if recompute is None else recompute
-        geometry = self._window_geometry(ordered)
-        unique = geometry.unique
-        num_singletons = int(np.searchsorted(unique[:, 0], 2))
-        times_unique = np.full(len(unique), np.inf)
-        feasible_unique = np.zeros(len(unique), dtype=bool)
+        enc_max, dec_max, dims = self._window_maxima(ordered)
+        num_samples, max_window = enc_max.shape
+        times = np.full((num_samples, max_window), np.inf)
+        feasible = np.zeros((num_samples, max_window), dtype=bool)
         costed = 0
-        for stop in (num_singletons, len(unique)):
-            block = slice(costed, stop)
-            times_unique[block], activation = self.cost_model.window_costs_arrays(
-                unique[block, 0], unique[block, 1], unique[block, 2], mode
+        probe_starts, probe_sizes = tmax_probe_windows(num_samples, self.max_microbatch_size)
+        probe_ends = probe_starts + probe_sizes
+        ends = np.arange(1, num_samples + 1)
+        alive = np.ones(num_samples, dtype=bool)
+        low = high = 1
+        while low <= max_window:
+            live = ends[alive]
+            sizes = np.arange(low, high + 1)
+            end_index, size_index = np.nonzero(sizes[None, :] <= live[:, None])
+            probes = (probe_sizes >= low) & (probe_sizes <= high)
+            end = np.concatenate([live[end_index], probe_ends[probes]])
+            size = np.concatenate([sizes[size_index], probe_sizes[probes]])
+            if not len(size):
+                break  # no live end, and only the last block lacks probes
+            start = end - size
+            # Blocks hold disjoint sizes, so a shape is costed in one block only.
+            keys = np.ravel_multi_index(
+                (size, enc_max[start, size - 1], dec_max[start, size - 1]), dims
             )
-            feasible_unique[block] = activation <= self.per_microbatch_memory_bytes
-            costed = stop
-            if not feasible_unique[:num_singletons].all():
+            unique, inverse = np.unique(keys, return_inverse=True)
+            batch, enc, dec = np.unravel_index(unique, dims)
+            unique_times, activation = self.cost_model.window_costs_arrays(
+                batch, enc, dec, mode
+            )
+            unique_feasible = activation <= self.per_microbatch_memory_bytes
+            costed += len(unique)
+            times[start, size - 1] = unique_times[inverse]
+            feasible[start, size - 1] = window_feasible = unique_feasible[inverse]
+            if low == 1 and not window_feasible.all():
                 break
-        times = np.full((geometry.num_samples, geometry.max_window), np.inf)
-        feasible = np.zeros((geometry.num_samples, geometry.max_window), dtype=bool)
-        times[geometry.start_index, geometry.size_index] = times_unique[geometry.inverse]
-        feasible[geometry.start_index, geometry.size_index] = feasible_unique[
-            geometry.inverse
-        ]
-        return WindowCostTable(
-            times=times,
-            feasible=feasible,
-            unique_shape_evaluations=costed,
-        )
+            alive[live - 1] = live > high
+            alive[end[~window_feasible] - 1] = False
+            low, high = high + 1, min(max(_FIRST_BLOCK_END, 2 * high), max_window)
+        return WindowCostTable(times=times, feasible=feasible, unique_shape_evaluations=costed)
 
     # ------------------------------------------------------------------ strategy API
 
@@ -248,7 +221,7 @@ class DynamicMicroBatcher(BatchingStrategy):
             samples: The mini-batch to partition.
             recompute: Recomputation mode override for this call (defaults to
                 the instance's mode); lets the planner retry heavier modes
-                without rebuilding the batcher or its window geometry.
+                without rebuilding the batcher or its window maxima.
         """
         result, solution = self.split_with_solution(samples, recompute)
         self.last_solution = solution

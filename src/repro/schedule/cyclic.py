@@ -62,12 +62,16 @@ def cyclic_stage_sequences(
         in execution order.
 
     Raises:
+        ValueError: If ``injection_order`` is not a permutation of the
+            micro-batch indices.
         ScheduleDeadlockError: If a micro-batch can never be scheduled
             because its activation alone exceeds a stage's memory limit.
     """
     num_microbatches = len(activation_bytes)
     if injection_order is None:
         injection_order = range(num_microbatches)
+    elif sorted(injection_order) != list(range(num_microbatches)):
+        raise ValueError("injection_order must be a permutation of the micro-batch indices")
 
     # Per-device ready buffers of forward and backward ops (micro-batch ids).
     forward_ready: list[deque[int]] = [deque() for _ in range(num_stages)]
@@ -123,7 +127,8 @@ def cyclic_stage_sequences(
             forward_ready[j].extend(newly_forward[j])
             backward_ready[j].extend(newly_backward[j])
 
-    assert remaining_ops == 0, "cyclic scheduling terminated with unscheduled ops"
+    if remaining_ops:
+        raise RuntimeError(f"cyclic scheduling terminated with {remaining_ops} unscheduled ops")
     return sequences
 
 
@@ -166,10 +171,6 @@ def cyclic_schedule(
             raise ValueError(
                 f"activation_bytes[{i}] has {len(row)} entries, expected {num_stages}"
             )
-    if injection_order is not None and sorted(injection_order) != list(
-        range(num_microbatches)
-    ):
-        raise ValueError("injection_order must be a permutation of the micro-batch indices")
     if memory_limits is not None and len(memory_limits) != num_stages:
         raise ValueError(
             f"memory_limits has {len(memory_limits)} entries, expected {num_stages}"

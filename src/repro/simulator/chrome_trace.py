@@ -21,9 +21,6 @@ from typing import Any
 from repro.obs import chrome as _chrome
 from repro.simulator.trace import ExecutionTrace
 
-#: Microseconds per millisecond (trace events use microseconds).
-_US_PER_MS = _chrome.US_PER_MS
-
 
 def trace_to_chrome_events(
     trace: ExecutionTrace, process_id: int = 0, process_name: str | None = None

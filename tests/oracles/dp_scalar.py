@@ -16,8 +16,15 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
+import numpy as np
+
 from repro.batching.base import BatchingResult, MicroBatch
-from repro.core.dp_solver import DPSolution, PartitionError, _tmax_candidates
+from repro.core.dp_solver import (
+    DPSolution,
+    PartitionError,
+    _tmax_candidates,
+    tmax_probe_windows,
+)
 from repro.core.microbatch import DynamicMicroBatcher
 from repro.core.ordering import order_samples
 from repro.data.tasks import Sample
@@ -139,8 +146,16 @@ def solve_partition_scalar(
                 "increase the device memory limit or enable recomputation"
             )
 
+    probe_starts, probe_sizes = tmax_probe_windows(num_samples, max_microbatch_size)
     candidates = _tmax_candidates(
-        cache.time, num_samples, max_microbatch_size, tmax_sample_count
+        [cache.time(i, i + 1) for i in range(num_samples)],
+        np.array(
+            [
+                cache.time(start, start + size)
+                for start, size in zip(probe_starts.tolist(), probe_sizes.tolist())
+            ]
+        ),
+        tmax_sample_count,
     )
 
     best: DPSolution | None = None

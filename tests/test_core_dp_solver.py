@@ -249,6 +249,93 @@ class TestVectorizedTablePath:
             solve_partition(table, 2, max_microbatch_size=8)
 
 
+def assert_matches_scalar(lengths, num_stages, time_fn, feasible_fn=None, **kwargs):
+    """The table DP and the scalar oracle agree on every solution field."""
+    n = len(lengths)
+    scalar = solve_partition_scalar(n, num_stages, time_fn, feasible_fn, **kwargs)
+    table = solve(n, num_stages, time_fn, feasible_fn, **kwargs)
+    assert table.boundaries == scalar.boundaries
+    assert table.times == scalar.times
+    assert table.objective == scalar.objective
+    assert table.tmax_used == scalar.tmax_used
+    assert table.candidates_evaluated == scalar.candidates_evaluated
+    return table
+
+
+class TestPrefixTrimmedDP:
+    """Ties and edge cases of the prefix-trimmed DP against the scalar oracle."""
+
+    @pytest.mark.parametrize("num_stages", [1, 3])
+    @pytest.mark.parametrize("tmax_sample_count", [1, 24])
+    def test_identical_sample_runs_tie(self, num_stages, tmax_sample_count):
+        """Runs of identical samples give equal-cost windows, so argmin
+        ties: the first minimum (the smallest window) must win."""
+        lengths = [50] * 12 + [80] * 9 + [50] * 5
+        time_fn = window_time_from_lengths(lengths)
+        assert_matches_scalar(
+            lengths, num_stages, time_fn, tmax_sample_count=tmax_sample_count
+        )
+        assert_matches_scalar(
+            lengths,
+            num_stages,
+            time_fn,
+            lambda start, end: end - start <= 4,
+            tmax_sample_count=tmax_sample_count,
+        )
+
+    def test_ample_memory_admits_full_window(self):
+        """With no memory limit and a per-micro-batch overhead the whole
+        mini-batch is one window: the widest prefix is the full window."""
+        lengths = [10] * 16
+
+        def time_fn(start, end):
+            return 1.0 + window_time_from_lengths(lengths)(start, end)
+
+        solution = assert_matches_scalar(lengths, 1, time_fn, max_microbatch_size=16)
+        assert solution.boundaries == [(0, 16)]
+
+    def test_single_candidate_with_memory_cut(self):
+        lengths = [5, 5, 900, 5, 40, 40, 40, 5, 5, 5, 300, 300]
+        time_fn = window_time_from_lengths(lengths)
+        solution = assert_matches_scalar(
+            lengths,
+            4,
+            time_fn,
+            lambda start, end: time_fn(start, end) <= 1000,
+            tmax_sample_count=1,
+        )
+        assert solution.candidates_evaluated == 1
+
+    @given(
+        lengths=st.lists(st.sampled_from([8, 16, 64, 300]), min_size=1, max_size=30),
+        num_stages=st.integers(1, 4),
+        overhead=st.sampled_from([0.0, 1.0]),
+        budget=st.sampled_from([float("inf"), 64, 512, 4096]),
+        max_microbatch_size=st.integers(1, 32),
+        tmax_sample_count=st.sampled_from([1, 2, 3, 24]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_scalar_with_ties(
+        self, lengths, num_stages, overhead, budget, max_microbatch_size, tmax_sample_count
+    ):
+        padded = window_time_from_lengths(lengths)
+
+        def time_fn(start, end):
+            return overhead + padded(start, end)
+
+        def feasible_fn(start, end):
+            return padded(start, end) <= budget
+
+        kwargs = dict(
+            max_microbatch_size=max_microbatch_size, tmax_sample_count=tmax_sample_count
+        )
+        if max(lengths) > budget:
+            with pytest.raises(PartitionError):
+                solve(len(lengths), num_stages, time_fn, feasible_fn, **kwargs)
+            return
+        assert_matches_scalar(lengths, num_stages, time_fn, feasible_fn, **kwargs)
+
+
 class TestProperties:
     @given(
         lengths=st.lists(st.integers(min_value=1, max_value=2048), min_size=1, max_size=24),

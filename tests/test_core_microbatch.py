@@ -221,36 +221,24 @@ MAX_SEQ_LEN = 2048
 _lengths = st.one_of(st.integers(1, MAX_SEQ_LEN), st.just(MAX_SEQ_LEN))
 
 
-def _reference_geometry(batcher, ordered):
-    """Window-shape dedup by ``np.unique(axis=0)`` over the raw triples."""
+def _costed_windows(table, ordered, decoder_only):
+    """``(start, column, (size, enc, dec))`` of each costed table entry.
+
+    Shapes are computed from the samples themselves; costed entries are the
+    ones with a finite time (the cost model's times are finite).
+    """
     import numpy as np
 
-    from repro.core.microbatch import sliding_window_maxima
-
-    if batcher.decoder_only:
-        enc = np.array([s.total_tokens for s in ordered], dtype=np.int64)
-        dec = np.zeros(len(ordered), dtype=np.int64)
-    else:
-        enc = np.array([s.input_tokens for s in ordered], dtype=np.int64)
-        dec = np.array([s.target_tokens for s in ordered], dtype=np.int64)
-    n = len(ordered)
-    window = min(batcher.max_microbatch_size, n)
-    enc_max = sliding_window_maxima(enc, window)
-    dec_max = sliding_window_maxima(dec, window)
-    sizes = np.arange(1, window + 1)[None, :]
-    starts = np.arange(n)[:, None]
-    valid = starts + sizes <= n
-    start_index, size_index = np.nonzero(valid)
-    triples = np.stack(
-        [
-            size_index + 1,
-            enc_max[start_index, size_index],
-            dec_max[start_index, size_index],
-        ],
-        axis=1,
-    )
-    unique, inverse = np.unique(triples, axis=0, return_inverse=True)
-    return unique, inverse.reshape(-1)
+    windows = []
+    for start, column in np.argwhere(np.isfinite(table.times)).tolist():
+        window = ordered[start : start + column + 1]
+        if decoder_only:
+            shape = (column + 1, max(s.total_tokens for s in window), 0)
+        else:
+            enc = max(s.input_tokens for s in window)
+            shape = (column + 1, enc, max(s.target_tokens for s in window))
+        windows.append((start, column, shape))
+    return windows
 
 
 class TestWindowGeometry:
@@ -274,6 +262,9 @@ class TestWindowGeometry:
     def test_matches_row_unique(
         self, gpt_cost_model, t5_cost_model, lengths, decoder_only, sort, max_microbatch_size
     ):
+        """Every costed shape is costed once: the table's count equals the
+        row-unique shapes of its costed windows, and each window holds its
+        own shape's cost."""
         import numpy as np
 
         from repro.core.ordering import order_samples
@@ -284,27 +275,33 @@ class TestWindowGeometry:
             samples = [Sample(min(i + t, MAX_SEQ_LEN), 0) for i, t in lengths]
         else:
             samples = [Sample(i, t) for i, t in lengths]
-        batcher = DynamicMicroBatcher(
-            gpt_cost_model if decoder_only else t5_cost_model,
-            max_microbatch_size=max_microbatch_size,
-        )
+        cost_model = gpt_cost_model if decoder_only else t5_cost_model
+        batcher = DynamicMicroBatcher(cost_model, max_microbatch_size=max_microbatch_size)
         ordered = (
             order_samples(samples, OrderingMethod.SORT, decoder_only=decoder_only)
             if sort
             else samples
         )
-        geometry = batcher._window_geometry(ordered)
-        unique, inverse = _reference_geometry(batcher, ordered)
-        assert geometry.unique.dtype == unique.dtype
-        np.testing.assert_array_equal(geometry.unique, unique)
-        np.testing.assert_array_equal(geometry.inverse, inverse)
+        table = batcher.build_window_cost_table(ordered)
+        windows = _costed_windows(table, ordered, decoder_only)
+        unique = np.unique(np.array([shape for _, _, shape in windows]), axis=0)
+        assert table.unique_shape_evaluations == len(unique)
+        times, activation = cost_model.window_costs_arrays(
+            unique[:, 0], unique[:, 1], unique[:, 2], RecomputeMode.NONE
+        )
+        by_shape = {
+            tuple(row): (t, a <= batcher.per_microbatch_memory_bytes)
+            for row, t, a in zip(unique.tolist(), times, activation)
+        }
+        for start, column, shape in windows:
+            assert (table.times[start, column], table.feasible[start, column]) == by_shape[shape]
 
     def test_out_of_range_key_raises_value_error(self, t5_cost_model):
         """Lengths whose packed key space overflows int64 fail loudly."""
         batcher = DynamicMicroBatcher(t5_cost_model)
         huge = 2**40
         with pytest.raises(ValueError):
-            batcher._window_geometry([Sample(huge, huge), Sample(1, huge - 1)])
+            batcher.build_window_cost_table([Sample(huge, huge), Sample(1, huge - 1)])
 
 
 class TestSlidingWindowMaxima:
@@ -374,13 +371,13 @@ class TestVectorizedEquivalence:
 
     def test_split_recompute_override_reuses_geometry(self, gpt_cost_model, flan_samples_gpt):
         """Mode retries on the same mini-batch reuse the cached window
-        geometry and still match a fresh batcher under that mode."""
+        maxima and still match a fresh batcher under that mode."""
         samples = flan_samples_gpt[:40]
         batcher = DynamicMicroBatcher(gpt_cost_model, tmax_sample_count=8)
-        batcher.split(samples)  # NONE mode populates the geometry cache
-        entry = batcher._geometry_entry
+        batcher.split(samples)  # NONE mode populates the maxima cache
+        entry = batcher._maxima_entry
         retried = batcher.split(samples, recompute=RecomputeMode.FULL)
-        assert batcher._geometry_entry is entry
+        assert batcher._maxima_entry is entry
         fresh = DynamicMicroBatcher(
             gpt_cost_model, tmax_sample_count=8, recompute=RecomputeMode.FULL
         ).split(samples)

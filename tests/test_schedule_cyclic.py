@@ -6,7 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.schedule.cyclic import ScheduleDeadlockError, cyclic_schedule
+from repro.schedule.cyclic import (
+    ScheduleDeadlockError,
+    cyclic_schedule,
+    cyclic_stage_sequences,
+)
 from repro.schedule.events import OpType
 from repro.schedule.one_f_one_b import one_f_one_b_schedule
 from repro.schedule.validation import ScheduleValidationError, validate_schedule
@@ -70,6 +74,16 @@ class TestCyclicSchedule:
     def test_invalid_injection_order(self):
         with pytest.raises(ValueError):
             cyclic_schedule(2, uniform_activation(3, 2), injection_order=[0, 1])
+        with pytest.raises(ValueError):
+            cyclic_schedule(2, uniform_activation(2, 2), injection_order=[0, 0])
+
+    @pytest.mark.parametrize("order", [[0, 0], [0], [1, 2], [0, 1, 2]])
+    def test_stage_sequences_reject_non_permutation(self, order):
+        """The slot-level core validates a given order itself.  ``[0, 0]``
+        used to schedule micro-batch 0 twice and never schedule 1, and a
+        short order ended in a bare ``AssertionError``."""
+        with pytest.raises(ValueError, match="permutation"):
+            cyclic_stage_sequences(2, uniform_activation(2, 2), injection_order=order)
 
     def test_mismatched_activation_matrix(self):
         with pytest.raises(ValueError):
