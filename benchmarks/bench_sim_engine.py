@@ -32,9 +32,11 @@ import time
 import numpy as np
 import pytest
 
+from repro.cluster.network import NetworkModel
 from repro.comm.shapes import TransferShapes
+from repro.core.adaptive_schedule import AdaptiveScheduler, ScheduleKind
 from repro.core.microbatch_ordering import cluster_and_order
-from repro.core.planner import DynaPipePlanner, PlannerConfig
+from repro.core.planner import ReplicaPipeline
 from repro.costmodel.cost_model import CostModel
 from repro.model.config import ModelArch, ModelConfig
 from repro.model.memory import RecomputeMode
@@ -160,28 +162,30 @@ def run_order_search() -> list[list]:
     cost_model = CostModel(
         BENCH_CONFIG, num_stages=4, max_profile_batch_size=128, max_profile_seq_len=2048
     )
-    planner = DynaPipePlanner(
-        cost_model,
-        config=PlannerConfig(
-            order_search=True, num_time_clusters=4, max_order_permutations=24
-        ),
-    )
+    network = NetworkModel()
+    kind = ScheduleKind.MEMORY_AWARE_ADAPTIVE
+    device_memory = cost_model.device_spec.memory_capacity
+    scheduler = AdaptiveScheduler(cost_model, device_memory)
     shapes = _order_search_shapes()
-    transfer_shapes = TransferShapes.from_cost_model(cost_model, shapes)
     mode = RecomputeMode.NONE
 
     times = [float(t) for t in cost_model.microbatch_times_ms(shapes, mode)]
-    comm_time = planner._comm_time_fn(transfer_shapes)
     static = [cost_model.stage_static_bytes(j) for j in range(cost_model.num_stages)]
+    transfer = TransferShapes.from_cost_model(cost_model, shapes)
+
+    def comm_time(microbatch: int, src: int, dst: int, is_gradient: bool) -> float:
+        nbytes = (
+            transfer.grad_bytes(microbatch, src)
+            if is_gradient
+            else transfer.act_bytes(microbatch, src)
+        )
+        return network.p2p_time_ms(nbytes, same_node=True)
 
     def rebuild_score(order) -> float:
         """Baseline scorer: build the schedule and simulate it from scratch."""
         try:
-            build = planner.scheduler.build(
-                shapes,
-                kind=planner.config.schedule_kind,
-                recompute=mode,
-                injection_order=order,
+            build = scheduler.build(
+                shapes, kind=kind, recompute=mode, injection_order=order
             )
         except ScheduleDeadlockError:
             return float("inf")
@@ -192,22 +196,23 @@ def run_order_search() -> list[list]:
             activation_bytes=build.activation_bytes,
             static_bytes=static,
         )
-        capacity = planner.device_memory_bytes * (1.0 + 1e-9)
+        capacity = device_memory * (1.0 + 1e-9)
         if any(peak > capacity for peak in simulation.peak_activation_bytes):
             return float("inf")
         return simulation.makespan_ms
 
+    def search(score):
+        return cluster_and_order(times, score, num_clusters=4, max_permutations=24)
+
     def rebuild_search():
-        return cluster_and_order(
-            times,
-            rebuild_score,
-            num_clusters=planner.config.num_time_clusters,
-            max_permutations=planner.config.max_order_permutations,
-        )
+        return search(rebuild_score)
+
+    simulators = []
 
     def incremental_search():
-        simulator = planner._replica_simulator(shapes, mode, transfer_shapes)
-        return planner._search_injection_order(simulator, shapes, mode)
+        pipeline = ReplicaPipeline(cost_model, shapes, mode, kind, device_memory, network)
+        simulators.append(pipeline.simulator)
+        return search(pipeline.simulator.score)
 
     def timed_search(search):
         search()  # warm the cost-model caches so only scoring is timed
@@ -224,7 +229,7 @@ def run_order_search() -> list[list]:
 
     assert incremental_result.order == rebuild_result.order
     assert incremental_result.makespan_ms == rebuild_result.makespan_ms
-    assert incremental_result.geometry_compiles < incremental_result.timeline_solves
+    assert simulators[-1].compiles < simulators[-1].solves
 
     def row(variant: str, elapsed: float) -> list:
         return [

@@ -2,7 +2,8 @@
 
 The planner's injection-order search (paper §5) scores permutations of a
 replica's micro-batches by simulating the memory-aware adaptive schedule.
-Every cyclic-schedule replica lives on one incremental simulator: the
+Every replica lives on one :class:`~repro.core.planner.ReplicaPipeline`
+and its incremental simulator: the
 identity order's solve is the memory-feasibility check, each permutation of
 the search is one re-solve of the compiled schedule *geometry* (op order +
 dependency structure, compiled once per distinct memory-gated shape), and
@@ -22,8 +23,10 @@ import time
 
 import numpy as np
 
-from repro.comm.shapes import TransferShapes
-from repro.core.planner import DynaPipePlanner, PlannerConfig
+from repro.cluster.network import NetworkModel
+from repro.core.adaptive_schedule import AdaptiveScheduler, ScheduleKind
+from repro.core.microbatch_ordering import cluster_and_order
+from repro.core.planner import ReplicaPipeline
 from repro.costmodel.cost_model import CostModel
 from repro.model.config import ModelArch, ModelConfig
 from repro.model.memory import RecomputeMode
@@ -49,12 +52,9 @@ def main() -> None:
     cost_model = CostModel(
         CONFIG, num_stages=4, max_profile_batch_size=128, max_profile_seq_len=2048
     )
-    planner = DynaPipePlanner(
-        cost_model,
-        config=PlannerConfig(
-            order_search=True, num_time_clusters=4, max_order_permutations=24
-        ),
-    )
+    network = NetworkModel()
+    kind = ScheduleKind.MEMORY_AWARE_ADAPTIVE
+    device_memory = cost_model.device_spec.memory_capacity
 
     rng = np.random.default_rng(42)
     shapes = [
@@ -64,46 +64,55 @@ def main() -> None:
         )
         for _ in range(NUM_MICROBATCHES)
     ]
-    transfer_shapes = TransferShapes.from_cost_model(cost_model, shapes)
     mode = RecomputeMode.NONE
+    times = [float(t) for t in cost_model.microbatch_times_ms(shapes, mode)]
 
-    simulator = planner._replica_simulator(shapes, mode, transfer_shapes)
-    identity = simulator.evaluate(range(NUM_MICROBATCHES))
-    result = planner._search_injection_order(simulator, shapes, mode)
-    schedule, simulation = simulator.simulation(
-        result.order, name=planner.config.schedule_kind.value
-    )
+    def feasibility_and_search():
+        replica = ReplicaPipeline(cost_model, shapes, mode, kind, device_memory, network)
+        identity = replica.simulator.evaluate(range(NUM_MICROBATCHES))
+        result = cluster_and_order(
+            times, replica.simulator.score, num_clusters=4, max_permutations=24
+        )
+        return replica, identity, result
+
+    replica, identity, result = feasibility_and_search()
+    simulator = replica.simulator
+    search_solves = simulator.solves - 1  # the identity solve is the first
+    schedule, simulation = simulator.simulation(result.order, name=kind.value)
 
     best = float("inf")
     for _ in range(REPEATS):
         start = time.perf_counter()
-        again = planner._replica_simulator(shapes, mode, transfer_shapes)
-        again.evaluate(range(NUM_MICROBATCHES))
-        planner._search_injection_order(again, shapes, mode)
+        feasibility_and_search()
         best = min(best, time.perf_counter() - start)
 
     print(f"micro-batches: {NUM_MICROBATCHES}   stages: {cost_model.num_stages}")
     print(f"identity order:    makespan {identity.solution.makespan_ms:.3f} ms, "
           f"fits device memory: {identity.feasible}")
-    print(f"permutations evaluated: {result.evaluated}")
-    print(
-        f"search geometry compiles: {result.geometry_compiles}   "
-        f"timeline solves: {result.timeline_solves}   "
-        f"replica total: {simulator.compiles} compiles / {simulator.solves} solves"
-    )
+    print(f"permutations evaluated: {result.evaluated}   search timeline solves: {search_solves}")
+    print(f"replica total: {simulator.compiles} geometry compiles / {simulator.solves} solves")
     print(f"selected order:    {result.order}")
     print(f"makespan:          {simulation.makespan_ms:.3f} ms")
     print(f"feasibility + search: {best * 1e3:.2f} ms (best of {REPEATS})")
 
     # The same order built and simulated from scratch gives the same plan.
-    build = planner.scheduler.build(
-        shapes, kind=planner.config.schedule_kind, recompute=mode,
-        injection_order=result.order,
+    build = AdaptiveScheduler(cost_model, device_memory).build(
+        shapes, kind=kind, recompute=mode, injection_order=result.order
     )
+
+    def comm_time(microbatch: int, src: int, dst: int, is_gradient: bool) -> float:
+        transfer = replica.transfer_shapes
+        nbytes = (
+            transfer.grad_bytes(microbatch, src)
+            if is_gradient
+            else transfer.act_bytes(microbatch, src)
+        )
+        return network.p2p_time_ms(nbytes, same_node=True)
+
     reference = simulate_schedule(
         build.schedule,
         build.durations,
-        comm_time_fn=planner._comm_time_fn(transfer_shapes),
+        comm_time_fn=comm_time,
         activation_bytes=build.activation_bytes,
         static_bytes=[
             cost_model.stage_static_bytes(j) for j in range(cost_model.num_stages)

@@ -10,8 +10,10 @@ makes each of them visible on a single T5 mini-batch:
    micro-batching.
 3. **Replica balancing** — distribute the micro-batches over data-parallel
    replicas with Karmarkar–Karp and report the load imbalance.
-4. **Dynamic recomputation** — show which recomputation mode the planner
-   selects as the device memory budget shrinks.
+4. **Dynamic recomputation** — plan the mini-batch with
+   :class:`~repro.core.planner.DynaPipePlanner` on shrinking devices and
+   show which recomputation mode it selects (the cheapest one whose
+   partition and simulated peak memory fit).
 
 Run with:  python examples/planner_deep_dive.py
 """
@@ -19,10 +21,10 @@ Run with:  python examples/planner_deep_dive.py
 from __future__ import annotations
 
 from repro.batching.token_based import TokenBasedBatching
-from repro.core.adaptive_schedule import AdaptiveScheduler
 from repro.core.microbatch import DynamicMicroBatcher
 from repro.core.ordering import OrderingMethod, order_samples, path_length
-from repro.core.recomputation import OutOfMemoryError, select_recompute_mode
+from repro.core.planner import DynaPipePlanner, PlannerConfig
+from repro.core.recomputation import OutOfMemoryError
 from repro.core.replica_balance import karmarkar_karp_partition
 from repro.costmodel.cost_model import CostModel
 from repro.data.flan import SyntheticFlanDataset
@@ -91,13 +93,22 @@ def main() -> None:
     # 4. Dynamic recomputation under shrinking memory budgets.
     print("\n--- 4. dynamic recomputation ---")
     static = max(cost_model.stage_static_bytes(j) for j in range(cost_model.num_stages))
-    for headroom_gib in (16.0, 4.0, 1.0, 0.25):
-        budget = static + headroom_gib * 1024**3
-        scheduler = AdaptiveScheduler(cost_model, device_memory_bytes=budget)
+    for headroom_gib in (64.0, 16.0, 1.0, 0.01):
+        planner = DynaPipePlanner(
+            cost_model,
+            data_parallel_size=DATA_PARALLEL,
+            config=PlannerConfig(
+                order_search=False,
+                tmax_sample_count=16,
+                device_memory_bytes=static + headroom_gib * 1024**3,
+            ),
+        )
         try:
-            decision = select_recompute_mode(scheduler, shapes)
-            print(f"  activation headroom {headroom_gib:5.2f} GiB -> {decision.mode.value:9s} "
-                  f"(makespan {decision.simulation.makespan_ms:.0f} ms)")
+            plan = planner.plan(minibatch)
+            peak = max(max(p.metadata.predicted_peak_memory_bytes) for p in plan.plans)
+            print(f"  activation headroom {headroom_gib:5.2f} GiB -> {plan.recompute.value:9s} "
+                  f"({plan.num_microbatches} micro-batches, predicted "
+                  f"{plan.predicted_iteration_ms:.0f} ms, peak {peak / 1024**3:.2f} GiB)")
         except OutOfMemoryError:
             print(f"  activation headroom {headroom_gib:5.2f} GiB -> out of memory (iteration cannot run)")
 

@@ -12,6 +12,9 @@ The baseline planner mirrors how MLM+DS handles a multi-task mini-batch:
    the planned orders coincide, so the ahead-of-time planner is reused to
    drive the instruction-level executor).
 
+Each replica is timed, memory-checked and lowered by the planner's own
+:class:`~repro.core.planner.ReplicaPipeline`, in its identity order.
+
 Because packed rows always have the full maximum sequence length, the
 quadratic attention cost over the packed sequence — the waste DynaPipe
 avoids — is automatically reflected in the cost model queries.
@@ -25,17 +28,13 @@ from dataclasses import dataclass
 from repro.batching.metrics import padding_stats
 from repro.batching.packing import PackingBatching
 from repro.cluster.network import NetworkModel
-from repro.comm.planner import build_instruction_streams
-from repro.comm.shapes import TransferShapes
-from repro.core.adaptive_schedule import AdaptiveScheduler, ScheduleKind
-from repro.core.execution_plan import ExecutionPlan, PlanMetadata
-from repro.core.planner import IterationPlan, ReplicaPlanResult
+from repro.core.adaptive_schedule import ScheduleKind
+from repro.core.planner import IterationPlan, ReplicaPipeline, ReplicaPlanResult
 from repro.core.recomputation import OutOfMemoryError
 from repro.costmodel.cost_model import CostModel
 from repro.data.tasks import Sample
 from repro.model.memory import RecomputeMode
-from repro.parallel.dataparallel import gradient_allreduce_ms
-from repro.simulator.engine import simulate_schedule
+from repro.parallel.dataparallel import EXPOSED_ALLREDUCE_FRACTION, gradient_allreduce_ms
 
 
 @dataclass
@@ -50,7 +49,6 @@ class BaselineConfig:
         device_memory_bytes: Usable device memory (defaults to the device
             capacity of the cost model).
         data_parallel_same_node: Link class of the gradient all-reduce.
-        model_comm_overlap: Fraction of the all-reduce hidden by computation.
         stages_same_node: Link class of inter-stage transfers.
     """
 
@@ -60,7 +58,6 @@ class BaselineConfig:
     max_target_len: int | None = None
     device_memory_bytes: float | None = None
     data_parallel_same_node: bool = False
-    model_comm_overlap: float = 0.5
     stages_same_node: bool = True
 
 
@@ -109,7 +106,6 @@ class MLMDeepSpeedBaseline:
             decoder_only=self.decoder_only,
             max_target_len=config.max_target_len,
         )
-        self.scheduler = AdaptiveScheduler(cost_model, self.device_memory_bytes)
 
     # ------------------------------------------------------------------ planning
 
@@ -156,67 +152,27 @@ class MLMDeepSpeedBaseline:
                     )
                 )
             all_micro_batches.extend(micro_batches)
-            shapes = [mb.shape() for mb in micro_batches]
-            transfer_shapes = TransferShapes.from_cost_model(self.cost_model, shapes)
-            build = self.scheduler.build(
-                shapes, kind=ScheduleKind.ONE_F_ONE_B, recompute=self.config.recompute
+            pipeline = ReplicaPipeline(
+                self.cost_model,
+                [mb.shape() for mb in micro_batches],
+                self.config.recompute,
+                ScheduleKind.ONE_F_ONE_B,
+                self.device_memory_bytes,
+                self.network,
+                self.config.stages_same_node,
             )
-            static = [
-                self.cost_model.stage_static_bytes(j)
-                for j in range(self.cost_model.num_stages)
-            ]
-
-            def comm_time(microbatch: int, src: int, dst: int, is_gradient: bool) -> float:
-                nbytes = (
-                    transfer_shapes.grad_bytes(microbatch, src)
-                    if is_gradient
-                    else transfer_shapes.act_bytes(microbatch, src)
-                )
-                return self.network.p2p_time_ms(nbytes, same_node=self.config.stages_same_node)
-
-            simulation = simulate_schedule(
-                build.schedule,
-                build.durations,
-                comm_time_fn=comm_time,
-                activation_bytes=build.activation_bytes,
-                static_bytes=static,
-            )
-            if any(
-                peak > self.device_memory_bytes * (1.0 + 1e-9)
-                for peak in simulation.peak_activation_bytes
-            ):
+            identity = range(len(micro_batches))
+            evaluation = pipeline.simulator.evaluate(identity)
+            if not evaluation.feasible:
                 raise OutOfMemoryError(
                     f"baseline OOM: peak memory "
-                    f"{max(simulation.peak_activation_bytes) / 1e9:.2f} GB exceeds "
+                    f"{max(evaluation.peak_activation_bytes) / 1e9:.2f} GB exceeds "
                     f"{self.device_memory_bytes / 1e9:.2f} GB "
                     f"(micro_batch_size={self.config.micro_batch_size}, "
                     f"max_seq_len={self.config.max_seq_len}, "
                     f"recompute={self.config.recompute.value})"
                 )
-            streams = build_instruction_streams(
-                build.schedule,
-                simulation.op_times,
-                shapes,
-                transfer_shapes,
-                recompute=self.config.recompute,
-            )
-            metadata = PlanMetadata(
-                iteration=iteration,
-                replica=replica_index,
-                schedule_name=build.schedule.name,
-                recompute=self.config.recompute,
-                predicted_makespan_ms=simulation.makespan_ms,
-                predicted_peak_memory_bytes=list(simulation.peak_activation_bytes),
-                num_microbatches=len(shapes),
-            )
-            plan = ExecutionPlan(
-                device_instructions=streams,
-                microbatch_shapes=list(shapes),
-                metadata=metadata,
-            )
-            replicas.append(
-                ReplicaPlanResult(plan=plan, micro_batches=micro_batches, simulation=simulation)
-            )
+            replicas.append(pipeline.lower(identity, micro_batches, iteration, replica_index))
 
         dp_comm = gradient_allreduce_ms(
             self.cost_model.config,
@@ -226,8 +182,10 @@ class MLMDeepSpeedBaseline:
             network=self.network,
             same_node=self.config.data_parallel_same_node,
         )
-        exposed = dp_comm * (1.0 - self.config.model_comm_overlap)
-        predicted = max(r.simulation.makespan_ms for r in replicas) + exposed
+        predicted = (
+            max(r.simulation.makespan_ms for r in replicas)
+            + dp_comm * EXPOSED_ALLREDUCE_FRACTION
+        )
         planning_time = time.perf_counter() - start_time
         for replica in replicas:
             replica.plan.metadata.planning_time_s = planning_time

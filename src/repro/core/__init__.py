@@ -22,7 +22,6 @@ from repro.core.microbatch import DynamicMicroBatcher
 from repro.core.microbatch_ordering import cluster_and_order
 from repro.core.ordering import OrderingMethod, order_samples
 from repro.core.planner import DynaPipePlanner, IterationPlan, PlannerConfig
-from repro.core.recomputation import select_recompute_mode
 from repro.core.replica_balance import karmarkar_karp_partition
 
 __all__ = [
@@ -36,7 +35,6 @@ __all__ = [
     "ScheduleKind",
     "build_schedule",
     "cluster_and_order",
-    "select_recompute_mode",
     "ExecutionPlan",
     "PlanMetadata",
     "DynaPipePlanner",

@@ -18,20 +18,21 @@ one execution plan per data-parallel replica:
    predictions (iteration time, peak memory) for later comparison against
    the "measured" execution.
 
-Steps 3–5 of a cyclic-schedule replica share one
-:class:`~repro.simulator.incremental.IncrementalOrderSimulator`: the
-identity order's solve is the feasibility check, the search scores its
-permutations on the same compiled geometry, and the chosen order's cached
-solve becomes the replica's timeline and feeds communication planning.
-1F1B ignores the injection order, so its replicas are built and simulated
-once and skip the search.
+Steps 3–6 of every replica go through one :class:`ReplicaPipeline`, the
+path the MLM+DS baseline shares: its
+:class:`~repro.simulator.incremental.IncrementalOrderSimulator` solves the
+identity order as the feasibility check, the search scores its permutations
+on the same compiled geometry, and the chosen order's cached solve becomes
+the replica's timeline, communication plan and instruction streams.  1F1B
+ignores the injection order, so its replicas run the fixed 1F1B sequences on
+the same simulator and skip the search.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Any, Sequence
 
 import numpy as np
@@ -41,7 +42,7 @@ from repro.batching.metrics import PaddingStats, padding_stats
 from repro.cluster.network import NetworkModel
 from repro.comm.planner import build_instruction_streams
 from repro.comm.shapes import TransferShapes
-from repro.core.adaptive_schedule import AdaptiveScheduler, ScheduleKind
+from repro.core.adaptive_schedule import ScheduleKind
 from repro.core.dp_solver import DPSolution, PartitionError
 from repro.core.execution_plan import ExecutionPlan, PlanMetadata
 from repro.core.microbatch import DynamicMicroBatcher
@@ -51,13 +52,16 @@ from repro.core.recomputation import MODE_PREFERENCE, OutOfMemoryError
 from repro.core.replica_balance import karmarkar_karp_partition
 from repro.costmodel.cost_model import CostModel
 from repro.data.tasks import Sample
-from repro.model.memory import RecomputeMode, weight_gradient_bytes
+from repro.model.memory import RecomputeMode
+from repro.model.transformer import MicroBatchShape
 from repro.obs.registry import REGISTRY
 from repro.obs.spans import span as _span
-from repro.model.transformer import MicroBatchShape
+from repro.parallel.dataparallel import EXPOSED_ALLREDUCE_FRACTION, gradient_allreduce_ms
 from repro.schedule.cyclic import ScheduleDeadlockError
-from repro.schedule.events import PipelineSchedule
-from repro.simulator.engine import SimulationResult, simulate_schedule
+from repro.schedule.one_f_one_b import one_f_one_b_stage_sequences
+# ``simulate_schedule`` is not called here; perfbench's tracer times its
+# "simulate" layer at this module's name for it.
+from repro.simulator.engine import SimulationResult, simulate_schedule  # noqa: F401
 from repro.simulator.incremental import IncrementalOrderSimulator
 
 #: Registry-backed planner counters (``planner.*`` in metric snapshots).
@@ -99,9 +103,6 @@ class PlannerConfig:
             (selects the link class for inter-stage transfer times).
         data_parallel_same_node: Whether data-parallel replicas share a node
             (selects the link class for gradient all-reduce).
-        model_comm_overlap: Fraction of the data-parallel all-reduce hidden
-            behind computation (Megatron/DeepSpeed overlap gradients with the
-            backward pass; 0 = fully exposed).
     """
 
     ordering_method: OrderingMethod = OrderingMethod.SORT
@@ -117,7 +118,6 @@ class PlannerConfig:
     max_microbatch_size: int = 256
     stages_same_node: bool = True
     data_parallel_same_node: bool = False
-    model_comm_overlap: float = 0.5
 
     def __post_init__(self) -> None:
         for name in (
@@ -158,6 +158,126 @@ class ReplicaPlanResult:
     micro_batches: list[MicroBatch]
     simulation: SimulationResult
     ordering_search: OrderingSearchResult | None = None
+
+
+class ReplicaPipeline:
+    """One data-parallel replica, from micro-batch shapes to its plan.
+
+    Every replica plan the planner and the MLM+DS baseline emit is built
+    here.  The constructor prices each (micro-batch, stage) op and
+    inter-stage transfer once into :attr:`simulator`, which schedules
+    ``kind`` (cyclic kinds per injection order, 1F1B on its fixed
+    sequences) and times and memory-checks any injection order;
+    :meth:`lower` turns the chosen order into the replica's instruction
+    streams and :class:`ReplicaPlanResult`.  All values come from the same
+    cost-model and network queries as building the schedule with
+    :class:`~repro.core.adaptive_schedule.AdaptiveScheduler` and running
+    :func:`~repro.simulator.engine.simulate_schedule` on it, so timelines
+    are bit-identical.
+
+    Args:
+        cost_model: Cost model of the replica's pipeline.
+        shapes: Padded micro-batch shapes, indexed by micro-batch id.
+        mode: Recomputation mode of every op.
+        kind: Pipeline schedule family.
+        device_memory_bytes: Per-device capacity; orders whose peak memory
+            exceeds it are infeasible.  The memory-aware schedule limits
+            each stage's activations to this minus its static memory.
+        network: Communication model of the inter-stage transfers.
+        stages_same_node: Whether adjacent stages share a node.
+    """
+
+    def __init__(
+        self,
+        cost_model: CostModel,
+        shapes: Sequence[MicroBatchShape],
+        mode: RecomputeMode,
+        kind: ScheduleKind,
+        device_memory_bytes: float,
+        network: NetworkModel,
+        stages_same_node: bool = True,
+    ) -> None:
+        self.shapes = list(shapes)
+        self.mode = mode
+        self.kind = ScheduleKind(kind)
+        self.transfer_shapes = TransferShapes.from_cost_model(cost_model, self.shapes)
+        num_stages = cost_model.num_stages
+        num_microbatches = len(self.shapes)
+        forward_ms = np.empty((num_microbatches, num_stages))
+        backward_ms = np.empty((num_microbatches, num_stages))
+        activation = np.empty((num_microbatches, num_stages))
+        for stage in range(num_stages):
+            costs = cost_model.stage_costs_many(stage, self.shapes, mode)
+            for index, cost in enumerate(costs):
+                forward_ms[index, stage] = cost.forward_ms
+                backward_ms[index, stage] = cost.backward_ms
+                activation[index, stage] = cost.activation_bytes
+        act_comm = np.zeros((num_microbatches, num_stages))
+        grad_comm = np.zeros((num_microbatches, num_stages))
+        for microbatch in range(num_microbatches):
+            for src in range(num_stages - 1):
+                act_comm[microbatch, src] = network.p2p_time_ms(
+                    self.transfer_shapes.act_bytes(microbatch, src), same_node=stages_same_node
+                )
+            for src in range(1, num_stages):
+                grad_comm[microbatch, src] = network.p2p_time_ms(
+                    self.transfer_shapes.grad_bytes(microbatch, src), same_node=stages_same_node
+                )
+        limits = None
+        if self.kind is ScheduleKind.MEMORY_AWARE_ADAPTIVE:
+            limits = [
+                cost_model.activation_budget_bytes(stage, device_memory_bytes)
+                for stage in range(num_stages)
+            ]
+        self.simulator = IncrementalOrderSimulator(
+            num_stages,
+            activation,
+            forward_ms,
+            backward_ms,
+            act_comm,
+            grad_comm,
+            memory_limits=limits,
+            static_bytes=[cost_model.stage_static_bytes(j) for j in range(num_stages)],
+            device_memory_bytes=device_memory_bytes,
+            stage_sequences=(
+                one_f_one_b_stage_sequences(num_stages, num_microbatches)
+                if self.kind is ScheduleKind.ONE_F_ONE_B
+                else None
+            ),
+        )
+
+    def lower(
+        self,
+        order: Sequence[int],
+        micro_batches: Sequence[MicroBatch],
+        iteration: int,
+        replica: int,
+        ordering_search: OrderingSearchResult | None = None,
+    ) -> ReplicaPlanResult:
+        """The plan of injection ``order``: its timeline (read off the
+        simulator's cached solve), instruction streams and predictions."""
+        schedule, simulation = self.simulator.simulation(order, name=self.kind.value)
+        streams = build_instruction_streams(
+            schedule, simulation.op_times, self.shapes, self.transfer_shapes, recompute=self.mode
+        )
+        metadata = PlanMetadata(
+            iteration=iteration,
+            replica=replica,
+            schedule_name=schedule.name,
+            recompute=self.mode,
+            predicted_makespan_ms=simulation.makespan_ms,
+            predicted_peak_memory_bytes=list(simulation.peak_activation_bytes),
+            num_microbatches=len(self.shapes),
+        )
+        plan = ExecutionPlan(
+            device_instructions=streams, microbatch_shapes=list(self.shapes), metadata=metadata
+        )
+        return ReplicaPlanResult(
+            plan=plan,
+            micro_batches=list(micro_batches),
+            simulation=simulation,
+            ordering_search=ordering_search,
+        )
 
 
 @dataclass
@@ -259,7 +379,6 @@ class DynaPipePlanner:
                 f"{self.device_memory_bytes / 1e9:.1f} GB; increase pipeline or "
                 "tensor parallelism"
             )
-        self.scheduler = AdaptiveScheduler(cost_model, self.device_memory_bytes)
         # One batcher for all iterations and recomputation-mode retries: its
         # window-shape geometry cache and the cost model's shape-keyed caches
         # make retries and repeated iterations reuse all prior cost queries.
@@ -313,61 +432,12 @@ class DynaPipePlanner:
             fraction = 1.0 / self.cost_model.num_stages
         return budget * fraction
 
-    def _comm_time_fn(self, transfer_shapes: TransferShapes):
-        """Inter-stage transfer time callback for the timeline simulation."""
-        same_node = self.config.stages_same_node
-
-        def comm_time(microbatch: int, src: int, dst: int, is_gradient: bool) -> float:
-            if is_gradient:
-                nbytes = transfer_shapes.grad_bytes(microbatch, src)
-            else:
-                nbytes = transfer_shapes.act_bytes(microbatch, src)
-            return self.network.p2p_time_ms(nbytes, same_node=same_node)
-
-        return comm_time
-
-    def data_parallel_comm_ms(self) -> float:
-        """Gradient all-reduce time across data-parallel replicas."""
-        if self.data_parallel_size == 1:
-            return 0.0
-        per_stage_layers = max(
-            assignment.total_layers for assignment in self.cost_model.assignments
-        )
-        grad_bytes = weight_gradient_bytes(
-            self.cost_model.config, max(per_stage_layers, 1), self.cost_model.tensor_parallel
-        )
-        return self.network.allreduce_time_ms(
-            grad_bytes,
-            self.data_parallel_size,
-            same_node=self.config.data_parallel_same_node,
-        )
-
     def _partition(self, samples: Sequence[Sample], mode: RecomputeMode):
         """Run sample ordering + DP partitioning under ``mode``."""
         result, solution = self._batcher.split_with_solution(samples, recompute=mode)
         if solution is None:
             raise PartitionError("cannot partition an empty mini-batch")
         return result.micro_batches, solution
-
-    def _schedule_replica(
-        self,
-        shapes: Sequence[MicroBatchShape],
-        mode: RecomputeMode,
-        transfer_shapes: TransferShapes,
-    ) -> tuple[PipelineSchedule, SimulationResult]:
-        """Build + simulate the 1F1B schedule of one replica."""
-        build = self.scheduler.build(shapes, kind=ScheduleKind.ONE_F_ONE_B, recompute=mode)
-        static = [
-            self.cost_model.stage_static_bytes(j) for j in range(self.cost_model.num_stages)
-        ]
-        simulation = simulate_schedule(
-            build.schedule,
-            build.durations,
-            comm_time_fn=self._comm_time_fn(transfer_shapes),
-            activation_bytes=build.activation_bytes,
-            static_bytes=static,
-        )
-        return build.schedule, simulation
 
     # ------------------------------------------------------------------ planning
 
@@ -420,25 +490,27 @@ class DynaPipePlanner:
             # feasibility.
             replica_results = []
             for group in replica_groups:
-                shapes = [mb.shape() for mb in group]
-                transfer_shapes = TransferShapes.from_cost_model(self.cost_model, shapes)
+                pipeline = ReplicaPipeline(
+                    self.cost_model,
+                    [mb.shape() for mb in group],
+                    mode,
+                    self.config.schedule_kind,
+                    self.device_memory_bytes,
+                    self.network,
+                    self.config.stages_same_node,
+                )
                 try:
-                    if self.config.schedule_kind is ScheduleKind.ONE_F_ONE_B:
-                        replica = self._schedule_replica(shapes, mode, transfer_shapes)
-                        peaks = replica[1].peak_activation_bytes
-                    else:
-                        replica = self._replica_simulator(shapes, mode, transfer_shapes)
-                        peaks = replica.evaluate(range(len(shapes))).peak_activation_bytes
+                    identity = pipeline.simulator.evaluate(range(len(group)))
                 except ScheduleDeadlockError as exc:
                     failures[mode] = f"unschedulable: {exc}"
                     break
-                if any(peak > self.device_memory_bytes * (1.0 + 1e-9) for peak in peaks):
+                if not identity.feasible:
                     failures[mode] = (
-                        f"peak memory {max(peaks) / 1e9:.2f} GB "
+                        f"peak memory {max(identity.peak_activation_bytes) / 1e9:.2f} GB "
                         f"exceeds capacity {self.device_memory_bytes / 1e9:.2f} GB"
                     )
                     break
-                replica_results.append((group, shapes, transfer_shapes, replica))
+                replica_results.append((group, pipeline))
             else:
                 chosen = (mode, micro_batches, solution, replica_results)
                 break
@@ -449,57 +521,36 @@ class DynaPipePlanner:
             )
 
         mode, micro_batches, solution, replica_results = chosen
+        search = (
+            self.config.order_search
+            and self.config.schedule_kind is not ScheduleKind.ONE_F_ONE_B
+        )
         replicas: list[ReplicaPlanResult] = []
-        for replica_index, (group, shapes, transfer_shapes, replica) in enumerate(
-            replica_results
-        ):
+        for replica_index, (group, pipeline) in enumerate(replica_results):
+            order = list(range(len(group)))
             ordering_result = None
-            if isinstance(replica, IncrementalOrderSimulator):
-                order = list(range(len(shapes)))
-                if self.config.order_search and len(shapes) > 1:
-                    ordering_result = self._search_injection_order(replica, shapes, mode)
-                    # An all-infeasible search keeps the identity order,
-                    # which passed the feasibility check above.
-                    if math.isfinite(ordering_result.makespan_ms):
-                        order = ordering_result.order
-                schedule, simulation = replica.simulation(
-                    order, name=self.config.schedule_kind.value
-                )
-            else:
-                schedule, simulation = replica
-            streams = build_instruction_streams(
-                schedule,
-                simulation.op_times,
-                shapes,
-                transfer_shapes,
-                recompute=mode,
-            )
-            metadata = PlanMetadata(
-                iteration=iteration,
-                replica=replica_index,
-                schedule_name=schedule.name,
-                recompute=mode,
-                predicted_makespan_ms=simulation.makespan_ms,
-                predicted_peak_memory_bytes=list(simulation.peak_activation_bytes),
-                num_microbatches=len(shapes),
-            )
-            plan = ExecutionPlan(
-                device_instructions=streams,
-                microbatch_shapes=list(shapes),
-                metadata=metadata,
-            )
+            if search and len(group) > 1:
+                ordering_result = self._search_injection_order(pipeline)
+                # An all-infeasible search keeps the identity order, which
+                # passed the feasibility check above.
+                if math.isfinite(ordering_result.makespan_ms):
+                    order = ordering_result.order
             replicas.append(
-                ReplicaPlanResult(
-                    plan=plan,
-                    micro_batches=list(group),
-                    simulation=simulation,
-                    ordering_search=ordering_result,
-                )
+                pipeline.lower(order, group, iteration, replica_index, ordering_result)
             )
 
-        dp_comm = self.data_parallel_comm_ms()
-        exposed_dp_comm = dp_comm * (1.0 - self.config.model_comm_overlap)
-        predicted = max(r.simulation.makespan_ms for r in replicas) + exposed_dp_comm
+        dp_comm = gradient_allreduce_ms(
+            self.cost_model.config,
+            self.data_parallel_size,
+            self.cost_model.num_stages,
+            self.cost_model.tensor_parallel,
+            network=self.network,
+            same_node=self.config.data_parallel_same_node,
+        )
+        predicted = (
+            max(r.simulation.makespan_ms for r in replicas)
+            + dp_comm * EXPOSED_ALLREDUCE_FRACTION
+        )
         planning_time = time.perf_counter() - start_time
         for replica in replicas:
             replica.plan.metadata.planning_time_s = planning_time
@@ -535,68 +586,7 @@ class DynaPipePlanner:
             loads[target] += times[index]
         return groups
 
-    def _replica_simulator(
-        self,
-        shapes: Sequence[MicroBatchShape],
-        mode: RecomputeMode,
-        transfer_shapes: TransferShapes,
-    ) -> IncrementalOrderSimulator:
-        """Build one replica's duration/comm/activation arrays.
-
-        All values come from the same cost-model and network queries that
-        building and simulating the cyclic schedule performs, so timelines
-        are bit-identical.
-        """
-        shapes = list(shapes)
-        num_stages = self.cost_model.num_stages
-        num_microbatches = len(shapes)
-        forward_ms = np.empty((num_microbatches, num_stages))
-        backward_ms = np.empty((num_microbatches, num_stages))
-        activation = np.empty((num_microbatches, num_stages))
-        for stage in range(num_stages):
-            costs = self.cost_model.stage_costs_many(stage, shapes, mode)
-            for index, cost in enumerate(costs):
-                forward_ms[index, stage] = cost.forward_ms
-                backward_ms[index, stage] = cost.backward_ms
-                activation[index, stage] = cost.activation_bytes
-        same_node = self.config.stages_same_node
-        act_comm = np.zeros((num_microbatches, num_stages))
-        grad_comm = np.zeros((num_microbatches, num_stages))
-        for microbatch in range(num_microbatches):
-            for src in range(num_stages - 1):
-                act_comm[microbatch, src] = self.network.p2p_time_ms(
-                    transfer_shapes.act_bytes(microbatch, src), same_node=same_node
-                )
-            for src in range(1, num_stages):
-                grad_comm[microbatch, src] = self.network.p2p_time_ms(
-                    transfer_shapes.grad_bytes(microbatch, src), same_node=same_node
-                )
-        limits = (
-            self.scheduler.memory_limits()
-            if self.config.schedule_kind is ScheduleKind.MEMORY_AWARE_ADAPTIVE
-            else None
-        )
-        static = [
-            self.cost_model.stage_static_bytes(j) for j in range(num_stages)
-        ]
-        return IncrementalOrderSimulator(
-            num_stages,
-            activation,
-            forward_ms,
-            backward_ms,
-            act_comm,
-            grad_comm,
-            memory_limits=limits,
-            static_bytes=static,
-            device_memory_bytes=self.device_memory_bytes,
-        )
-
-    def _search_injection_order(
-        self,
-        simulator: IncrementalOrderSimulator,
-        shapes: Sequence[MicroBatchShape],
-        mode: RecomputeMode,
-    ) -> OrderingSearchResult:
+    def _search_injection_order(self, pipeline: ReplicaPipeline) -> OrderingSearchResult:
         """Cluster-permutation search over injection orders (§5).
 
         Permutations are scored on the replica's incremental simulator: the
@@ -604,8 +594,9 @@ class DynaPipePlanner:
         scheduler, the dependency DAG is compiled once per distinct
         structure, and each candidate is one timeline solve.
         """
+        simulator = pipeline.simulator
         times = [
-            float(t) for t in self.cost_model.microbatch_times_ms(list(shapes), mode)
+            float(t) for t in self.cost_model.microbatch_times_ms(pipeline.shapes, pipeline.mode)
         ]
         compiles, solves = simulator.compiles, simulator.solves
         with _span("order_search", num_microbatches=len(times)):

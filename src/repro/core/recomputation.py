@@ -2,45 +2,19 @@
 
 Activation checkpointing trades compute for memory, and the right setting
 differs per iteration because dynamic micro-batching makes the peak memory
-vary.  DynaPipe therefore re-runs scheduling under each candidate
-recomputation mode (each has its own cost model behaviour) and keeps the
-cheapest one that fits in device memory.
+vary.  DynaPipe therefore re-runs partitioning and scheduling under each
+candidate recomputation mode, cheapest first, and keeps the first one whose
+simulated peak memory fits the device; the planner
+(:meth:`repro.core.planner.DynaPipePlanner.plan`) implements that policy.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
-
-from repro.core.adaptive_schedule import AdaptiveScheduler, ScheduleBuildResult, ScheduleKind
 from repro.model.memory import RecomputeMode
-from repro.model.transformer import MicroBatchShape
-from repro.schedule.cyclic import ScheduleDeadlockError
-from repro.simulator.engine import CommTimeFn, SimulationResult, simulate_schedule
 
 
 class OutOfMemoryError(RuntimeError):
     """Raised when no recomputation mode allows the iteration to fit in memory."""
-
-
-@dataclass
-class RecomputeDecision:
-    """The selected recomputation mode and its associated schedule.
-
-    Attributes:
-        mode: The chosen recomputation mode.
-        build: Schedule build result under that mode.
-        simulation: Timeline simulation of the built schedule.
-        peak_memory_bytes: Per-stage peak memory (static + activations).
-        rejected: Modes that were considered but infeasible (exceeded memory
-            or could not be scheduled).
-    """
-
-    mode: RecomputeMode
-    build: ScheduleBuildResult
-    simulation: SimulationResult
-    peak_memory_bytes: list[float]
-    rejected: dict[RecomputeMode, str]
 
 
 #: Order in which modes are tried: cheapest compute overhead first.
@@ -49,67 +23,3 @@ MODE_PREFERENCE: tuple[RecomputeMode, ...] = (
     RecomputeMode.SELECTIVE,
     RecomputeMode.FULL,
 )
-
-
-def select_recompute_mode(
-    scheduler: AdaptiveScheduler,
-    shapes: Sequence[MicroBatchShape],
-    kind: ScheduleKind | str = ScheduleKind.MEMORY_AWARE_ADAPTIVE,
-    injection_order: Sequence[int] | None = None,
-    comm_time_fn: CommTimeFn | None = None,
-) -> RecomputeDecision:
-    """Pick the cheapest recomputation mode that fits in device memory.
-
-    Every candidate mode is scheduled and simulated; a mode is feasible when
-    the simulated per-stage peak memory (activations plus static memory)
-    stays within the device memory budget.  Among feasible modes the one with
-    the smallest simulated makespan wins — normally the mode with the least
-    recomputation, but under memory pressure a heavier mode can win because
-    the memory-aware schedule no longer has to delay micro-batch injection.
-
-    Raises:
-        OutOfMemoryError: If no mode fits (a single micro-batch's activation
-            exceeds a stage's budget even under full recomputation).
-    """
-    kind = ScheduleKind(kind)
-    capacity = scheduler.device_memory_bytes
-    cost_model = scheduler.cost_model
-    static = [cost_model.stage_static_bytes(j) for j in range(cost_model.num_stages)]
-
-    best: RecomputeDecision | None = None
-    rejected: dict[RecomputeMode, str] = {}
-    for mode in MODE_PREFERENCE:
-        try:
-            build = scheduler.build(shapes, kind=kind, recompute=mode, injection_order=injection_order)
-        except ScheduleDeadlockError as exc:
-            rejected[mode] = f"unschedulable: {exc}"
-            continue
-        simulation = simulate_schedule(
-            build.schedule,
-            build.durations,
-            comm_time_fn=comm_time_fn,
-            activation_bytes=build.activation_bytes,
-            static_bytes=static,
-        )
-        peaks = simulation.peak_activation_bytes
-        if any(peak > capacity * (1.0 + 1e-9) for peak in peaks):
-            rejected[mode] = (
-                f"peak memory {max(peaks) / 1e9:.2f} GB exceeds capacity {capacity / 1e9:.2f} GB"
-            )
-            continue
-        decision = RecomputeDecision(
-            mode=mode,
-            build=build,
-            simulation=simulation,
-            peak_memory_bytes=peaks,
-            rejected=rejected,
-        )
-        if best is None or simulation.makespan_ms < best.simulation.makespan_ms:
-            best = decision
-    if best is None:
-        raise OutOfMemoryError(
-            "no recomputation mode fits the iteration in device memory: "
-            + "; ".join(f"{mode.value}: {reason}" for mode, reason in rejected.items())
-        )
-    best.rejected = rejected
-    return best

@@ -14,6 +14,11 @@ from repro.model.config import ModelConfig
 from repro.model.memory import weight_gradient_bytes
 from repro.model.transformer import assign_layers
 
+#: Fraction of the gradient all-reduce exposed on the iteration's critical
+#: path; the rest overlaps the backward pass, as Megatron/DeepSpeed gradient
+#: overlap does.  Planner predictions and executed iterations both use it.
+EXPOSED_ALLREDUCE_FRACTION = 0.5
+
 
 def gradient_allreduce_ms(
     model: ModelConfig,

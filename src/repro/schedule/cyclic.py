@@ -30,7 +30,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Sequence
 
-from repro.schedule.events import OpType, PipelineSchedule, StageSchedule
+from repro.schedule.events import PipelineSchedule
 
 
 class ScheduleDeadlockError(RuntimeError):
@@ -179,12 +179,4 @@ def cyclic_schedule(
     sequences = cyclic_stage_sequences(
         num_stages, activation_bytes, memory_limits, injection_order
     )
-    stages = [StageSchedule(stage=j) for j in range(num_stages)]
-    for j, sequence in enumerate(sequences):
-        for encoded in sequence:
-            stages[j].append(
-                encoded >> 1, OpType.FORWARD if encoded & 1 else OpType.BACKWARD
-            )
-    return PipelineSchedule(
-        stages=stages, num_microbatches=num_microbatches, name=name
-    )
+    return PipelineSchedule.from_stage_sequences(sequences, num_microbatches, name)

@@ -86,6 +86,30 @@ class PipelineSchedule:
     num_microbatches: int
     name: str = "unnamed"
 
+    @classmethod
+    def from_stage_sequences(
+        cls, sequences: list[list[int]], num_microbatches: int, name: str
+    ) -> "PipelineSchedule":
+        """Decode per-stage sequences of encoded ops ``(microbatch << 1) | is_forward``."""
+        return cls(
+            stages=[
+                StageSchedule(
+                    stage=stage,
+                    ops=[
+                        ComputeOp(
+                            encoded >> 1,
+                            stage,
+                            OpType.FORWARD if encoded & 1 else OpType.BACKWARD,
+                        )
+                        for encoded in sequence
+                    ],
+                )
+                for stage, sequence in enumerate(sequences)
+            ],
+            num_microbatches=num_microbatches,
+            name=name,
+        )
+
     @property
     def num_stages(self) -> int:
         """Number of pipeline stages."""

@@ -18,13 +18,16 @@ rebuilding and re-simulating the schedule each time:
   structure, so compiling the dependency DAG into a
   :class:`~repro.simulator.compiled.CompiledTimeline` happens once and each
   order is a pure re-solve.  Memory-gated schedules can fork into a handful
-  of distinct structures; each is compiled at most once.
+  of distinct structures; each is compiled at most once.  The 1F1B
+  schedule is one fixed slot structure
+  (:func:`~repro.schedule.one_f_one_b.one_f_one_b_stage_sequences`, passed
+  as ``stage_sequences``), so all its orders share one geometry.
 
 Evaluations are cached, so the chosen order's schedule and
 :class:`~repro.simulator.engine.SimulationResult` are read off its solve
 (:meth:`IncrementalOrderSimulator.simulation`).  Everything is
-bit-identical to building the cyclic schedule with ``injection_order=P``
-and running :func:`~repro.simulator.engine.simulate_schedule` on it: the
+bit-identical to building the schedule with ``injection_order=P`` and
+running :func:`~repro.simulator.engine.simulate_schedule` on it: the
 same scheduler core emits the op order and the same solver times it.
 """
 
@@ -36,7 +39,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.schedule.cyclic import ScheduleDeadlockError, cyclic_stage_sequences
-from repro.schedule.events import ComputeOp, OpType, PipelineSchedule, StageSchedule
+from repro.schedule.events import PipelineSchedule
 from repro.simulator.compiled import COMM_ACT, COMM_GRAD, CompiledTimeline, TimelineSolution
 from repro.simulator.engine import SimulationResult, timeline_result
 
@@ -74,6 +77,9 @@ class IncrementalOrderSimulator:
         device_memory_bytes: Optional per-device capacity; orders whose peak
             memory exceeds it are infeasible and score ``inf``, matching the
             planner's feasibility rule.
+        stage_sequences: Optional fixed per-stage slot sequences in the
+            encoded form (the 1F1B schedule); ``None`` derives each order's
+            sequences by cyclic scheduling.
     """
 
     def __init__(
@@ -87,6 +93,7 @@ class IncrementalOrderSimulator:
         memory_limits: Sequence[float] | None = None,
         static_bytes: Sequence[float] | None = None,
         device_memory_bytes: float | None = None,
+        stage_sequences: list[list[int]] | None = None,
     ) -> None:
         self.num_stages = num_stages
         self.activation_bytes = np.asarray(activation_bytes, dtype=np.float64)
@@ -97,6 +104,7 @@ class IncrementalOrderSimulator:
         self.memory_limits = list(memory_limits) if memory_limits is not None else None
         self.static_bytes = list(static_bytes) if static_bytes is not None else None
         self.device_memory_bytes = device_memory_bytes
+        self.stage_sequences = stage_sequences
         self._geometries: dict[tuple, CompiledTimeline] = {}
         self._evaluations: dict[tuple[int, ...], OrderEvaluation] = {}
         #: Number of distinct slot structures compiled so far.
@@ -122,9 +130,11 @@ class IncrementalOrderSimulator:
         """
         permutation = np.asarray(order, dtype=np.int64)
         permuted_activation = self.activation_bytes[permutation]
-        sequences = cyclic_stage_sequences(
-            self.num_stages, permuted_activation, self.memory_limits
-        )
+        sequences = self.stage_sequences
+        if sequences is None:
+            sequences = cyclic_stage_sequences(
+                self.num_stages, permuted_activation, self.memory_limits
+            )
         timeline = self._geometry_for(sequences)
 
         # Map slot-indexed geometry onto real micro-batch ids.
@@ -172,31 +182,22 @@ class IncrementalOrderSimulator:
         Reuses the cached evaluation when ``order`` was already evaluated
         (no further solve), so the search's solve of the chosen order
         becomes the plan's timeline.  Equal to
-        ``cyclic_schedule(..., injection_order=order, name=name)`` and
-        :func:`~repro.simulator.engine.simulate_schedule` on it.
+        ``cyclic_schedule(..., injection_order=order, name=name)`` (or the
+        1F1B schedule) and :func:`~repro.simulator.engine.simulate_schedule`
+        on it.
         """
         evaluation = self._evaluations.get(tuple(int(i) for i in order))
         if evaluation is None:
             evaluation = self.evaluate(order)
         timeline = evaluation.timeline
-        microbatch = evaluation.permutation[timeline.op_microbatch].tolist()
-        forward = timeline.op_is_forward.tolist()
+        encoded = (
+            (evaluation.permutation[timeline.op_microbatch] << 1) | timeline.op_is_forward
+        ).tolist()
         offsets = timeline.stage_offsets.tolist()
-        stages = [
-            StageSchedule(
-                stage=stage,
-                ops=[
-                    ComputeOp(mb, stage, OpType.FORWARD if fwd else OpType.BACKWARD)
-                    for mb, fwd in zip(
-                        microbatch[offsets[stage] : offsets[stage + 1]],
-                        forward[offsets[stage] : offsets[stage + 1]],
-                    )
-                ],
-            )
-            for stage in range(self.num_stages)
-        ]
-        schedule = PipelineSchedule(
-            stages=stages, num_microbatches=len(evaluation.permutation), name=name
+        schedule = PipelineSchedule.from_stage_sequences(
+            [encoded[offsets[stage] : offsets[stage + 1]] for stage in range(self.num_stages)],
+            len(evaluation.permutation),
+            name,
         )
         return schedule, timeline_result(
             schedule.all_ops, timeline, evaluation.solution, evaluation.peak_activation_bytes

@@ -34,16 +34,12 @@ from repro.instructions.ops import BackwardPass, ForwardPass, PipelineInstructio
 from repro.model.transformer import build_stage_models
 from repro.obs import state as _obs_state
 from repro.obs.spans import span as _span
+from repro.parallel.dataparallel import EXPOSED_ALLREDUCE_FRACTION
 from repro.runtime.planner_pool import PlannerPool
 from repro.simulator.executor import ExecutionResult
 from repro.training.throughput import IterationRecord, TrainingReport
 from repro.utils.rng import SeedLike, new_rng
 
-
-#: Fraction of the data-parallel gradient all-reduce exposed on the
-#: iteration's critical path at execution time (the rest overlaps the
-#: backward pass, as Megatron/DeepSpeed gradient overlap does).
-_EXPOSED_DP_FRACTION = 0.5
 
 #: Job-stream name a pooled session registers its epoch under.
 _SESSION_STREAM = "session"
@@ -266,7 +262,7 @@ class TrainingSession:
                 if collect:
                     traces.append(result.trace)
         self.last_op_traces = tuple(traces)
-        exposed_dp = data_parallel_comm_ms * _EXPOSED_DP_FRACTION
+        exposed_dp = data_parallel_comm_ms * EXPOSED_ALLREDUCE_FRACTION
         return max(replica_times) + exposed_dp, peak_memory
 
     def execute_iteration(self, plan: IterationPlan) -> tuple[float, float]:

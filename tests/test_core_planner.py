@@ -212,3 +212,56 @@ class TestConfiguration:
         plan = planner.plan(flan_samples[:60])
         assert plan.num_microbatches >= 1
         assert plan.padding.decoder_efficiency is not None
+
+
+class TestDynamicRecomputation:
+    """The planner's recomputation policy (§7): the cheapest mode, in
+    ``MODE_PREFERENCE`` order, whose partition and simulated peaks fit."""
+
+    @staticmethod
+    def _planner(cost_model, device_memory_bytes, kind=ScheduleKind.MEMORY_AWARE_ADAPTIVE):
+        return DynaPipePlanner(
+            cost_model,
+            config=PlannerConfig(
+                schedule_kind=kind,
+                order_search=False,
+                tmax_sample_count=8,
+                device_memory_bytes=device_memory_bytes,
+            ),
+        )
+
+    @staticmethod
+    def _static(cost_model):
+        return max(cost_model.stage_static_bytes(j) for j in range(cost_model.num_stages))
+
+    def test_ample_memory_selects_none(self, gpt_cost_model, flan_samples_gpt):
+        for kind in ScheduleKind:
+            planner = self._planner(gpt_cost_model, 400 * 1024**3, kind)
+            assert planner.plan(flan_samples_gpt[:60]).recompute is RecomputeMode.NONE, kind
+
+    def test_impossible_memory_names_every_mode(self, gpt_cost_model, flan_samples_gpt):
+        planner = self._planner(gpt_cost_model, self._static(gpt_cost_model) * 1.0001)
+        with pytest.raises(OutOfMemoryError) as excinfo:
+            planner.plan(flan_samples_gpt[:60])
+        message = str(excinfo.value)
+        assert message.startswith("no recomputation mode produced a feasible plan: ")
+        for mode in RecomputeMode:
+            assert f"{mode.value}: " in message
+
+    def test_chosen_peaks_within_device_memory(self, gpt_cost_model, flan_samples_gpt):
+        """Every schedule kind, from a tight device (a heavier mode is
+        chosen) to an ample one: the emitted plan's peaks fit."""
+        long_samples = sorted(flan_samples_gpt, key=lambda s: s.total_tokens)[-40:]
+        for kind in ScheduleKind:
+            for headroom_mib in (150, 600, 6000):
+                device_memory = self._static(gpt_cost_model) + headroom_mib * 1024**2
+                plan = self._planner(gpt_cost_model, device_memory, kind).plan(long_samples)
+                # At 150 MiB no sample alone fits NONE's per-micro-batch
+                # limit; at 600 MiB unrestricted injection partitions under
+                # NONE but its simulated peak exceeds the device.
+                if headroom_mib == 150 or (kind is ScheduleKind.ADAPTIVE and headroom_mib == 600):
+                    assert plan.recompute is not RecomputeMode.NONE, kind
+                for replica in plan.replicas:
+                    peaks = replica.plan.metadata.predicted_peak_memory_bytes
+                    assert peaks == replica.simulation.peak_activation_bytes
+                    assert all(peak <= device_memory * (1 + 1e-9) for peak in peaks)

@@ -1,82 +1,73 @@
-"""Tests for dynamic recomputation selection (paper §7)."""
+"""Tests for dynamic recomputation selection (paper §7).
+
+The planner tries each mode of ``MODE_PREFERENCE`` in turn and keeps the
+first whose partition and simulated peak memory fit the device.
+"""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.adaptive_schedule import AdaptiveScheduler, ScheduleKind
-from repro.core.recomputation import OutOfMemoryError, select_recompute_mode
+from repro.core.adaptive_schedule import ScheduleKind
+from repro.core.planner import DynaPipePlanner, PlannerConfig
+from repro.core.recomputation import MODE_PREFERENCE, OutOfMemoryError
 from repro.model.memory import RecomputeMode
-from repro.model.transformer import MicroBatchShape
 
 
-def small_shapes():
-    return [MicroBatchShape(batch_size=2, enc_seq_len=128)] * 4
+def _planner(cost_model, device_memory_bytes=None, kind=ScheduleKind.MEMORY_AWARE_ADAPTIVE, **config):
+    return DynaPipePlanner(
+        cost_model,
+        config=PlannerConfig(
+            schedule_kind=kind,
+            order_search=False,
+            tmax_sample_count=8,
+            device_memory_bytes=device_memory_bytes,
+            **config,
+        ),
+    )
 
 
-def large_shapes():
-    return [MicroBatchShape(batch_size=16, enc_seq_len=1024)] * 8
+def _static(cost_model):
+    return max(cost_model.stage_static_bytes(j) for j in range(cost_model.num_stages))
+
+
+def _long_samples(samples):
+    return sorted(samples, key=lambda s: s.total_tokens)[-40:]
 
 
 class TestSelection:
-    def test_abundant_memory_selects_none(self, gpt_cost_model):
-        """With plenty of memory the cheapest mode (no recomputation) wins."""
-        scheduler = AdaptiveScheduler(gpt_cost_model, device_memory_bytes=400 * 1024**3)
-        decision = select_recompute_mode(scheduler, small_shapes())
-        assert decision.mode is RecomputeMode.NONE
-        assert not decision.rejected
+    def test_mode_preference_cheapest_first(self):
+        assert MODE_PREFERENCE == (
+            RecomputeMode.NONE,
+            RecomputeMode.SELECTIVE,
+            RecomputeMode.FULL,
+        )
 
-    def test_memory_pressure_selects_heavier_mode(self, gpt_cost_model):
+    def test_memory_pressure_selects_heavier_mode(self, gpt_cost_model, flan_samples_gpt):
         """When the iteration cannot fit without checkpointing, a heavier
-        recomputation mode is selected instead of failing."""
-        static = max(
-            gpt_cost_model.stage_static_bytes(j) for j in range(gpt_cost_model.num_stages)
+        recomputation mode is selected instead of failing, and NONE alone
+        is rejected on the same device."""
+        device_memory = _static(gpt_cost_model) + 150 * 1024**2
+        samples = _long_samples(flan_samples_gpt)
+        plan = _planner(gpt_cost_model, device_memory).plan(samples)
+        assert plan.recompute in (RecomputeMode.SELECTIVE, RecomputeMode.FULL)
+        none_only = _planner(
+            gpt_cost_model, device_memory, dynamic_recompute=False, recompute=RecomputeMode.NONE
         )
-        shapes = large_shapes()
-        full_activation = max(
-            gpt_cost_model.microbatch_activation_bytes(s, RecomputeMode.FULL) for s in shapes
-        )
-        none_activation = max(
-            gpt_cost_model.microbatch_activation_bytes(s, RecomputeMode.NONE) for s in shapes
-        )
-        # Enough room for one FULL-mode activation but not one NONE-mode activation.
-        device_memory = static + (full_activation + none_activation) / 2
-        scheduler = AdaptiveScheduler(gpt_cost_model, device_memory_bytes=device_memory)
-        decision = select_recompute_mode(scheduler, shapes)
-        assert decision.mode in (RecomputeMode.SELECTIVE, RecomputeMode.FULL)
-        assert RecomputeMode.NONE in decision.rejected
-
-    def test_impossible_memory_raises(self, gpt_cost_model):
-        static = max(
-            gpt_cost_model.stage_static_bytes(j) for j in range(gpt_cost_model.num_stages)
-        )
-        scheduler = AdaptiveScheduler(gpt_cost_model, device_memory_bytes=static * 1.0001)
         with pytest.raises(OutOfMemoryError):
-            select_recompute_mode(scheduler, large_shapes())
+            none_only.plan(samples)
 
-    def test_peak_memory_within_budget(self, gpt_cost_model):
-        scheduler = AdaptiveScheduler(gpt_cost_model)
-        decision = select_recompute_mode(scheduler, large_shapes())
-        assert all(
-            peak <= scheduler.device_memory_bytes * (1 + 1e-9)
-            for peak in decision.peak_memory_bytes
-        )
+    def test_peak_memory_within_budget(self, gpt_cost_model, flan_samples_gpt):
+        planner = _planner(gpt_cost_model)
+        plan = planner.plan(_long_samples(flan_samples_gpt))
+        for replica in plan.replicas:
+            assert all(
+                peak <= planner.device_memory_bytes * (1 + 1e-9)
+                for peak in replica.simulation.peak_activation_bytes
+            )
 
-    def test_decision_contains_simulation(self, gpt_cost_model):
-        scheduler = AdaptiveScheduler(gpt_cost_model)
-        decision = select_recompute_mode(scheduler, small_shapes())
-        assert decision.simulation.makespan_ms > 0
-        assert decision.build.schedule.num_microbatches == len(small_shapes())
-
-    def test_respects_injection_order(self, gpt_cost_model):
-        scheduler = AdaptiveScheduler(gpt_cost_model, device_memory_bytes=400 * 1024**3)
-        order = [3, 2, 1, 0]
-        decision = select_recompute_mode(
-            scheduler, small_shapes(), kind=ScheduleKind.ADAPTIVE, injection_order=order
-        )
-        assert decision.build.schedule.injection_order() == order
-
-    def test_1f1b_kind_supported(self, gpt_cost_model):
-        scheduler = AdaptiveScheduler(gpt_cost_model, device_memory_bytes=400 * 1024**3)
-        decision = select_recompute_mode(scheduler, small_shapes(), kind=ScheduleKind.ONE_F_ONE_B)
-        assert decision.build.schedule.name == "1f1b"
+    def test_1f1b_kind_supported(self, gpt_cost_model, flan_samples_gpt):
+        planner = _planner(gpt_cost_model, 400 * 1024**3, ScheduleKind.ONE_F_ONE_B)
+        plan = planner.plan(flan_samples_gpt[:60])
+        assert plan.recompute is RecomputeMode.NONE
+        assert all(p.metadata.schedule_name == "1f1b" for p in plan.plans)

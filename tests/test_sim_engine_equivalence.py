@@ -21,13 +21,12 @@ from hypothesis import strategies as st
 from repro.cluster.network import NetworkModel
 from repro.comm.shapes import TransferShapes
 from repro.core.adaptive_schedule import AdaptiveScheduler, ScheduleKind
-import repro.core.planner as planner_module
 from repro.core.planner import DynaPipePlanner, PlannerConfig
 from repro.model.memory import RecomputeMode
 from repro.model.transformer import MicroBatchShape
 from repro.schedule.cyclic import ScheduleDeadlockError, cyclic_schedule
-from repro.schedule.events import OpType, PipelineSchedule, StageSchedule
-from repro.schedule.one_f_one_b import one_f_one_b_schedule
+from repro.schedule.events import ComputeOp, OpType, PipelineSchedule, StageSchedule
+from repro.schedule.one_f_one_b import one_f_one_b_schedule, one_f_one_b_stage_sequences
 from repro.simulator.compiled import SimulationError
 from repro.simulator.engine import (
     clear_geometry_cache,
@@ -249,15 +248,26 @@ class TestDeadlockDiagnostics:
 class TestIncrementalOrderSimulator:
     def _legacy(
         self, num_stages, activation, forward_ms, backward_ms, act_comm, grad_comm,
-        limits, static, device_memory, order,
+        limits, static, device_memory, order, one_f_one_b=False,
     ):
-        """Build + scalar-simulate ``order``: (score, schedule, result)."""
-        try:
-            schedule = cyclic_schedule(
-                num_stages, activation, memory_limits=limits, injection_order=list(order)
-            )
-        except ScheduleDeadlockError:
-            return float("inf"), None, None
+        """Build + scalar-simulate ``order``: (score, schedule, result).
+
+        With ``one_f_one_b`` the schedule is 1F1B whose micro-batch ``k`` is
+        relabelled ``order[k]``.
+        """
+        if one_f_one_b:
+            schedule = one_f_one_b_schedule(num_stages, len(order))
+            for stage in schedule.stages:
+                stage.ops = [
+                    ComputeOp(order[op.microbatch], op.stage, op.op_type) for op in stage.ops
+                ]
+        else:
+            try:
+                schedule = cyclic_schedule(
+                    num_stages, activation, memory_limits=limits, injection_order=list(order)
+                )
+            except ScheduleDeadlockError:
+                return float("inf"), None, None
         durations = {
             op: (
                 forward_ms[op.microbatch, op.stage]
@@ -315,17 +325,57 @@ class TestIncrementalOrderSimulator:
         )
         orders = list(itertools.permutations(range(num_microbatches)))
         rng.shuffle(orders)
-        for order in orders[:6]:
-            incremental = simulator.score(order)
-            legacy, schedule, result = self._legacy(
-                num_stages, activation, forward_ms, backward_ms, act_comm, grad_comm,
-                limits, static, device_memory, order,
+        self._check_orders(
+            simulator, orders[:6], "adaptive",
+            num_stages, activation, forward_ms, backward_ms, act_comm, grad_comm,
+            limits, static, device_memory,
+        )
+        assert simulator.compiles <= simulator.solves
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_one_f_one_b_sequences_match_from_scratch(self, seed):
+        """Fixed 1F1B sequences: order ``P`` runs 1F1B with slot ``k`` holding
+        micro-batch ``P[k]``, on one compiled geometry for every order."""
+        rng = random.Random(seed)
+        num_stages = rng.randint(1, 4)
+        num_microbatches = rng.randint(1, 6)
+        activation, forward_ms, act_comm, grad_comm = (
+            np.array(
+                [[rng.uniform(low, high) for _ in range(num_stages)]
+                 for _ in range(num_microbatches)]
             )
+            for low, high in ((1, 100), (0.5, 5), (0, 1), (0, 1))
+        )
+        backward_ms = forward_ms * rng.uniform(1.5, 2.5)
+        static = [rng.uniform(0, 30) for _ in range(num_stages)]
+        device_memory = rng.uniform(100, 400) if rng.random() < 0.5 else None
+        simulator = IncrementalOrderSimulator(
+            num_stages, activation, forward_ms, backward_ms, act_comm, grad_comm,
+            static_bytes=static,
+            device_memory_bytes=device_memory,
+            stage_sequences=one_f_one_b_stage_sequences(num_stages, num_microbatches),
+        )
+        orders = list(itertools.permutations(range(num_microbatches)))
+        rng.shuffle(orders)
+        orders = [tuple(range(num_microbatches))] + orders[:4]
+        self._check_orders(
+            simulator, orders, "1f1b",
+            num_stages, activation, forward_ms, backward_ms, act_comm, grad_comm,
+            None, static, device_memory, one_f_one_b=True,
+        )
+        assert simulator.compiles == 1
+
+    def _check_orders(self, simulator, orders, name, *case, one_f_one_b=False):
+        """Each order's score, schedule and timeline equal the from-scratch ones."""
+        for order in orders:
+            incremental = simulator.score(order)
+            legacy, schedule, result = self._legacy(*case, order, one_f_one_b=one_f_one_b)
             assert incremental == legacy
             if schedule is None:
                 continue
             solves = simulator.solves
-            built, simulated = simulator.simulation(order, name="adaptive")
+            built, simulated = simulator.simulation(order, name=name)
             assert simulator.solves == solves  # read off the cached solve
             assert [stage.ops for stage in built.stages] == [
                 stage.ops for stage in schedule.stages
@@ -340,7 +390,6 @@ class TestIncrementalOrderSimulator:
             # end-time ties in this order).
             assert list(simulated.op_times) == list(schedule.all_ops())
             assert _events(simulated.trace) == _events(result.trace)
-        assert simulator.compiles <= simulator.solves
 
 
 class TestPlannerIncrementalSearch:
@@ -351,15 +400,16 @@ class TestPlannerIncrementalSearch:
     def test_search_does_not_rebuild_schedule_per_permutation(
         self, gpt_cost_model, search_samples, monkeypatch
     ):
-        calls = {"build": 0, "simulate": 0}
-        original_simulate = planner_module.simulate_schedule
+        builds = []
+        original_build = AdaptiveScheduler.build
 
-        def counting_simulate(*args, **kwargs):
-            calls["simulate"] += 1
-            return original_simulate(*args, **kwargs)
+        def counting_build(*args, **kwargs):
+            builds.append(kwargs.get("kind"))
+            return original_build(*args, **kwargs)
 
-        monkeypatch.setattr(planner_module, "simulate_schedule", counting_simulate)
-        for kind in (ScheduleKind.MEMORY_AWARE_ADAPTIVE, ScheduleKind.ADAPTIVE):
+        monkeypatch.setattr(AdaptiveScheduler, "build", counting_build)
+        for kind in ScheduleKind:
+            reset_engine_stats()
             planner = DynaPipePlanner(
                 gpt_cost_model,
                 config=PlannerConfig(
@@ -369,14 +419,14 @@ class TestPlannerIncrementalSearch:
                     max_order_permutations=12,
                 ),
             )
-            original_build = planner.scheduler.build
-
-            def counting_build(*args, _build=original_build, **kwargs):
-                calls["build"] += 1
-                return _build(*args, **kwargs)
-
-            planner.scheduler.build = counting_build
             plan = planner.plan(search_samples)
+            # Every replica, 1F1B included, lives on one incremental
+            # simulator from the feasibility check to the emitted plan: no
+            # schedule build, no from-scratch simulation.
+            assert builds == [], kind
+            assert engine_stats()["vector_simulations"] == 0, kind
+            if kind is ScheduleKind.ONE_F_ONE_B:
+                continue
             searches = [
                 replica.ordering_search
                 for replica in plan.replicas
@@ -384,10 +434,6 @@ class TestPlannerIncrementalSearch:
             ]
             assert searches, "expected the order search to run"
             assert sum(search.evaluated for search in searches) > 1
-            # Cyclic replicas live on one incremental simulator from the
-            # feasibility check to the emitted plan: no schedule build, no
-            # from-scratch simulation.
-            assert calls == {"build": 0, "simulate": 0}, kind
             for search in searches:
                 assert search.timeline_solves == search.evaluated
                 assert 0 <= search.geometry_compiles <= search.timeline_solves
