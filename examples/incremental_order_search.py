@@ -3,12 +3,12 @@
 The planner's injection-order search (paper §5) scores permutations of a
 replica's micro-batches by simulating the memory-aware adaptive schedule.
 Every replica lives on one :class:`~repro.core.planner.ReplicaPipeline`
-and its incremental simulator: the
-identity order's solve is the memory-feasibility check, each permutation of
-the search is one re-solve of the compiled schedule *geometry* (op order +
-dependency structure, compiled once per distinct memory-gated shape), and
-the chosen order's cached solve becomes the replica's timeline — no
-schedule is rebuilt and nothing is simulated twice.
+and its incremental simulator: the identity order's timed walk of
+Algorithm 1 is the memory-feasibility check, each permutation of the search
+is one more walk (it times and memory-checks every op as Algorithm 1 places
+it, compiling nothing), and only the chosen order is compiled and solved,
+once, into the replica's timeline — no schedule is rebuilt and nothing is
+simulated twice.
 
 This example runs that path on a seeded GPT configuration, prints the
 counters that prove the reuse, and checks the result bit for bit against
@@ -31,7 +31,7 @@ from repro.costmodel.cost_model import CostModel
 from repro.model.config import ModelArch, ModelConfig
 from repro.model.memory import RecomputeMode
 from repro.model.transformer import MicroBatchShape
-from repro.simulator.engine import simulate_schedule
+from repro.simulator.engine import engine_stats, simulate_schedule
 
 CONFIG = ModelConfig(
     name="gpt-example-small",
@@ -75,10 +75,16 @@ def main() -> None:
         )
         return replica, identity, result
 
+    before = engine_stats()
     replica, identity, result = feasibility_and_search()
-    simulator = replica.simulator
-    search_solves = simulator.solves - 1  # the identity solve is the first
-    schedule, simulation = simulator.simulation(result.order, name=kind.value)
+    searched = engine_stats()
+    schedule, simulation = replica.simulator.simulation(result.order, name=kind.value)
+    planned = engine_stats()
+
+    def work(start: dict, end: dict) -> str:
+        compiles = end["geometry_compiles"] - start["geometry_compiles"]
+        solves = end["timeline_solves"] - start["timeline_solves"]
+        return f"geometry compiles {compiles}, timeline solves {solves}"
 
     best = float("inf")
     for _ in range(REPEATS):
@@ -87,10 +93,11 @@ def main() -> None:
         best = min(best, time.perf_counter() - start)
 
     print(f"micro-batches: {NUM_MICROBATCHES}   stages: {cost_model.num_stages}")
-    print(f"identity order:    makespan {identity.solution.makespan_ms:.3f} ms, "
+    print(f"identity order:    makespan {identity.makespan_ms:.3f} ms, "
           f"fits device memory: {identity.feasible}")
-    print(f"permutations evaluated: {result.evaluated}   search timeline solves: {search_solves}")
-    print(f"replica total: {simulator.compiles} geometry compiles / {simulator.solves} solves")
+    print(f"permutations evaluated: {result.evaluated}   "
+          f"feasibility + search: {work(before, searched)}")
+    print(f"chosen order's timeline: {work(searched, planned)}")
     print(f"selected order:    {result.order}")
     print(f"makespan:          {simulation.makespan_ms:.3f} ms")
     print(f"feasibility + search: {best * 1e3:.2f} ms (best of {REPEATS})")
@@ -125,7 +132,8 @@ def main() -> None:
     assert simulation.makespan_ms == reference.makespan_ms == result.makespan_ms
     assert simulation.peak_activation_bytes == reference.peak_activation_bytes
     print()
-    print("OK: the cached solve is bit-identical to a from-scratch build + simulate.")
+    print("OK: the walked score and the plan's timeline are bit-identical to a")
+    print("    from-scratch build + simulate.")
 
 
 if __name__ == "__main__":

@@ -25,16 +25,16 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from repro.batching.metrics import padding_stats
 from repro.batching.packing import PackingBatching
 from repro.cluster.network import NetworkModel
 from repro.core.adaptive_schedule import ScheduleKind
-from repro.core.planner import IterationPlan, ReplicaPipeline, ReplicaPlanResult
+from repro.core.planner import (
+    IterationPlan, ReplicaPipeline, ReplicaPlanResult, assemble_iteration_plan,
+)
 from repro.core.recomputation import OutOfMemoryError
 from repro.costmodel.cost_model import CostModel
 from repro.data.tasks import Sample
 from repro.model.memory import RecomputeMode
-from repro.parallel.dataparallel import EXPOSED_ALLREDUCE_FRACTION, gradient_allreduce_ms
 
 
 @dataclass
@@ -174,28 +174,8 @@ class MLMDeepSpeedBaseline:
                 )
             replicas.append(pipeline.lower(identity, micro_batches, iteration, replica_index))
 
-        dp_comm = gradient_allreduce_ms(
-            self.cost_model.config,
-            self.data_parallel_size,
-            self.cost_model.num_stages,
-            self.cost_model.tensor_parallel,
-            network=self.network,
-            same_node=self.config.data_parallel_same_node,
-        )
-        predicted = (
-            max(r.simulation.makespan_ms for r in replicas)
-            + dp_comm * EXPOSED_ALLREDUCE_FRACTION
-        )
-        planning_time = time.perf_counter() - start_time
-        for replica in replicas:
-            replica.plan.metadata.planning_time_s = planning_time
-
-        return IterationPlan(
-            replicas=replicas,
-            recompute=self.config.recompute,
-            predicted_iteration_ms=predicted,
-            data_parallel_comm_ms=dp_comm,
-            padding=padding_stats(all_micro_batches),
-            dp_solution=None,
-            planning_time_s=planning_time,
+        return assemble_iteration_plan(
+            replicas, self.config.recompute, all_micro_batches, None, start_time,
+            self.cost_model, self.data_parallel_size, self.network,
+            self.config.data_parallel_same_node,
         )

@@ -28,18 +28,12 @@ class OrderingSearchResult:
         makespan_ms: Simulated makespan of the selected order.
         evaluated: Number of candidate orders scored.
         cluster_sizes: Sizes of the execution-time clusters used.
-        geometry_compiles: Distinct schedule geometries the planner's search
-            compiled (``None`` when not set by the caller).
-        timeline_solves: Timeline solves the planner's search performed
-            (``None`` when not set by the caller).
     """
 
     order: list[int]
     makespan_ms: float
     evaluated: int
     cluster_sizes: list[int]
-    geometry_compiles: int | None = None
-    timeline_solves: int | None = None
 
 
 def cluster_by_time(times: Sequence[float], num_clusters: int) -> list[list[int]]:

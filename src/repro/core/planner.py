@@ -20,12 +20,13 @@ one execution plan per data-parallel replica:
 
 Steps 3–6 of every replica go through one :class:`ReplicaPipeline`, the
 path the MLM+DS baseline shares: its
-:class:`~repro.simulator.incremental.IncrementalOrderSimulator` solves the
-identity order as the feasibility check, the search scores its permutations
-on the same compiled geometry, and the chosen order's cached solve becomes
-the replica's timeline, communication plan and instruction streams.  1F1B
-ignores the injection order, so its replicas run the fixed 1F1B sequences on
-the same simulator and skip the search.
+:class:`~repro.simulator.incremental.IncrementalOrderSimulator` times and
+memory-checks the identity order as the feasibility check, the search scores
+each permutation with one timed walk of Algorithm 1, and only the chosen
+order is compiled and solved, once, into the replica's timeline,
+communication plan and instruction streams.  1F1B ignores the injection
+order, so its replicas run the fixed 1F1B sequences on the same simulator
+and skip the search.
 """
 
 from __future__ import annotations
@@ -71,8 +72,6 @@ _PLANNER_STATS = REGISTRY.counter_dict(
         "plans",
         "order_searches",
         "order_permutations_evaluated",
-        "order_geometry_compiles",
-        "order_timeline_solves",
     ),
 )
 
@@ -254,8 +253,8 @@ class ReplicaPipeline:
         replica: int,
         ordering_search: OrderingSearchResult | None = None,
     ) -> ReplicaPlanResult:
-        """The plan of injection ``order``: its timeline (read off the
-        simulator's cached solve), instruction streams and predictions."""
+        """The plan of injection ``order``: its timeline (the simulator
+        compiles and solves it once), instruction streams and predictions."""
         schedule, simulation = self.simulator.simulation(order, name=self.kind.value)
         streams = build_instruction_streams(
             schedule, simulation.op_times, self.shapes, self.transfer_shapes, recompute=self.mode
@@ -339,6 +338,41 @@ class IterationPlan:
             "num_microbatches": self.num_microbatches,
             "planning_time_s": self.planning_time_s,
         }
+
+
+def assemble_iteration_plan(
+    replicas: list[ReplicaPlanResult],
+    recompute: RecomputeMode,
+    micro_batches: Sequence[MicroBatch],
+    dp_solution: DPSolution | None,
+    start_time: float,
+    cost_model: CostModel,
+    data_parallel_size: int,
+    network: NetworkModel,
+    data_parallel_same_node: bool,
+) -> IterationPlan:
+    """The planning tail DynaPipe and the MLM+DS baseline share: predict the
+    iteration (slowest replica plus the exposed gradient all-reduce) and
+    stamp the planning time since ``start_time`` (``time.perf_counter()``)."""
+    dp_comm = gradient_allreduce_ms(
+        cost_model.config, data_parallel_size, cost_model.num_stages,
+        cost_model.tensor_parallel, network=network, same_node=data_parallel_same_node,
+    )
+    predicted = (
+        max(r.simulation.makespan_ms for r in replicas) + dp_comm * EXPOSED_ALLREDUCE_FRACTION
+    )
+    planning_time = time.perf_counter() - start_time
+    for replica in replicas:
+        replica.plan.metadata.planning_time_s = planning_time
+    return IterationPlan(
+        replicas=replicas,
+        recompute=recompute,
+        predicted_iteration_ms=predicted,
+        data_parallel_comm_ms=dp_comm,
+        padding=padding_stats(micro_batches),
+        dp_solution=dp_solution,
+        planning_time_s=planning_time,
+    )
 
 
 class DynaPipePlanner:
@@ -539,30 +573,9 @@ class DynaPipePlanner:
                 pipeline.lower(order, group, iteration, replica_index, ordering_result)
             )
 
-        dp_comm = gradient_allreduce_ms(
-            self.cost_model.config,
-            self.data_parallel_size,
-            self.cost_model.num_stages,
-            self.cost_model.tensor_parallel,
-            network=self.network,
-            same_node=self.config.data_parallel_same_node,
-        )
-        predicted = (
-            max(r.simulation.makespan_ms for r in replicas)
-            + dp_comm * EXPOSED_ALLREDUCE_FRACTION
-        )
-        planning_time = time.perf_counter() - start_time
-        for replica in replicas:
-            replica.plan.metadata.planning_time_s = planning_time
-
-        return IterationPlan(
-            replicas=replicas,
-            recompute=mode,
-            predicted_iteration_ms=predicted,
-            data_parallel_comm_ms=dp_comm,
-            padding=padding_stats(micro_batches),
-            dp_solution=solution,
-            planning_time_s=planning_time,
+        return assemble_iteration_plan(
+            replicas, mode, micro_batches, solution, start_time, self.cost_model,
+            self.data_parallel_size, self.network, self.config.data_parallel_same_node,
         )
 
     # ------------------------------------------------------------------ internals
@@ -589,27 +602,20 @@ class DynaPipePlanner:
     def _search_injection_order(self, pipeline: ReplicaPipeline) -> OrderingSearchResult:
         """Cluster-permutation search over injection orders (§5).
 
-        Permutations are scored on the replica's incremental simulator: the
-        cyclic slot structure is derived per permutation with the lean slot
-        scheduler, the dependency DAG is compiled once per distinct
-        structure, and each candidate is one timeline solve.
+        Each permutation is scored by one timed walk of Algorithm 1 on the
+        replica's incremental simulator; the search compiles and solves no
+        timeline.
         """
-        simulator = pipeline.simulator
         times = [
             float(t) for t in self.cost_model.microbatch_times_ms(pipeline.shapes, pipeline.mode)
         ]
-        compiles, solves = simulator.compiles, simulator.solves
         with _span("order_search", num_microbatches=len(times)):
             result = cluster_and_order(
                 times,
-                simulator.score,
+                pipeline.simulator.score,
                 num_clusters=self.config.num_time_clusters,
                 max_permutations=self.config.max_order_permutations,
             )
-        result.geometry_compiles = simulator.compiles - compiles
-        result.timeline_solves = simulator.solves - solves
         _PLANNER_STATS["order_searches"] += 1
         _PLANNER_STATS["order_permutations_evaluated"] += result.evaluated
-        _PLANNER_STATS["order_geometry_compiles"] += result.geometry_compiles
-        _PLANNER_STATS["order_timeline_solves"] += result.timeline_solves
         return result

@@ -44,10 +44,6 @@ class StageSchedule:
     stage: int
     ops: list[ComputeOp] = field(default_factory=list)
 
-    def append(self, microbatch: int, op_type: OpType) -> None:
-        """Append an op for ``microbatch`` of ``op_type`` to this stage."""
-        self.ops.append(ComputeOp(microbatch=microbatch, stage=self.stage, op_type=op_type))
-
     def __len__(self) -> int:
         return len(self.ops)
 

@@ -5,9 +5,10 @@ Two levels of fidelity are provided:
 * :mod:`repro.simulator.engine` simulates a *compute-op schedule* (the
   output of 1F1B / adaptive scheduling) against per-op durations and
   cross-stage dependencies, producing a timeline, makespan, bubble (idle)
-  time and peak activation memory.  This is the fast path used inside the
-  planner (e.g. to score micro-batch injection orders) and by the schedule
-  robustness experiments (Fig. 7).
+  time and peak activation memory.  The planner compiles and solves each
+  replica's chosen schedule with it (injection orders are scored by timed
+  walks of Algorithm 1, :mod:`repro.simulator.incremental`), and the
+  schedule robustness experiments (Fig. 7) re-simulate schedules with it.
 
 * :mod:`repro.simulator.executor` runs full *instruction streams* in one
   sweep (compute + communication Start/Wait ops) with NCCL-like single-channel

@@ -17,12 +17,14 @@ timing recurrence of :mod:`repro.simulator.engine` in topological order:
 
 Compilation is schedule-order only: durations and communication times are
 *inputs to the solve*, so one compiled geometry can be re-solved for many
-duration vectors or for permuted micro-batch orders
-(:mod:`repro.simulator.incremental`).  Each op reads only the end times of
+duration vectors or for permuted micro-batch orders (the 1F1B orders of
+:mod:`repro.simulator.incremental`).  Each op reads only the end times of
 its two predecessors, so any topological order gives the same floats; the
 arithmetic performed per op is bit-identical to a per-op event loop's (same
 operand order, same ``max`` structure), and the equivalence suite pins it
-against such a loop kept as a test oracle.
+against such a loop kept as a test oracle.  The timed cyclic walk
+(:func:`repro.schedule.cyclic.cyclic_walk`) performs the same arithmetic in
+Algorithm 1's emission order.
 """
 
 from __future__ import annotations
@@ -143,8 +145,7 @@ class CompiledTimeline:
         cls, num_stages: int, sequences: Sequence[Sequence[int]]
     ) -> "CompiledTimeline":
         """Compile from encoded per-stage sequences (``mb << 1 | is_forward``),
-        the format produced by
-        :func:`repro.schedule.cyclic.cyclic_stage_sequences`."""
+        the format produced by :func:`repro.schedule.cyclic.cyclic_walk`."""
         stages_mb = [[enc >> 1 for enc in seq] for seq in sequences]
         stages_fwd = [[bool(enc & 1) for enc in seq] for seq in sequences]
         return cls._from_columns(num_stages, stages_mb, stages_fwd)

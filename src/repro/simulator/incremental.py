@@ -2,33 +2,25 @@
 
 The planner evaluates the *same* micro-batches under many injection orders:
 the identity order for the feasibility check, every candidate of the order
-search (§5), and the chosen order for the plan.  Two observations avoid
-rebuilding and re-simulating the schedule each time:
+search (§5), and the chosen order for the plan.
 
-* **Slot relabeling.** Cyclic scheduling decisions depend only on the
-  activation *values* presented, so scheduling micro-batches in injection
-  order ``P`` is isomorphic to scheduling *slots* ``0..M-1`` in identity
-  order over the permuted activation rows ``A[P]`` — slot ``k`` stands for
-  micro-batch ``P[k]``.  Each order therefore only needs the lean
-  slot-level scheduler (:func:`~repro.schedule.cyclic.cyclic_stage_sequences`)
-  plus array gathers to map slot-indexed geometry onto real micro-batch
-  durations, comm times and activations.
-
-* **Geometry reuse.** With ample memory every order produces the same slot
-  structure, so compiling the dependency DAG into a
-  :class:`~repro.simulator.compiled.CompiledTimeline` happens once and each
-  order is a pure re-solve.  Memory-gated schedules can fork into a handful
-  of distinct structures; each is compiled at most once.  The 1F1B
-  schedule is one fixed slot structure
+* **One timed walk per cyclic order.** Algorithm 1 emits ops only after
+  their dependencies, so its ready-buffer loop
+  (:func:`~repro.schedule.cyclic.cyclic_walk`) times every op and tracks
+  each stage's peak memory as it places it, with
+  :meth:`~repro.simulator.compiled.CompiledTimeline.solve`'s arithmetic.
+  A searched order costs one pass over per-replica float rows: no
+  dependency arrays, no topological sort, no compiled geometry.
+* **One geometry for 1F1B.** Its fixed slot sequences
   (:func:`~repro.schedule.one_f_one_b.one_f_one_b_stage_sequences`, passed
-  as ``stage_sequences``), so all its orders share one geometry.
+  as ``stage_sequences``; slot ``k`` holds micro-batch ``P[k]`` of order
+  ``P``) are compiled once; each order is a re-solve.
 
-Evaluations are cached, so the chosen order's schedule and
-:class:`~repro.simulator.engine.SimulationResult` are read off its solve
-(:meth:`IncrementalOrderSimulator.simulation`).  Everything is
-bit-identical to building the schedule with ``injection_order=P`` and
-running :func:`~repro.simulator.engine.simulate_schedule` on it: the
-same scheduler core emits the op order and the same solver times it.
+Evaluations are cached, and only the chosen order is compiled and solved,
+once, for the plan's timeline (:meth:`IncrementalOrderSimulator.simulation`).
+Everything is bit-identical to building the schedule with
+``injection_order=P`` and running
+:func:`~repro.simulator.engine.simulate_schedule` on it.
 """
 
 from __future__ import annotations
@@ -38,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.schedule.cyclic import ScheduleDeadlockError, cyclic_stage_sequences
+from repro.schedule.cyclic import OpCosts, ScheduleDeadlockError, cyclic_walk
 from repro.schedule.events import PipelineSchedule
 from repro.simulator.compiled import COMM_ACT, COMM_GRAD, CompiledTimeline, TimelineSolution
 from repro.simulator.engine import SimulationResult, timeline_result
@@ -46,19 +38,19 @@ from repro.simulator.engine import SimulationResult, timeline_result
 
 @dataclass
 class OrderEvaluation:
-    """One solved injection order: slot ``k`` of ``timeline`` is micro-batch
-    ``permutation[k]``; the peaks include static memory, and ``feasible``
-    says whether they fit the device (always true without a capacity)."""
+    """One scored injection order: its per-stage op order (encoded
+    ``(microbatch << 1) | is_forward``), makespan, peaks including static
+    memory, and whether they fit the device (always, without a capacity)."""
 
-    permutation: np.ndarray
-    timeline: CompiledTimeline
-    solution: TimelineSolution
+    permutation: list[int]
+    sequences: list[list[int]]
+    makespan_ms: float
     peak_activation_bytes: list[float]
     feasible: bool
 
 
 class IncrementalOrderSimulator:
-    """Evaluates injection orders of one replica against compiled geometry.
+    """Evaluates injection orders of one replica.
 
     All inputs are indexed by *micro-batch id* and pipeline stage:
 
@@ -105,40 +97,22 @@ class IncrementalOrderSimulator:
         self.static_bytes = list(static_bytes) if static_bytes is not None else None
         self.device_memory_bytes = device_memory_bytes
         self.stage_sequences = stage_sequences
-        self._geometries: dict[tuple, CompiledTimeline] = {}
         self._evaluations: dict[tuple[int, ...], OrderEvaluation] = {}
-        #: Number of distinct slot structures compiled so far.
-        self.compiles = 0
-        #: Number of timeline solves (one per evaluated order).
-        self.solves = 0
-
-    def _geometry_for(self, sequences: list[list[int]]) -> CompiledTimeline:
-        key = tuple(np.asarray(seq, dtype=np.int64).tobytes() for seq in sequences)
-        timeline = self._geometries.get(key)
-        if timeline is None:
-            timeline = CompiledTimeline.from_stage_sequences(self.num_stages, sequences)
-            self._geometries[key] = timeline
-            self.compiles += 1
-        return timeline
-
-    def evaluate(self, order: Sequence[int]) -> OrderEvaluation:
-        """Schedule, solve and memory-check ``order`` (one timeline solve).
-
-        Raises:
-            ScheduleDeadlockError: If cyclic scheduling cannot place every
-                op under the memory limits.
-        """
-        permutation = np.asarray(order, dtype=np.int64)
-        permuted_activation = self.activation_bytes[permutation]
-        sequences = self.stage_sequences
-        if sequences is None:
-            sequences = cyclic_stage_sequences(
-                self.num_stages, permuted_activation, self.memory_limits
+        if stage_sequences is None:
+            # The walk's float rows; durations clamped as the solve clamps.
+            self._activation_rows = self.activation_bytes.tolist()
+            self._costs = OpCosts(
+                np.maximum(self.forward_ms, 0.0).tolist(),
+                np.maximum(self.backward_ms, 0.0).tolist(),
+                self.act_comm_ms.tolist(),
+                self.grad_comm_ms.tolist(),
             )
-        timeline = self._geometry_for(sequences)
+            self._timeline = None
+        else:
+            self._timeline = CompiledTimeline.from_stage_sequences(num_stages, stage_sequences)
 
-        # Map slot-indexed geometry onto real micro-batch ids.
-        microbatch = permutation[timeline.op_microbatch]
+    def _solve(self, timeline: CompiledTimeline, microbatch: np.ndarray) -> TimelineSolution:
+        """Solve ``timeline`` whose op ``i`` runs micro-batch ``microbatch[i]``."""
         stage = timeline.op_stage
         durations = np.where(
             timeline.op_is_forward,
@@ -150,20 +124,40 @@ class IncrementalOrderSimulator:
         grad_edges = np.flatnonzero(timeline.comm_kind == COMM_GRAD)
         comm[act_edges] = self.act_comm_ms[microbatch[act_edges], stage[act_edges] - 1]
         comm[grad_edges] = self.grad_comm_ms[microbatch[grad_edges], stage[grad_edges] + 1]
+        return timeline.solve(durations, comm)
 
-        solution = timeline.solve(durations, comm)
-        self.solves += 1
-        peaks = timeline.peak_activation(permuted_activation, self.static_bytes)
+    def evaluate(self, order: Sequence[int]) -> OrderEvaluation:
+        """Schedule, time and memory-check ``order``.
+
+        Raises:
+            ScheduleDeadlockError: If cyclic scheduling cannot place every
+                op under the memory limits.
+        """
+        permutation = [int(i) for i in order]
+        if self._timeline is None:
+            sequences, makespan, peaks = cyclic_walk(
+                self.num_stages, self._activation_rows, self.memory_limits, permutation,
+                self._costs, self.static_bytes,
+            )
+        else:
+            slots = np.asarray(permutation, dtype=np.int64)
+            timeline = self._timeline
+            makespan = self._solve(timeline, slots[timeline.op_microbatch]).makespan_ms
+            peaks = timeline.peak_activation(self.activation_bytes[slots], self.static_bytes)
+            sequences = [
+                [(permutation[encoded >> 1] << 1) | (encoded & 1) for encoded in sequence]
+                for sequence in self.stage_sequences
+            ]
         capacity = self.device_memory_bytes
         evaluation = OrderEvaluation(
             permutation=permutation,
-            timeline=timeline,
-            solution=solution,
+            sequences=sequences,
+            makespan_ms=makespan,
             peak_activation_bytes=peaks,
             feasible=capacity is None
             or all(peak <= capacity * (1.0 + 1e-9) for peak in peaks),
         )
-        self._evaluations[tuple(permutation.tolist())] = evaluation
+        self._evaluations[tuple(permutation)] = evaluation
         return evaluation
 
     def score(self, order: Sequence[int]) -> float:
@@ -172,33 +166,34 @@ class IncrementalOrderSimulator:
             evaluation = self.evaluate(order)
         except ScheduleDeadlockError:
             return float("inf")
-        return evaluation.solution.makespan_ms if evaluation.feasible else float("inf")
+        return evaluation.makespan_ms if evaluation.feasible else float("inf")
 
     def simulation(
         self, order: Sequence[int], name: str
     ) -> tuple[PipelineSchedule, SimulationResult]:
-        """The schedule and timeline of ``order``, read off its evaluation.
+        """The schedule and timeline of ``order``.
 
-        Reuses the cached evaluation when ``order`` was already evaluated
-        (no further solve), so the search's solve of the chosen order
-        becomes the plan's timeline.  Equal to
-        ``cyclic_schedule(..., injection_order=order, name=name)`` (or the
-        1F1B schedule) and :func:`~repro.simulator.engine.simulate_schedule`
-        on it.
+        Reuses the cached evaluation when ``order`` was already evaluated,
+        then compiles (cyclic kinds) and solves its op sequences once.
+        Equal to ``cyclic_schedule(..., injection_order=order, name=name)``
+        (or the 1F1B schedule) and
+        :func:`~repro.simulator.engine.simulate_schedule` on it.
         """
         evaluation = self._evaluations.get(tuple(int(i) for i in order))
         if evaluation is None:
             evaluation = self.evaluate(order)
-        timeline = evaluation.timeline
-        encoded = (
-            (evaluation.permutation[timeline.op_microbatch] << 1) | timeline.op_is_forward
-        ).tolist()
-        offsets = timeline.stage_offsets.tolist()
+        if self._timeline is None:
+            timeline = CompiledTimeline.from_stage_sequences(
+                self.num_stages, evaluation.sequences
+            )
+            microbatch = timeline.op_microbatch
+        else:
+            timeline = self._timeline
+            microbatch = np.asarray(evaluation.permutation)[timeline.op_microbatch]
+        solution = self._solve(timeline, microbatch)
         schedule = PipelineSchedule.from_stage_sequences(
-            [encoded[offsets[stage] : offsets[stage + 1]] for stage in range(self.num_stages)],
-            len(evaluation.permutation),
-            name,
+            evaluation.sequences, len(evaluation.permutation), name
         )
         return schedule, timeline_result(
-            schedule.all_ops, timeline, evaluation.solution, evaluation.peak_activation_bytes
+            schedule.all_ops, timeline, solution, evaluation.peak_activation_bytes
         )

@@ -6,11 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.schedule.cyclic import (
-    ScheduleDeadlockError,
-    cyclic_schedule,
-    cyclic_stage_sequences,
-)
+from repro.schedule.cyclic import ScheduleDeadlockError, cyclic_schedule, cyclic_walk
 from repro.schedule.events import OpType
 from repro.schedule.one_f_one_b import one_f_one_b_schedule
 from repro.schedule.validation import ScheduleValidationError, validate_schedule
@@ -79,11 +75,11 @@ class TestCyclicSchedule:
 
     @pytest.mark.parametrize("order", [[0, 0], [0], [1, 2], [0, 1, 2]])
     def test_stage_sequences_reject_non_permutation(self, order):
-        """The slot-level core validates a given order itself.  ``[0, 0]``
-        used to schedule micro-batch 0 twice and never schedule 1, and a
-        short order ended in a bare ``AssertionError``."""
+        """The walk validates a given order itself.  ``[0, 0]`` used to
+        schedule micro-batch 0 twice and never schedule 1, and a short
+        order ended in a bare ``AssertionError``."""
         with pytest.raises(ValueError, match="permutation"):
-            cyclic_stage_sequences(2, uniform_activation(2, 2), injection_order=order)
+            cyclic_walk(2, uniform_activation(2, 2), injection_order=order)
 
     def test_mismatched_activation_matrix(self):
         with pytest.raises(ValueError):
@@ -134,13 +130,10 @@ class TestValidation:
         stage 1 refuses to forward micro-batch 1 before seeing micro-batch 0's
         backward, while stage 2 refuses to run anything before micro-batch 1's
         forward — a circular wait the validator must reject."""
-        from repro.schedule.events import PipelineSchedule, StageSchedule
+        from repro.schedule.events import ComputeOp, PipelineSchedule, StageSchedule
 
         def stage_with(stage: int, ops: list[tuple[int, OpType]]) -> StageSchedule:
-            schedule = StageSchedule(stage=stage)
-            for mb, op_type in ops:
-                schedule.append(mb, op_type)
-            return schedule
+            return StageSchedule(stage, [ComputeOp(mb, stage, op_type) for mb, op_type in ops])
 
         deadlocked = PipelineSchedule(
             stages=[

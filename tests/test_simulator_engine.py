@@ -162,15 +162,15 @@ class TestRobustnessToVariation:
 
 class TestErrors:
     def test_inconsistent_schedule_raises(self):
-        from repro.schedule.events import PipelineSchedule, StageSchedule
+        from repro.schedule.events import ComputeOp, PipelineSchedule, StageSchedule
 
         # Stage 1 expects micro-batch 0's forward but stage 0 never runs it.
-        stage0 = StageSchedule(stage=0)
-        stage0.append(1, OpType.FORWARD)
-        stage0.append(1, OpType.BACKWARD)
-        stage1 = StageSchedule(stage=1)
-        stage1.append(0, OpType.FORWARD)
-        stage1.append(0, OpType.BACKWARD)
+        stage0 = StageSchedule(
+            0, [ComputeOp(1, 0, OpType.FORWARD), ComputeOp(1, 0, OpType.BACKWARD)]
+        )
+        stage1 = StageSchedule(
+            1, [ComputeOp(0, 1, OpType.FORWARD), ComputeOp(0, 1, OpType.BACKWARD)]
+        )
         broken = PipelineSchedule(stages=[stage0, stage1], num_microbatches=2)
         with pytest.raises(SimulationError):
             simulate_schedule(broken, uniform_durations())
