@@ -1,22 +1,21 @@
-"""Tier-2 benchmark of the data-oriented simulation engine.
+"""Tier-2 benchmark of the simulation engine.
 
 Two measurements, mirroring where the simulator dominates:
 
 * **Fig. 7-style re-simulation sweep** — the schedule-robustness figures
   re-simulate a fixed schedule under dozens of perturbed duration tables.
-  The baseline calls :func:`~repro.simulator.engine.simulate_schedule`
-  once per table (per-op duration callbacks, cached geometry); the
-  compiled path compiles the geometry once and calls
-  :meth:`~repro.simulator.compiled.CompiledTimeline.solve` once per
-  duration row.  Per-solve makespans are asserted bit-identical before any
-  timing is reported.
+  Each table is simulated by :func:`~repro.simulator.engine.simulate_schedule`
+  (one timeline walk over the schedule's op sequences) and by the per-op
+  event loop kept as its test oracle (``tests/oracles/sim_scalar.py``), the
+  baseline.  Every table's makespan, op times and busy and idle time are
+  asserted bit-identical before any timing is reported.
 
 * **Fig. 16-style order search** — the planner's injection-order search
   scores permutations of one replica's micro-batches.  The baseline, kept
   here only, rebuilds the schedule and simulates it per permutation; the
   planner scores every permutation on the replica's incremental simulator
-  (one timed walk of Algorithm 1 per permutation, no compiled timeline).
-  Both must select the same order with the same makespan.
+  (one timed walk of Algorithm 1 per permutation, no walk of fixed
+  sequences).  Both must select the same order with the same makespan.
 
 Run with ``pytest benchmarks/bench_sim_engine.py --benchmark-disable -s``
 (or ``pytest benchmarks/ -m tier2_bench``).  Set ``REPRO_BENCH_SMOKE=1``
@@ -27,7 +26,9 @@ only; the speed-ups are informational.
 from __future__ import annotations
 
 import os
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,9 +44,12 @@ from repro.model.memory import RecomputeMode
 from repro.model.transformer import MicroBatchShape
 from repro.schedule.cyclic import ScheduleDeadlockError, cyclic_schedule
 from repro.schedule.one_f_one_b import one_f_one_b_schedule
-from repro.simulator.engine import compile_schedule, engine_stats, simulate_schedule
+from repro.simulator.engine import engine_stats, simulate_schedule
 
 from common import emit
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from oracles.sim_scalar import simulate_schedule_scalar  # noqa: E402
 
 #: Reduced workload (used as a tier-1 smoke check).
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "0") == "1"
@@ -112,35 +116,32 @@ def run_resimulation_sweep() -> list[list]:
                 for t in range(NUM_DURATION_TABLES)
             ]
 
-            start = time.perf_counter()
-            per_table_makespans = []
-            for table in tables:
-                duration = lambda op: table[(op.microbatch, op.op_type.value == "F")]
-                per_table_makespans.append(
-                    simulate_schedule(schedule, duration).makespan_ms
-                )
-            per_table_s = time.perf_counter() - start
+            durations = [
+                lambda op, table=table: table[(op.microbatch, op.op_type.value == "F")]
+                for table in tables
+            ]
 
-            start = time.perf_counter()
-            timeline = compile_schedule(schedule)
-            durations = np.where(
-                timeline.op_is_forward,
-                forward[:, timeline.op_microbatch],
-                backward[:, timeline.op_microbatch],
-            )
-            compiled_makespans = [timeline.solve(row).makespan_ms for row in durations]
-            compiled_s = time.perf_counter() - start
+            def sweep(simulate):
+                start = time.perf_counter()
+                results = [simulate(schedule, duration) for duration in durations]
+                return results, time.perf_counter() - start
 
-            assert compiled_makespans == per_table_makespans
-            speedup = per_table_s / compiled_s if compiled_s > 0 else float("inf")
+            scalar, scalar_s = sweep(simulate_schedule_scalar)
+            walked, walk_s = sweep(simulate_schedule)
+            for expected, result in zip(scalar, walked):
+                assert result.makespan_ms == expected.makespan_ms
+                assert result.op_times == expected.op_times
+                assert result.device_busy_ms == expected.device_busy_ms
+                assert result.device_idle_ms == expected.device_idle_ms
+            speedup = scalar_s / walk_s if walk_s > 0 else float("inf")
             rows.append(
                 [
                     f"fig07/{name}",
                     num_stages,
                     NUM_MICROBATCHES,
                     NUM_DURATION_TABLES,
-                    round(per_table_s, 4),
-                    round(compiled_s, 4),
+                    round(scalar_s, 4),
+                    round(walk_s, 4),
                     round(speedup, 1),
                 ]
             )
@@ -207,13 +208,13 @@ def run_order_search() -> list[list]:
     def rebuild_search():
         return search(rebuild_score)
 
-    incremental_compiles = []
+    incremental_solves = []
 
     def incremental_search():
-        compiles = engine_stats()["geometry_compiles"]
+        solves = engine_stats()["timeline_solves"]
         pipeline = ReplicaPipeline(cost_model, shapes, mode, kind, device_memory, network)
         result = search(pipeline.simulator.score)
-        incremental_compiles.append(engine_stats()["geometry_compiles"] - compiles)
+        incremental_solves.append(engine_stats()["timeline_solves"] - solves)
         return result
 
     def timed_search(search):
@@ -231,7 +232,7 @@ def run_order_search() -> list[list]:
 
     assert incremental_result.order == rebuild_result.order
     assert incremental_result.makespan_ms == rebuild_result.makespan_ms
-    assert set(incremental_compiles) == {0}  # scoring compiles no timeline
+    assert set(incremental_solves) == {0}  # scoring walks no fixed sequences
 
     def row(variant: str, elapsed: float) -> list:
         return [
@@ -249,7 +250,7 @@ def run_order_search() -> list[list]:
 
 HEADERS = [
     "sweep", "stages", "microbatches", "solves",
-    "baseline_s", "compiled_s", "speedup",
+    "baseline_s", "fast_s", "speedup",
 ]
 
 
@@ -261,7 +262,7 @@ def test_sim_engine(benchmark, capsys):
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
     emit(
         "sim_engine",
-        "Simulation engine: per-table simulation vs compiled timeline solves",
+        "Simulation engine: per-op event loop vs timeline walk; order search vs rebuild",
         HEADERS,
         rows,
         capsys,

@@ -3,12 +3,12 @@
 Two workloads, timed once with telemetry disabled (the default) and once
 with the flag on:
 
-* **Fig. 7-style sweep row** — the compiled engine's re-simulation sweep
-  from ``bench_sim_engine`` (one geometry compile, one timeline solve per
-  duration table).  The sweep's inner loop carries no
-  span/event sites, so the enabled run must track the disabled run within
-  noise; the disabled run is the row the cross-commit ≤ 2 % perturbation
-  budget of the observability work is judged against.
+* **Fig. 7-style sweep row** — the engine's re-simulation sweep from
+  ``bench_sim_engine``: one 1F1B schedule's op sequences, timed by one
+  ``walk_timeline`` per duration table.  The walk carries no span/event
+  sites, so the enabled run must track the disabled run within noise; the
+  disabled run is the row the cross-commit ≤ 2 % perturbation budget of
+  the observability work is judged against.
 * **Fleet chaos run** — the seeded storm scenario from
   ``bench_fleet_faults`` (10 jobs on 8 GPUs; 4 jobs in smoke mode).  The
   enabled run additionally records lifecycle events, job.step/plan/execute
@@ -35,8 +35,9 @@ import pytest
 
 from repro import obs
 from repro.obs.merge import merge_fleet_trace
-from repro.schedule.one_f_one_b import one_f_one_b_schedule
-from repro.simulator.engine import compile_schedule
+from repro.schedule.cyclic import OpCosts
+from repro.schedule.one_f_one_b import one_f_one_b_stage_sequences
+from repro.simulator.engine import walk_timeline
 
 from bench_fleet_faults import build_scheduler, build_workload, fault_plans
 from common import emit
@@ -84,18 +85,24 @@ def _run_sweep() -> tuple[float, list[float]]:
     backward = np.maximum(
         0.05, 2.0 + rng.normal(0.0, 0.6, (NUM_DURATION_TABLES, NUM_MICROBATCHES))
     )
-    schedule = one_f_one_b_schedule(NUM_STAGES, NUM_MICROBATCHES)
+    sequences = one_f_one_b_stage_sequences(NUM_STAGES, NUM_MICROBATCHES)
+    zeros = [[0.0] * NUM_STAGES] * NUM_MICROBATCHES
+    tables = [
+        OpCosts(
+            np.repeat(forward[t][:, None], NUM_STAGES, axis=1).tolist(),
+            np.repeat(backward[t][:, None], NUM_STAGES, axis=1).tolist(),
+            zeros,
+            zeros,
+        )
+        for t in range(NUM_DURATION_TABLES)
+    ]
     best = float("inf")
     makespans: list[float] = []
     for _ in range(SWEEP_REPEATS):
         start = time.perf_counter()
-        timeline = compile_schedule(schedule)
-        durations = np.where(
-            timeline.op_is_forward,
-            forward[:, timeline.op_microbatch],
-            backward[:, timeline.op_microbatch],
-        )
-        makespans = [timeline.solve(row).makespan_ms for row in durations]
+        makespans = [
+            walk_timeline(NUM_STAGES, sequences, costs).makespan_ms for costs in tables
+        ]
         best = min(best, time.perf_counter() - start)
     return best, makespans
 

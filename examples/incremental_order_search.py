@@ -1,4 +1,4 @@
-"""One replica, one compiled timeline: feasibility, order search and plan.
+"""One replica, one timeline walk: feasibility, order search and plan.
 
 The planner's injection-order search (paper §5) scores permutations of a
 replica's micro-batches by simulating the memory-aware adaptive schedule.
@@ -6,9 +6,8 @@ Every replica lives on one :class:`~repro.core.planner.ReplicaPipeline`
 and its incremental simulator: the identity order's timed walk of
 Algorithm 1 is the memory-feasibility check, each permutation of the search
 is one more walk (it times and memory-checks every op as Algorithm 1 places
-it, compiling nothing), and only the chosen order is compiled and solved,
-once, into the replica's timeline — no schedule is rebuilt and nothing is
-simulated twice.
+it), and only the chosen order's sequences are walked again, once, for the
+replica's timeline — no schedule is rebuilt and nothing is simulated twice.
 
 This example runs that path on a seeded GPT configuration, prints the
 counters that prove the reuse, and checks the result bit for bit against
@@ -82,9 +81,7 @@ def main() -> None:
     planned = engine_stats()
 
     def work(start: dict, end: dict) -> str:
-        compiles = end["geometry_compiles"] - start["geometry_compiles"]
-        solves = end["timeline_solves"] - start["timeline_solves"]
-        return f"geometry compiles {compiles}, timeline solves {solves}"
+        return f"timeline solves {end['timeline_solves'] - start['timeline_solves']}"
 
     best = float("inf")
     for _ in range(REPEATS):

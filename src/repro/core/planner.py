@@ -23,7 +23,7 @@ path the MLM+DS baseline shares: its
 :class:`~repro.simulator.incremental.IncrementalOrderSimulator` times and
 memory-checks the identity order as the feasibility check, the search scores
 each permutation with one timed walk of Algorithm 1, and only the chosen
-order is compiled and solved, once, into the replica's timeline,
+order's sequences are walked again, once, into the replica's timeline,
 communication plan and instruction streams.  1F1B ignores the injection
 order, so its replicas run the fixed 1F1B sequences on the same simulator
 and skip the search.
@@ -254,7 +254,7 @@ class ReplicaPipeline:
         ordering_search: OrderingSearchResult | None = None,
     ) -> ReplicaPlanResult:
         """The plan of injection ``order``: its timeline (the simulator
-        compiles and solves it once), instruction streams and predictions."""
+        walks its sequences once), instruction streams and predictions."""
         schedule, simulation = self.simulator.simulation(order, name=self.kind.value)
         streams = build_instruction_streams(
             schedule, simulation.op_times, self.shapes, self.transfer_shapes, recompute=self.mode
@@ -603,8 +603,8 @@ class DynaPipePlanner:
         """Cluster-permutation search over injection orders (§5).
 
         Each permutation is scored by one timed walk of Algorithm 1 on the
-        replica's incremental simulator; the search compiles and solves no
-        timeline.
+        replica's incremental simulator; the search walks no fixed
+        sequences.
         """
         times = [
             float(t) for t in self.cost_model.microbatch_times_ms(pipeline.shapes, pipeline.mode)

@@ -963,7 +963,7 @@ class PlannerPool:
         The process-local :func:`repro.simulator.engine.engine_stats` cannot
         see planning done inside pool worker processes; this view sums the
         ``sim_engine.*`` counters over the parent and every worker's shipped
-        snapshot, so order-search solves running on the planning cluster are
+        snapshot, so timeline walks running on the planning cluster are
         accounted for.
         """
         combined = self.telemetry_snapshot()["counters"]

@@ -68,13 +68,13 @@ def cyclic_walk(
 
     An op starts at its cross-stage dependency's end plus the transfer time
     if that beats its device's previous end, else at that end, and ends
-    ``duration`` later: :meth:`~repro.simulator.compiled.CompiledTimeline.solve`'s
+    ``duration`` later: :func:`~repro.simulator.engine.walk_timeline`'s
     arithmetic in a topological order, so the makespan and the peaks are
-    bit-identical to compiling the sequences, solving them and walking
-    their peak memory.  ``activation_bytes[i][j]`` is the activation
-    micro-batch ``i`` pins on stage ``j``; ``memory_limits`` (``None``: no
-    check) caps each stage's; ``injection_order`` defaults to ``0..M-1``;
-    ``costs=None`` times every op at zero.
+    bit-identical to walking the emitted sequences with it.
+    ``activation_bytes[i][j]`` is the activation micro-batch ``i`` pins on
+    stage ``j``; ``memory_limits`` (``None``: no check) caps each stage's;
+    ``injection_order`` defaults to ``0..M-1``; ``costs=None`` times every
+    op at zero.
 
     Raises:
         ValueError: If ``injection_order`` is not a permutation of the

@@ -5,10 +5,11 @@ Two levels of fidelity are provided:
 * :mod:`repro.simulator.engine` simulates a *compute-op schedule* (the
   output of 1F1B / adaptive scheduling) against per-op durations and
   cross-stage dependencies, producing a timeline, makespan, bubble (idle)
-  time and peak activation memory.  The planner compiles and solves each
-  replica's chosen schedule with it (injection orders are scored by timed
-  walks of Algorithm 1, :mod:`repro.simulator.incremental`), and the
-  schedule robustness experiments (Fig. 7) re-simulate schedules with it.
+  time and peak activation memory, in one scalar walk over the per-stage op
+  sequences.  The planner walks each replica's chosen sequences with it
+  (cyclic injection orders are scored by timed walks of Algorithm 1,
+  :mod:`repro.simulator.incremental`), and the schedule robustness
+  experiments (Fig. 7) re-simulate schedules with it.
 
 * :mod:`repro.simulator.executor` runs full *instruction streams* in one
   sweep (compute + communication Start/Wait ops) with NCCL-like single-channel
@@ -18,10 +19,9 @@ Two levels of fidelity are provided:
   iterations with execution-time noise.
 """
 
-from repro.simulator.compiled import CompiledTimeline, SimulationError
 from repro.simulator.engine import (
+    SimulationError,
     SimulationResult,
-    compile_schedule,
     engine_stats,
     reset_engine_stats,
     simulate_schedule,
@@ -37,10 +37,8 @@ from repro.simulator.trace import ExecutionTrace, TraceEvent
 
 __all__ = [
     "simulate_schedule",
-    "compile_schedule",
     "engine_stats",
     "reset_engine_stats",
-    "CompiledTimeline",
     "IncrementalOrderSimulator",
     "SimulationError",
     "SimulationResult",

@@ -8,19 +8,19 @@ search (§5), and the chosen order for the plan.
   their dependencies, so its ready-buffer loop
   (:func:`~repro.schedule.cyclic.cyclic_walk`) times every op and tracks
   each stage's peak memory as it places it, with
-  :meth:`~repro.simulator.compiled.CompiledTimeline.solve`'s arithmetic.
-  A searched order costs one pass over per-replica float rows: no
-  dependency arrays, no topological sort, no compiled geometry.
-* **One geometry for 1F1B.** Its fixed slot sequences
+  :func:`~repro.simulator.engine.walk_timeline`'s arithmetic.  A searched
+  order costs one pass over per-replica float rows.
+* **Fixed sequences for 1F1B.** Its slot sequences
   (:func:`~repro.schedule.one_f_one_b.one_f_one_b_stage_sequences`, passed
   as ``stage_sequences``; slot ``k`` holds micro-batch ``P[k]`` of order
-  ``P``) are compiled once; each order is a re-solve.
+  ``P``) are relabelled per order and timed by
+  :func:`~repro.simulator.engine.walk_timeline`.
 
-Evaluations are cached, and only the chosen order is compiled and solved,
-once, for the plan's timeline (:meth:`IncrementalOrderSimulator.simulation`).
-Everything is bit-identical to building the schedule with
-``injection_order=P`` and running
-:func:`~repro.simulator.engine.simulate_schedule` on it.
+Evaluations are cached, and only the chosen order's sequences are walked
+again, once, for the plan's timeline
+(:meth:`IncrementalOrderSimulator.simulation`).  Everything is
+bit-identical to building the schedule with ``injection_order=P`` and
+running :func:`~repro.simulator.engine.simulate_schedule` on it.
 """
 
 from __future__ import annotations
@@ -32,8 +32,7 @@ import numpy as np
 
 from repro.schedule.cyclic import OpCosts, ScheduleDeadlockError, cyclic_walk
 from repro.schedule.events import PipelineSchedule
-from repro.simulator.compiled import COMM_ACT, COMM_GRAD, CompiledTimeline, TimelineSolution
-from repro.simulator.engine import SimulationResult, timeline_result
+from repro.simulator.engine import SimulationResult, walk_timeline
 
 
 @dataclass
@@ -98,56 +97,43 @@ class IncrementalOrderSimulator:
         self.device_memory_bytes = device_memory_bytes
         self.stage_sequences = stage_sequences
         self._evaluations: dict[tuple[int, ...], OrderEvaluation] = {}
-        if stage_sequences is None:
-            # The walk's float rows; durations clamped as the solve clamps.
-            self._activation_rows = self.activation_bytes.tolist()
-            self._costs = OpCosts(
-                np.maximum(self.forward_ms, 0.0).tolist(),
-                np.maximum(self.backward_ms, 0.0).tolist(),
-                self.act_comm_ms.tolist(),
-                self.grad_comm_ms.tolist(),
-            )
-            self._timeline = None
-        else:
-            self._timeline = CompiledTimeline.from_stage_sequences(num_stages, stage_sequences)
-
-    def _solve(self, timeline: CompiledTimeline, microbatch: np.ndarray) -> TimelineSolution:
-        """Solve ``timeline`` whose op ``i`` runs micro-batch ``microbatch[i]``."""
-        stage = timeline.op_stage
-        durations = np.where(
-            timeline.op_is_forward,
-            self.forward_ms[microbatch, stage],
-            self.backward_ms[microbatch, stage],
+        # The walks' float rows; durations clamped at zero, as the walks add
+        # them as given.
+        self._activation_rows = self.activation_bytes.tolist()
+        self._costs = OpCosts(
+            np.maximum(self.forward_ms, 0.0).tolist(),
+            np.maximum(self.backward_ms, 0.0).tolist(),
+            self.act_comm_ms.tolist(),
+            self.grad_comm_ms.tolist(),
         )
-        comm = np.zeros(timeline.num_ops, dtype=np.float64)
-        act_edges = np.flatnonzero(timeline.comm_kind == COMM_ACT)
-        grad_edges = np.flatnonzero(timeline.comm_kind == COMM_GRAD)
-        comm[act_edges] = self.act_comm_ms[microbatch[act_edges], stage[act_edges] - 1]
-        comm[grad_edges] = self.grad_comm_ms[microbatch[grad_edges], stage[grad_edges] + 1]
-        return timeline.solve(durations, comm)
 
     def evaluate(self, order: Sequence[int]) -> OrderEvaluation:
         """Schedule, time and memory-check ``order``.
 
         Raises:
+            ValueError: If ``order`` is not a permutation of the
+                micro-batch indices.
             ScheduleDeadlockError: If cyclic scheduling cannot place every
                 op under the memory limits.
         """
         permutation = [int(i) for i in order]
-        if self._timeline is None:
+        if sorted(permutation) != list(range(len(self._activation_rows))):
+            raise ValueError("injection_order must be a permutation of the micro-batch indices")
+        if self.stage_sequences is None:
             sequences, makespan, peaks = cyclic_walk(
                 self.num_stages, self._activation_rows, self.memory_limits, permutation,
                 self._costs, self.static_bytes,
             )
         else:
-            slots = np.asarray(permutation, dtype=np.int64)
-            timeline = self._timeline
-            makespan = self._solve(timeline, slots[timeline.op_microbatch]).makespan_ms
-            peaks = timeline.peak_activation(self.activation_bytes[slots], self.static_bytes)
             sequences = [
                 [(permutation[encoded >> 1] << 1) | (encoded & 1) for encoded in sequence]
                 for sequence in self.stage_sequences
             ]
+            timeline = walk_timeline(
+                self.num_stages, sequences, self._costs, self._activation_rows,
+                self.static_bytes,
+            )
+            makespan, peaks = timeline.makespan_ms, timeline.peak_bytes
         capacity = self.device_memory_bytes
         evaluation = OrderEvaluation(
             permutation=permutation,
@@ -173,27 +159,17 @@ class IncrementalOrderSimulator:
     ) -> tuple[PipelineSchedule, SimulationResult]:
         """The schedule and timeline of ``order``.
 
-        Reuses the cached evaluation when ``order`` was already evaluated,
-        then compiles (cyclic kinds) and solves its op sequences once.
-        Equal to ``cyclic_schedule(..., injection_order=order, name=name)``
-        (or the 1F1B schedule) and
+        Reuses the cached evaluation when ``order`` was already evaluated
+        (its sequences and peaks), then walks its sequences once for the
+        op times.  Equal to ``cyclic_schedule(..., injection_order=order,
+        name=name)`` (or the 1F1B schedule) and
         :func:`~repro.simulator.engine.simulate_schedule` on it.
         """
         evaluation = self._evaluations.get(tuple(int(i) for i in order))
         if evaluation is None:
             evaluation = self.evaluate(order)
-        if self._timeline is None:
-            timeline = CompiledTimeline.from_stage_sequences(
-                self.num_stages, evaluation.sequences
-            )
-            microbatch = timeline.op_microbatch
-        else:
-            timeline = self._timeline
-            microbatch = np.asarray(evaluation.permutation)[timeline.op_microbatch]
-        solution = self._solve(timeline, microbatch)
+        timeline = walk_timeline(self.num_stages, evaluation.sequences, self._costs)
         schedule = PipelineSchedule.from_stage_sequences(
             evaluation.sequences, len(evaluation.permutation), name
         )
-        return schedule, timeline_result(
-            schedule.all_ops, timeline, solution, evaluation.peak_activation_bytes
-        )
+        return schedule, timeline.result(schedule.all_ops, evaluation.peak_activation_bytes)

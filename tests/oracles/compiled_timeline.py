@@ -1,8 +1,10 @@
-"""Data-oriented (compiled) timeline representation of a pipeline schedule.
+"""Compiled timeline: the timeline walk's bit-identity oracle.
 
-This module compiles a schedule's *geometry* — which op runs where, and
-what it depends on — into flat numpy arrays once, and then solves the
-timing recurrence of :mod:`repro.simulator.engine` in topological order:
+This is the schedule compiler and solver that
+:func:`repro.simulator.engine.walk_timeline` replaced.  It compiles a
+schedule's *geometry* — which op runs where, and what it depends on — into
+flat numpy arrays, orders the dependency DAG with Kahn's algorithm, and
+solves the timing recurrence op by op in that topological order:
 
 * ``op_stage`` / ``op_microbatch`` / ``op_is_forward`` describe every op in
   stage-major order (op id = position within the concatenated per-stage
@@ -15,75 +17,32 @@ timing recurrence of :mod:`repro.simulator.engine` in topological order:
 * ``solve`` walks the ops of one duration vector in a topological order of
   the dependency DAG with scalar floats.
 
-Compilation is schedule-order only: durations and communication times are
-*inputs to the solve*, so one compiled geometry can be re-solved for many
-duration vectors or for permuted micro-batch orders (the 1F1B orders of
-:mod:`repro.simulator.incremental`).  Each op reads only the end times of
-its two predecessors, so any topological order gives the same floats; the
-arithmetic performed per op is bit-identical to a per-op event loop's (same
-operand order, same ``max`` structure), and the equivalence suite pins it
-against such a loop kept as a test oracle.  The timed cyclic walk
-(:func:`repro.schedule.cyclic.cyclic_walk`) performs the same arithmetic in
-Algorithm 1's emission order.
+:func:`simulate_schedule_compiled` is the compile-and-solve
+``simulate_schedule`` it served: it compiles the schedule before drawing
+any callback, so the equivalence suites compare error texts and callback
+sequences as well as the floats.  It lives in ``tests/`` because nothing in
+the library selects it.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from repro.obs.registry import REGISTRY
-from repro.schedule.events import OpType, PipelineSchedule
+from repro.schedule.events import ComputeOp, OpType, PipelineSchedule
+from repro.simulator.engine import (
+    CommTimeFn,
+    DurationFn,
+    SimulationError,
+    SimulationResult,
+)
 from repro.simulator.memory_tracker import MemoryAccountingError
 
 #: Communication kind of an op's dependency edge (see ``comm_kind``).
 COMM_NONE, COMM_ACT, COMM_GRAD = 0, 1, 2
-
-
-class SimulationError(RuntimeError):
-    """Raised when a schedule cannot be simulated: unsatisfiable
-    dependencies, an op listed twice, or a negative micro-batch index."""
-
-
-# --------------------------------------------------------------------------- stats
-
-#: Hot-path counters, registered with (and snapshotted by) the process-wide
-#: metrics registry as ``sim_engine.*`` while keeping the zero-overhead
-#: plain-dict increment idiom on the solve paths.
-_STATS = REGISTRY.counter_dict(
-    "sim_engine",
-    (
-        "geometry_compiles",
-        "geometry_cache_hits",
-        "timeline_solves",
-        "vector_simulations",
-    ),
-)
-
-
-def engine_stats() -> dict[str, int]:
-    """Snapshot of the engine's counters (compiles, cache hits, solves).
-
-    The counters make reuse observable: a workload that re-simulates the same
-    schedule geometry (the order search, fleet iterations with unchanged
-    plans) should grow ``timeline_solves`` much faster than
-    ``geometry_compiles``.
-
-    This is a *process-local* shim over ``repro.obs.REGISTRY``'s
-    ``sim_engine.*`` counters; planning that ran in pool worker processes is
-    invisible here — use :meth:`repro.runtime.planner_pool.PlannerPool.engine_stats`
-    for the aggregated fleet-wide view.
-    """
-    return dict(_STATS)
-
-
-def reset_engine_stats() -> None:
-    """Reset all engine counters to zero (used by tests and benchmarks)."""
-    for key in _STATS:
-        _STATS[key] = 0
 
 
 def _op_name(microbatch: int, stage: int, is_forward: bool) -> str:
@@ -125,7 +84,6 @@ class CompiledTimeline:
         self.num_microbatches = int(op_microbatch.max()) + 1 if self.num_ops else 0
         self._build_dependencies()
         self._build_order()
-        _STATS["geometry_compiles"] += 1
 
     # ------------------------------------------------------------------ construction
 
@@ -337,7 +295,6 @@ class CompiledTimeline:
             start = dep_ready if dep_ready > prev_ready else prev_ready  # max()
             starts[i] = start
             ends[i] = start + d[i]
-        _STATS["timeline_solves"] += 1
         return TimelineSolution(
             starts=np.array(starts),
             ends=np.array(ends),
@@ -407,3 +364,46 @@ class CompiledTimeline:
                     )
             peaks.append(peak)
         return peaks
+
+
+def timeline_result(
+    ops: Callable[[], Iterable[ComputeOp]],
+    timeline: CompiledTimeline,
+    solution: TimelineSolution,
+    peak_activation_bytes: list[float],
+) -> SimulationResult:
+    """Wrap one solve of ``timeline`` as a :class:`SimulationResult`.
+
+    ``ops()`` yields the compute ops in op-id (stage-major) order; it is
+    only called when ``op_times`` is first read.
+    """
+    starts, ends = solution.starts, solution.ends
+    busy, idle = timeline.device_busy_idle(starts, ends, solution.makespan_ms)
+    return SimulationResult(
+        makespan_ms=solution.makespan_ms,
+        device_busy_ms=busy,
+        device_idle_ms=idle,
+        peak_activation_bytes=peak_activation_bytes,
+        materialize=lambda: dict(zip(ops(), zip(starts.tolist(), ends.tolist()))),
+    )
+
+
+def simulate_schedule_compiled(
+    schedule: PipelineSchedule,
+    duration_fn: DurationFn | Mapping[ComputeOp, float],
+    comm_time_fn: CommTimeFn | None = None,
+    activation_bytes: Sequence[Sequence[float]] | None = None,
+    static_bytes: Sequence[float] | None = None,
+) -> SimulationResult:
+    """Compile ``schedule``, solve it once and walk its peak memory."""
+    timeline = CompiledTimeline.from_schedule(schedule)
+    durations = timeline.durations_from(duration_fn, schedule)
+    comm = timeline.comm_from(comm_time_fn) if comm_time_fn is not None else None
+    solution = timeline.solve(durations, comm)
+    if activation_bytes is not None:
+        peaks = timeline.peak_activation(activation_bytes, static_bytes)
+    else:
+        peaks = [
+            (static_bytes[j] if static_bytes else 0.0) for j in range(schedule.num_stages)
+        ]
+    return timeline_result(schedule.all_ops, timeline, solution, peaks)

@@ -4,7 +4,7 @@ This is the injection-order scorer that
 :class:`repro.simulator.incremental.IncrementalOrderSimulator` replaced with
 one timed pass of Algorithm 1.  Each order runs the slot-level cyclic
 scheduler on the permuted numpy activation rows, compiles the resulting slot
-structure into a :class:`~repro.simulator.compiled.CompiledTimeline` (once per
+structure into a :class:`~oracles.compiled_timeline.CompiledTimeline` (once per
 distinct structure), gathers the real micro-batch durations and comm times
 onto it, solves it and walks its peak activation memory.  It keeps its own
 copy of the ready-buffer loop, so the equivalence suite checks the walk's
@@ -22,8 +22,15 @@ import numpy as np
 
 from repro.schedule.cyclic import ScheduleDeadlockError
 from repro.schedule.events import PipelineSchedule
-from repro.simulator.compiled import COMM_ACT, COMM_GRAD, CompiledTimeline, TimelineSolution
-from repro.simulator.engine import SimulationResult, timeline_result
+from repro.simulator.engine import SimulationResult
+
+from oracles.compiled_timeline import (
+    COMM_ACT,
+    COMM_GRAD,
+    CompiledTimeline,
+    TimelineSolution,
+    timeline_result,
+)
 
 
 def cyclic_stage_sequences(

@@ -1,9 +1,10 @@
-"""Scalar pipeline simulator: the compiled engine's bit-identity oracle.
+"""Scalar pipeline simulator: the timeline walk's bit-identity oracle.
 
-This is the original per-op Python event loop that
-:func:`repro.simulator.engine.simulate_schedule` replaced with the compiled
-timeline solver.  It resolves the same timing recurrence one op at a time, in
-the same operand order, so the equivalence suites compare the two
+This is the original per-op Python event loop behind
+:func:`repro.simulator.engine.simulate_schedule`, before the compiled
+timeline and then the timeline walk replaced it.  It resolves the same
+timing recurrence one op at a time, in the same operand order, with op
+objects and a memory tracker, so the equivalence suites compare the two
 bit-for-bit (op start/end times, makespan, busy/idle time, peak activation
 memory).  It lives in ``tests/`` because nothing in the library selects it.
 """
@@ -13,8 +14,7 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from repro.schedule.events import ComputeOp, OpType, PipelineSchedule
-from repro.simulator.compiled import SimulationError
-from repro.simulator.engine import CommTimeFn, DurationFn, SimulationResult
+from repro.simulator.engine import CommTimeFn, DurationFn, SimulationError, SimulationResult
 from repro.simulator.memory_tracker import MemoryTracker
 from repro.simulator.trace import ExecutionTrace, TraceEvent
 
@@ -65,7 +65,7 @@ def simulate_schedule_scalar(
     activation_bytes: Sequence[Sequence[float]] | None = None,
     static_bytes: Sequence[float] | None = None,
 ) -> SimulationResult:
-    """Reference per-op event-loop engine (the vectorized engine's oracle)."""
+    """Reference per-op event-loop engine (the timeline walk's oracle)."""
     if isinstance(duration_fn, Mapping):
         durations: Mapping[ComputeOp, float] = duration_fn
         duration = lambda op: durations[op]  # noqa: E731 - small adapter

@@ -90,9 +90,12 @@ def _assert_equivalent(simulator_args, simulator_kwargs, orders):
                 walk.evaluate(order)
             assert walk.score(order) == oracle.score(order) == float("inf")
             continue
-        compiles = engine_stats()["geometry_compiles"]
+        one_f_one_b = simulator_kwargs["stage_sequences"] is not None
+        solves = engine_stats()["timeline_solves"]
         evaluation = walk.evaluate(order)
-        assert engine_stats()["geometry_compiles"] == compiles  # scoring compiles nothing
+        # A cyclic order is scored by Algorithm 1's own walk; a 1F1B order
+        # by one walk of its relabelled sequences.
+        assert engine_stats()["timeline_solves"] - solves == (1 if one_f_one_b else 0)
         assert _bits([evaluation.makespan_ms]) == _bits([expected.solution.makespan_ms])
         assert _bits(evaluation.peak_activation_bytes) == _bits(expected.peak_activation_bytes)
         assert evaluation.feasible == expected.feasible
@@ -108,7 +111,9 @@ def _assert_equivalent(simulator_args, simulator_kwargs, orders):
             for sequence in slots
         ]
 
+        solves = engine_stats()["timeline_solves"]
         schedule, result = walk.simulation(order, name="walk")
+        assert engine_stats()["timeline_solves"] - solves == 1
         expected_schedule, expected_result = oracle.simulation(order, name="walk")
         assert [stage.ops for stage in schedule.stages] == [
             stage.ops for stage in expected_schedule.stages

@@ -1,11 +1,13 @@
-"""Vectorized-engine equivalence and incremental re-simulation tests.
+"""Timeline-walk equivalence and incremental re-simulation tests.
 
-The compiled timeline solver must be *bit-identical* to the scalar oracle
-in ``tests/oracles/sim_scalar.py`` (op start/end times, makespan, busy/idle,
-peak activation memory), and the
-incremental order-search scorer must match the legacy build-and-simulate
-path exactly.  These properties are pinned with hypothesis over random
-schedules and with the real GPT/T5 cost models across recompute modes.
+The timeline walk must be *bit-identical* to the scalar oracle in
+``tests/oracles/sim_scalar.py`` (op start/end times, makespan, busy/idle,
+peak activation memory); on malformed schedules it must raise the compiled
+oracle's (``tests/oracles/compiled_timeline.py``) error text, and it must
+draw the same callbacks in the same order.  The incremental order-search
+scorer must match the legacy build-and-simulate path exactly.  These
+properties are pinned with hypothesis over random schedules and with the
+real GPT/T5 cost models across recompute modes.
 """
 
 from __future__ import annotations
@@ -27,20 +29,26 @@ from repro.model.transformer import MicroBatchShape
 from repro.schedule.cyclic import ScheduleDeadlockError, cyclic_schedule
 from repro.schedule.events import ComputeOp, OpType, PipelineSchedule, StageSchedule
 from repro.schedule.one_f_one_b import one_f_one_b_schedule, one_f_one_b_stage_sequences
-from repro.simulator.compiled import SimulationError
 from repro.simulator.engine import (
-    clear_geometry_cache,
+    SimulationError,
     engine_stats,
     reset_engine_stats,
     simulate_schedule,
 )
 from repro.simulator.incremental import IncrementalOrderSimulator
 
+from oracles.compiled_timeline import simulate_schedule_compiled
 from oracles.sim_scalar import simulate_schedule_scalar
 
 
-def _random_case(rng: random.Random):
-    """One random schedule + simulation inputs derived from a seed."""
+def _random_case(rng: random.Random, malformed: bool = False):
+    """One random schedule + simulation inputs derived from a seed.
+
+    With ``malformed`` one mutation is applied to the schedule: a duplicated
+    op, a negative micro-batch index, a dropped op, or two ops swapped on
+    one stage.  Some mutations leave a schedule that still runs (dropping a
+    stage-0 backward, swapping two independent ops).
+    """
     num_stages = rng.randint(1, 5)
     num_microbatches = rng.randint(1, 8)
     activation = [
@@ -88,7 +96,27 @@ def _random_case(rng: random.Random):
         if rng.random() < 0.5
         else None
     )
+    if malformed:
+        _mutate(rng, schedule)
     return schedule, durations, comm_time, activation, static
+
+
+def _mutate(rng: random.Random, schedule: PipelineSchedule) -> None:
+    """Apply one random malformation to ``schedule`` in place."""
+    stage = rng.choice([stage for stage in schedule.stages if stage.ops])
+    ops = stage.ops
+    position = rng.randrange(len(ops))
+    mutation = rng.choice(["duplicate", "negative", "drop", "swap"])
+    if mutation == "duplicate":
+        ops.insert(rng.randrange(len(ops) + 1), ops[position])
+    elif mutation == "negative":
+        op = ops[position]
+        ops[position] = ComputeOp(-rng.randint(1, 3), op.stage, op.op_type)
+    elif mutation == "drop":
+        del ops[position]
+    else:
+        other = rng.randrange(len(ops))
+        ops[position], ops[other] = ops[other], ops[position]
 
 
 def _schedule(
@@ -107,7 +135,7 @@ def _schedule(
 
 def _events(trace) -> list:
     """Trace events in device-then-time order (the scalar oracle records
-    them in execution order, the compiled engine stage-major)."""
+    them in execution order, the timeline walk stage-major)."""
     return sorted(
         trace.events, key=lambda event: (event.device, event.start_ms, event.end_ms, event.name)
     )
@@ -176,6 +204,62 @@ class TestVectorScalarBitIdentity:
         assert vector.peak_activation_bytes == scalar.peak_activation_bytes
         assert vector.op_times == scalar.op_times
 
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_malformed_schedules_match_the_compiled_oracle(self, seed):
+        """A mutated schedule raises the compiled oracle's error text, or
+        runs to the same floats when the mutation left it valid."""
+        schedule, durations, comm_time, activation, static = _random_case(
+            random.Random(seed), malformed=True
+        )
+        outcomes = []
+        for engine in (simulate_schedule, simulate_schedule_compiled):
+            try:
+                result = engine(schedule, durations, comm_time, activation, static)
+            except SimulationError as exc:
+                outcomes.append(str(exc))
+            else:
+                outcomes.append(
+                    (
+                        result.makespan_ms,
+                        result.device_busy_ms,
+                        result.device_idle_ms,
+                        result.peak_activation_bytes,
+                        list(result.op_times.items()),
+                    )
+                )
+        assert outcomes[0] == outcomes[1]
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1), malformed=st.booleans()
+    )
+    def test_callbacks_drawn_as_the_compiled_oracle_draws_them(self, seed, malformed):
+        """Durations in ``all_ops()`` order, then activation edges, then
+        gradient edges; none at all for a schedule that cannot run."""
+        schedule, durations, comm_time, activation, static = _random_case(
+            random.Random(seed), malformed=malformed
+        )
+        if comm_time is None:
+            comm_time = lambda mb, src, dst, grad: 0.5  # noqa: E731
+        calls = {}
+        for engine in (simulate_schedule, simulate_schedule_compiled):
+            log = calls[engine] = []
+
+            def duration(op, log=log):
+                log.append(op)
+                return durations[op]
+
+            def comm(*args, log=log):
+                log.append(args)
+                return comm_time(*args)
+
+            try:
+                engine(schedule, duration, comm, activation, static)
+            except SimulationError:
+                pass
+        assert calls[simulate_schedule] == calls[simulate_schedule_compiled]
+
     def test_duplicate_op_schedules_raise_simulation_error(self):
         schedule = _schedule(
             [[(0, OpType.FORWARD), (0, OpType.FORWARD), (0, OpType.BACKWARD)]], 1
@@ -187,27 +271,6 @@ class TestVectorScalarBitIdentity:
         schedule = _schedule([[(-1, OpType.FORWARD), (-1, OpType.BACKWARD)]], 1)
         with pytest.raises(SimulationError, match="F-1@0 has a negative micro-batch"):
             simulate_schedule(schedule, lambda op: 1.0)
-
-
-class TestGeometryCache:
-    def test_structural_reuse_across_schedule_objects(self):
-        clear_geometry_cache()
-        reset_engine_stats()
-        activation = [[10.0, 10.0] for _ in range(4)]
-        first = cyclic_schedule(2, activation)
-        second = cyclic_schedule(2, activation)  # fresh, structurally identical
-        simulate_schedule(first, lambda op: 1.0)
-        assert engine_stats()["geometry_compiles"] == 1
-        simulate_schedule(second, lambda op: 2.0)
-        stats = engine_stats()
-        assert stats["geometry_compiles"] == 1
-        assert stats["geometry_cache_hits"] == 1
-        # Same-object re-simulation (fleet iterations over one plan).
-        simulate_schedule(first, lambda op: 3.0)
-        stats = engine_stats()
-        assert stats["geometry_compiles"] == 1
-        assert stats["geometry_cache_hits"] == 2
-        assert stats["timeline_solves"] == 3
 
 
 #: The production engine and its test oracle, by parametrization id.
@@ -346,8 +409,8 @@ class TestIncrementalOrderSimulator:
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
     def test_one_f_one_b_sequences_match_from_scratch(self, seed):
         """Fixed 1F1B sequences: order ``P`` runs 1F1B with slot ``k`` holding
-        micro-batch ``P[k]``, on one compiled geometry for every order."""
-        compiles = engine_stats()["geometry_compiles"]
+        micro-batch ``P[k]``; each score and each timeline is one walk."""
+        solves = engine_stats()["timeline_solves"]
         rng = random.Random(seed)
         num_stages = rng.randint(1, 4)
         num_microbatches = rng.randint(1, 6)
@@ -375,22 +438,40 @@ class TestIncrementalOrderSimulator:
             num_stages, activation, forward_ms, backward_ms, act_comm, grad_comm,
             None, static, device_memory, one_f_one_b=True,
         )
-        assert engine_stats()["geometry_compiles"] - compiles == 1
+        assert engine_stats()["timeline_solves"] - solves == 2 * len(orders)
+
+    @pytest.mark.parametrize("one_f_one_b", [False, True], ids=["cyclic", "1f1b"])
+    @pytest.mark.parametrize("order", [[0, 0, 2], [0, 1], [0, 1, 3], [2, 1, 0, 3]])
+    def test_rejects_orders_that_are_not_permutations(self, one_f_one_b, order):
+        """Both kinds reject a non-permutation with the same ``ValueError``.
+        On 1F1B ``[0, 0, 2]`` used to run micro-batch 0 twice, drop
+        micro-batch 1 and return a feasible evaluation, and ``[0, 1]``
+        raised a bare ``IndexError``."""
+        rows = np.ones((3, 2))
+        simulator = IncrementalOrderSimulator(
+            2, rows, rows, rows, rows, rows,
+            stage_sequences=one_f_one_b_stage_sequences(2, 3) if one_f_one_b else None,
+        )
+        with pytest.raises(ValueError, match="^injection_order must be a permutation"):
+            simulator.evaluate(order)
+        with pytest.raises(ValueError, match="^injection_order must be a permutation"):
+            simulator.score(order)
 
     def _check_orders(self, simulator, orders, name, *case, one_f_one_b=False):
         """Each order's score, schedule and timeline equal the from-scratch
-        ones.  Scoring compiles nothing; a cyclic order's timeline is
-        compiled once, by :meth:`simulation`."""
+        ones.  Scoring a cyclic order walks no fixed sequences (a 1F1B
+        order's score is one walk); :meth:`simulation` walks once."""
+        scoring_walks = 1 if one_f_one_b else 0
         for order in orders:
-            compiles = engine_stats()["geometry_compiles"]
+            solves = engine_stats()["timeline_solves"]
             incremental = simulator.score(order)
-            assert engine_stats()["geometry_compiles"] == compiles
+            assert engine_stats()["timeline_solves"] - solves == scoring_walks
             legacy, schedule, result = self._legacy(*case, order, one_f_one_b=one_f_one_b)
             assert incremental == legacy
             if schedule is None:
                 continue
             built, simulated = simulator.simulation(order, name=name)
-            assert engine_stats()["geometry_compiles"] - compiles == (0 if one_f_one_b else 1)
+            assert engine_stats()["timeline_solves"] - solves == scoring_walks + 1
             assert [stage.ops for stage in built.stages] == [
                 stage.ops for stage in schedule.stages
             ]
@@ -425,15 +506,9 @@ class TestPlannerIncrementalSearch:
         original_search = DynaPipePlanner._search_injection_order
 
         def counting_search(*args, **kwargs):
-            before = engine_stats()
+            before = engine_stats()["timeline_solves"]
             result = original_search(*args, **kwargs)
-            after = engine_stats()
-            search_work.append(
-                (
-                    after["geometry_compiles"] - before["geometry_compiles"],
-                    after["timeline_solves"] - before["timeline_solves"],
-                )
-            )
+            search_work.append(engine_stats()["timeline_solves"] - before)
             return result
 
         monkeypatch.setattr(AdaptiveScheduler, "build", counting_build)
@@ -452,11 +527,14 @@ class TestPlannerIncrementalSearch:
             plan = planner.plan(search_samples)
             # Every replica, 1F1B included, lives on one incremental
             # simulator from the feasibility check to the emitted plan: no
-            # schedule build, no from-scratch simulation, and one compiled
-            # timeline per replica.
+            # schedule build, no from-scratch simulation, and one walk of
+            # fixed sequences per lowered replica (1F1B also walks its
+            # identity order for the feasibility check).
             assert builds == [], kind
             assert engine_stats()["vector_simulations"] == 0, kind
-            assert engine_stats()["geometry_compiles"] == len(plan.replicas), kind
+            walks_per_replica = 2 if kind is ScheduleKind.ONE_F_ONE_B else 1
+            walks = engine_stats()["timeline_solves"]
+            assert walks == walks_per_replica * len(plan.replicas), kind
             if kind is ScheduleKind.ONE_F_ONE_B:
                 continue
             searches = [
@@ -466,9 +544,9 @@ class TestPlannerIncrementalSearch:
             ]
             assert searches, "expected the order search to run"
             assert sum(search.evaluated for search in searches) > 1
-        # The search scores orders by timed walks: it compiles and solves
-        # nothing.
-        assert search_work and set(search_work) == {(0, 0)}
+        # The search scores orders by timed walks of Algorithm 1: it walks
+        # no fixed sequences.
+        assert search_work and set(search_work) == {0}
 
     def test_one_f_one_b_skips_the_search(self, gpt_cost_model, search_samples):
         planner = DynaPipePlanner(
@@ -499,6 +577,6 @@ class TestPlannerIncrementalSearch:
             if replica.ordering_search is not None and replica.ordering_search.evaluated > 1
         ]
         assert searches
-        # Permutations are scored without compiling: each replica compiles
-        # and solves its chosen order's timeline once.
-        assert stats["geometry_compiles"] == stats["timeline_solves"] == len(plan.replicas)
+        # Permutations are scored by Algorithm 1's own walk: each replica
+        # walks its chosen order's sequences once.
+        assert stats["timeline_solves"] == len(plan.replicas)

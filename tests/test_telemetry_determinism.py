@@ -191,7 +191,7 @@ class TestPooledEngineStats:
         the process-local module shim sees none of the workers' work."""
         from repro.core.planner import DynaPipePlanner
         from repro.runtime.planner_pool import PlannerPool
-        from repro.simulator.compiled import engine_stats, reset_engine_stats
+        from repro.simulator.engine import engine_stats, reset_engine_stats
 
         planner = DynaPipePlanner(
             gpt_cost_model,
