@@ -17,6 +17,20 @@ from repro.data.tasks import Sample
 from repro.model.transformer import MicroBatchShape
 
 
+def padded_length(longest: int, pad_to: int | None, name: str) -> int:
+    """A tensor's padded length: ``pad_to`` if set, else its longest row.
+
+    Raises:
+        ValueError: If ``pad_to`` (the field ``name``) is shorter than the
+            longest row.
+    """
+    if pad_to is None:
+        return longest
+    if pad_to < longest:
+        raise ValueError(f"{name}={pad_to} is shorter than the longest row ({longest})")
+    return pad_to
+
+
 @dataclass
 class MicroBatch:
     """A micro-batch as a collection of rows of samples.
@@ -80,25 +94,13 @@ class MicroBatch:
     def enc_seq_len(self) -> int:
         """Padded input-sequence length of the batch tensor."""
         longest = max(self._row_enc_tokens(row) for row in self.rows)
-        if self.pad_enc_to is not None:
-            if self.pad_enc_to < longest:
-                raise ValueError(
-                    f"pad_enc_to={self.pad_enc_to} is shorter than the longest row ({longest})"
-                )
-            return self.pad_enc_to
-        return longest
+        return padded_length(longest, self.pad_enc_to, "pad_enc_to")
 
     @property
     def dec_seq_len(self) -> int:
         """Padded target-sequence length of the batch tensor (0 for GPT)."""
         longest = max(self._row_dec_tokens(row) for row in self.rows)
-        if self.pad_dec_to is not None:
-            if self.pad_dec_to < longest:
-                raise ValueError(
-                    f"pad_dec_to={self.pad_dec_to} is shorter than the longest row ({longest})"
-                )
-            return self.pad_dec_to
-        return longest
+        return padded_length(longest, self.pad_dec_to, "pad_dec_to")
 
     def shape(self) -> MicroBatchShape:
         """The padded tensor shape fed to the cost model / executor."""

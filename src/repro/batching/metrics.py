@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Any, Iterable
 
-from repro.batching.base import MicroBatch
+from repro.batching.base import MicroBatch, padded_length
 
 
 @dataclass(frozen=True)
@@ -74,18 +74,31 @@ def padding_stats(micro_batches: Iterable[MicroBatch]) -> PaddingStats:
             "padding-efficiency computation; aggregate each model family separately"
         )
     decoder_only = flags.pop()
-    actual = sum(mb.actual_tokens() for mb in micro_batches)
-    padded = sum(mb.padded_tokens() for mb in micro_batches)
-
-    enc_actual = sum(mb.actual_enc_tokens() for mb in micro_batches)
-    enc_padded = sum(mb.batch_size * mb.enc_seq_len for mb in micro_batches)
+    # One walk over each micro-batch's rows gathers its real input and
+    # target tokens and its longest rows; the padded lengths then follow
+    # ``MicroBatch.enc_seq_len`` / ``dec_seq_len`` (fixed pads included).
+    enc_actual = dec_actual = enc_padded = dec_padded = 0
+    for mb in micro_batches:
+        enc_longest = dec_longest = 0
+        for row in mb.rows:
+            row_input = row_target = 0
+            for sample in row:
+                row_input += sample.input_tokens
+                row_target += sample.target_tokens
+            row_enc = row_input + row_target if decoder_only else row_input
+            row_dec = 0 if decoder_only else row_target
+            enc_actual += row_enc
+            dec_actual += row_dec
+            enc_longest = max(enc_longest, row_enc)
+            dec_longest = max(dec_longest, row_dec)
+        enc_padded += mb.batch_size * padded_length(enc_longest, mb.pad_enc_to, "pad_enc_to")
+        dec_padded += mb.batch_size * padded_length(dec_longest, mb.pad_dec_to, "pad_dec_to")
+    actual = enc_actual + dec_actual
+    padded = enc_padded + dec_padded
     encoder_eff = enc_actual / enc_padded if enc_padded else 0.0
-
     if decoder_only:
         decoder_eff: float | None = None
     else:
-        dec_actual = sum(mb.actual_dec_tokens() for mb in micro_batches)
-        dec_padded = sum(mb.batch_size * mb.dec_seq_len for mb in micro_batches)
         decoder_eff = dec_actual / dec_padded if dec_padded else 0.0
 
     overall = actual / padded if padded else 0.0

@@ -9,9 +9,10 @@ planning-time experiment and by tests).
 
 The batcher hands the DP a :class:`~repro.core.dp_solver.WindowCostTable`
 holding every window the DP can read (:meth:`build_window_cost_table`).
-Sliding maxima over the ordered sample lengths give each window's padded
-shape — O(1) per window under SORT ordering — and are cached across the
-planner's recomputation-mode retries.  Per mode, only the windows the
+Window maxima over the ordered sample lengths give each window's padded
+shape — O(1) per window from a sparse table of power-of-two windows, for any
+ordering — and the tables are cached across the planner's
+recomputation-mode retries.  Per mode, only the windows the
 memory limit lets the DP admit, plus the ``t_max`` probe windows, are
 costed, in batched cost-model queries over their unique shapes.  The dense
 builder it replaced is kept in ``tests/oracles/window_table_dense.py``, and
@@ -38,33 +39,53 @@ from repro.data.tasks import Sample
 from repro.model.memory import RecomputeMode
 
 
+def window_maxima_table(values: np.ndarray, max_window: int) -> np.ndarray:
+    """Sparse table of ``values`` for window maxima up to ``max_window`` wide.
+
+    Row ``k`` holds ``max(values[i:i + 2**k])`` at every ``i`` where that
+    window fits (other entries are unspecified); :func:`window_maxima`
+    answers any window from two entries of one row.  Building it costs one
+    numpy op per power of two, whatever the window sizes read later.
+    """
+    values = np.asarray(values)
+    levels = max(min(max_window, len(values)), 1).bit_length()
+    table = np.repeat(values[None, :], levels, axis=0)
+    for level in range(1, levels):
+        half = 1 << (level - 1)
+        np.maximum(table[level - 1, :-half], table[level - 1, half:], out=table[level, :-half])
+    return table
+
+
+def window_maxima(table: np.ndarray, start: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """``max(values[start:start + size])`` per window, from
+    :func:`window_maxima_table`: the max of the two widest power-of-two
+    windows that cover it from either end."""
+    level = np.frexp(size)[1] - 1  # floor(log2(size)), exact for integers
+    return np.maximum(table[level, start], table[level, start + size - (1 << level)])
+
+
 def sliding_window_maxima(values: np.ndarray, max_window: int) -> np.ndarray:
     """Maxima of every ``[start, start + size)`` window of ``values``.
 
     Returns an ``(n, max_window)`` array whose ``[start, size - 1]`` entry is
     ``max(values[start:start + size])``; entries for windows running past the
-    end of ``values`` are unspecified.  Non-decreasing inputs (SORT ordering)
-    resolve each window to its last element — one gather, O(1) per window;
-    other orderings fall back to a vectorized running maximum, one numpy op
-    per window size.
+    end of ``values`` are unspecified.  The planner reads only the windows it
+    costs, through :func:`window_maxima`; this dense running maximum (one
+    numpy op per window size) shares no code with it and is the reference
+    the dense window-table oracle and the checks read.
     """
     values = np.asarray(values)
     n = len(values)
-    window = min(max_window, n) if n else 0
+    window = min(max_window, n)
     out = np.empty((n, window), dtype=values.dtype)
-    if n == 0 or window == 0:
-        return out
-    out[:, 0] = values
-    if np.all(np.diff(values) >= 0):
-        for size in range(2, window + 1):
-            out[: n - size + 1, size - 1] = values[size - 1 :]
-    else:
-        for size in range(2, window + 1):
-            np.maximum(
-                out[: n - size + 1, size - 2],
-                values[size - 1 :],
-                out=out[: n - size + 1, size - 1],
-            )
+    if window:
+        out[:, 0] = values
+    for size in range(2, window + 1):
+        np.maximum(
+            out[: n - size + 1, size - 2],
+            values[size - 1 :],
+            out=out[: n - size + 1, size - 1],
+        )
     return out
 
 
@@ -126,12 +147,13 @@ class DynamicMicroBatcher(BatchingStrategy):
     def _window_maxima(
         self, ordered: Sequence[Sample]
     ) -> tuple[np.ndarray, np.ndarray, tuple[int, int, int]]:
-        """``(enc, dec, dims)``: sliding maxima of the ordered lengths, cached.
+        """``(enc, dec, dims)``: window-maxima tables of the ordered lengths, cached.
 
-        ``enc[start, size - 1]`` / ``dec[start, size - 1]`` are the padded
-        lengths of window ``[start, start + size)``; ``dims`` packs
-        ``(size, enc, dec)`` into int64 keys (``np.ravel_multi_index``, which
-        sorts like the rows; an overflowing key space raises ``ValueError``).
+        ``window_maxima(enc, start, size)`` / ``window_maxima(dec, start,
+        size)`` are the padded lengths of window ``[start, start + size)``;
+        ``dims`` packs ``(size, enc, dec)`` into int64 keys
+        (``np.ravel_multi_index``, which sorts like the rows; an overflowing
+        key space raises ``ValueError``).
         """
         if self.decoder_only:
             enc = np.array([s.total_tokens for s in ordered], dtype=np.int64)
@@ -145,8 +167,8 @@ class DynamicMicroBatcher(BatchingStrategy):
             return entry[1]
         window = min(self.max_microbatch_size, len(ordered))
         maxima = (
-            sliding_window_maxima(enc, window),
-            sliding_window_maxima(dec, window),
+            window_maxima_table(enc, window),
+            window_maxima_table(dec, window),
             (window + 1, int(enc.max()) + 1, int(dec.max()) + 1),
         )
         self._maxima_entry = (key, maxima)
@@ -171,7 +193,8 @@ class DynamicMicroBatcher(BatchingStrategy):
         """
         mode = self.recompute if recompute is None else recompute
         enc_max, dec_max, dims = self._window_maxima(ordered)
-        num_samples, max_window = enc_max.shape
+        num_samples = len(ordered)
+        max_window = dims[0] - 1
         times = np.full((num_samples, max_window), np.inf)
         feasible = np.zeros((num_samples, max_window), dtype=bool)
         costed = 0
@@ -192,7 +215,8 @@ class DynamicMicroBatcher(BatchingStrategy):
             start = end - size
             # Blocks hold disjoint sizes, so a shape is costed in one block only.
             keys = np.ravel_multi_index(
-                (size, enc_max[start, size - 1], dec_max[start, size - 1]), dims
+                (size, window_maxima(enc_max, start, size), window_maxima(dec_max, start, size)),
+                dims,
             )
             unique, inverse = np.unique(keys, return_inverse=True)
             batch, enc, dec = np.unravel_index(unique, dims)

@@ -499,22 +499,16 @@ class DynaPipePlanner:
             except PartitionError as exc:
                 failures[mode] = str(exc)
                 continue
-            # Balance across data-parallel replicas.
-            times = [
-                float(t)
-                for t in self.cost_model.microbatch_times_ms(
-                    [mb.shape() for mb in micro_batches], mode
-                )
-            ]
-            assignment = karmarkar_karp_partition(times, self.data_parallel_size)
-            replica_groups = [
-                [micro_batches[i] for i in group] for group in assignment.groups
-            ]
+            # Balance across data-parallel replicas on the DP's micro-batch
+            # times: the cost model's t(M) of each micro-batch's shape.
+            shapes = [mb.shape() for mb in micro_batches]
+            times = solution.times
+            groups = karmarkar_karp_partition(times, self.data_parallel_size).groups
             # Every replica must hold at least one micro-batch to keep the
             # pipeline (and gradient synchronisation) well formed.
-            if any(not group for group in replica_groups) and len(micro_batches) >= self.data_parallel_size:
-                replica_groups = self._rebalance_nonempty(micro_batches, times)
-            if any(not group for group in replica_groups):
+            if any(not group for group in groups) and len(micro_batches) >= self.data_parallel_size:
+                groups = self._rebalance_nonempty(times)
+            if any(not group for group in groups):
                 failures[mode] = (
                     f"only {len(micro_batches)} micro-batches for "
                     f"{self.data_parallel_size} data-parallel replicas"
@@ -523,10 +517,10 @@ class DynaPipePlanner:
             # Simulate each replica's identity order to verify memory
             # feasibility.
             replica_results = []
-            for group in replica_groups:
+            for group in groups:
                 pipeline = ReplicaPipeline(
                     self.cost_model,
-                    [mb.shape() for mb in group],
+                    [shapes[i] for i in group],
                     mode,
                     self.config.schedule_kind,
                     self.device_memory_bytes,
@@ -544,7 +538,9 @@ class DynaPipePlanner:
                         f"exceeds capacity {self.device_memory_bytes / 1e9:.2f} GB"
                     )
                     break
-                replica_results.append((group, pipeline))
+                replica_results.append(
+                    ([micro_batches[i] for i in group], [times[i] for i in group], pipeline)
+                )
             else:
                 chosen = (mode, micro_batches, solution, replica_results)
                 break
@@ -560,11 +556,11 @@ class DynaPipePlanner:
             and self.config.schedule_kind is not ScheduleKind.ONE_F_ONE_B
         )
         replicas: list[ReplicaPlanResult] = []
-        for replica_index, (group, pipeline) in enumerate(replica_results):
+        for replica_index, (group, times, pipeline) in enumerate(replica_results):
             order = list(range(len(group)))
             ordering_result = None
             if search and len(group) > 1:
-                ordering_result = self._search_injection_order(pipeline)
+                ordering_result = self._search_injection_order(pipeline, times)
                 # An all-infeasible search keeps the identity order, which
                 # passed the feasibility check above.
                 if math.isfinite(ordering_result.makespan_ms):
@@ -580,35 +576,36 @@ class DynaPipePlanner:
 
     # ------------------------------------------------------------------ internals
 
-    def _rebalance_nonempty(self, micro_batches, times):
+    def _rebalance_nonempty(self, times: Sequence[float]) -> list[list[int]]:
         """Fallback balancing guaranteeing every replica gets >= 1 micro-batch.
 
         Longest-processing-time greedy assignment with a non-emptiness
         constraint; only used when Karmarkar–Karp leaves a replica empty
-        (possible when there are very few micro-batches).
+        (possible when there are very few micro-batches).  Returns one list
+        of micro-batch indices per replica, as Karmarkar–Karp does.
         """
-        order = sorted(range(len(micro_batches)), key=lambda i: times[i], reverse=True)
-        groups: list[list] = [[] for _ in range(self.data_parallel_size)]
+        order = sorted(range(len(times)), key=lambda i: times[i], reverse=True)
+        groups: list[list[int]] = [[] for _ in range(self.data_parallel_size)]
         loads = [0.0] * self.data_parallel_size
         for rank, index in enumerate(order):
             if rank < self.data_parallel_size:
                 target = rank
             else:
                 target = min(range(self.data_parallel_size), key=lambda d: loads[d])
-            groups[target].append(micro_batches[index])
+            groups[target].append(index)
             loads[target] += times[index]
         return groups
 
-    def _search_injection_order(self, pipeline: ReplicaPipeline) -> OrderingSearchResult:
+    def _search_injection_order(
+        self, pipeline: ReplicaPipeline, times: list[float]
+    ) -> OrderingSearchResult:
         """Cluster-permutation search over injection orders (§5).
 
-        Each permutation is scored by one timed walk of Algorithm 1 on the
-        replica's incremental simulator; the search walks no fixed
+        ``times`` are the replica's micro-batch times, in injection-order
+        index.  Each permutation is scored by one timed walk of Algorithm 1
+        on the replica's incremental simulator; the search walks no fixed
         sequences.
         """
-        times = [
-            float(t) for t in self.cost_model.microbatch_times_ms(pipeline.shapes, pipeline.mode)
-        ]
         with _span("order_search", num_microbatches=len(times)):
             result = cluster_and_order(
                 times,

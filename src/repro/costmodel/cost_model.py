@@ -20,16 +20,19 @@ Batched fast path
 -----------------
 
 The planner evaluates thousands of candidate micro-batch shapes per
-iteration, so the scalar query chain (one interpolator call per stage per
-shape) is the planning-time bottleneck.  :meth:`CostModel.stage_costs_many`
-and :meth:`CostModel.microbatch_times_ms` /
-:meth:`CostModel.microbatch_activation_bytes_many` answer the same questions
-for a whole batch of shapes in a handful of numpy passes (via
-:meth:`~repro.costmodel.interpolation.GridInterpolator.query_many`),
-bit-identical to the scalar path.  All results are memoised in per-instance
-shape-keyed caches, so recomputation-mode retries, the injection-order
-search, and repeated schedule builds never re-query the interpolators for a
-shape they have already seen.
+iteration, so it never walks the scalar query chain (:meth:`stage_cost`,
+one interpolator call per quantity per stage per shape), which stays as the
+reference.  It prices shapes through two batched entry points:
+:meth:`CostModel.window_costs_arrays` for the DP's window table (uncached
+coordinate arrays; the DP's micro-batch times come from it) and
+:meth:`CostModel.stage_costs_many` for each replica's per-stage op costs.
+:meth:`CostModel.microbatch_times_ms` /
+:meth:`CostModel.microbatch_activation_bytes_many` answer bottleneck values
+for other callers.  All but the first are memoised in per-instance
+shape-keyed caches.  Each batch costs one
+:meth:`~repro.costmodel.profiler.LayerProfile.query_many` pass per layer
+profile: the forward, backward and activation grids of a mode are
+interpolated together, bit-identical to the scalar path.
 """
 
 from __future__ import annotations
@@ -237,34 +240,26 @@ class CostModel:
         batch = np.asarray(batch, dtype=float)
         enc = np.asarray(enc, dtype=float)
         dec = np.asarray(dec, dtype=float)
-        enc_profile = self.database.get("encoder")
-        coords2 = np.stack([batch, enc], axis=1)
         enc_mask = enc > 0
+        enc_fwd, enc_bwd, enc_act = self.database.get("encoder").query_many(
+            recompute, np.stack([batch, enc], axis=1)
+        )
         tables: dict[str, np.ndarray | None] = {
-            "enc_fwd": np.where(enc_mask, enc_profile.query_forward_many(coords2), 0.0),
-            "enc_bwd": np.where(
-                enc_mask, enc_profile.query_backward_many(recompute, coords2), 0.0
-            ),
-            "enc_act": np.where(
-                enc_mask, enc_profile.query_activation_many(recompute, coords2), 0.0
-            ),
+            "enc_fwd": np.where(enc_mask, enc_fwd, 0.0),
+            "enc_bwd": np.where(enc_mask, enc_bwd, 0.0),
+            "enc_act": np.where(enc_mask, enc_act, 0.0),
             "dec_fwd": None,
             "dec_bwd": None,
             "dec_act": None,
         }
         if self.config.is_encoder_decoder:
-            dec_profile = self.database.get("decoder")
-            coords3 = np.stack([batch, dec, enc], axis=1)
             dec_mask = dec > 0
-            tables["dec_fwd"] = np.where(
-                dec_mask, dec_profile.query_forward_many(coords3), 0.0
+            dec_fwd, dec_bwd, dec_act = self.database.get("decoder").query_many(
+                recompute, np.stack([batch, dec, enc], axis=1)
             )
-            tables["dec_bwd"] = np.where(
-                dec_mask, dec_profile.query_backward_many(recompute, coords3), 0.0
-            )
-            tables["dec_act"] = np.where(
-                dec_mask, dec_profile.query_activation_many(recompute, coords3), 0.0
-            )
+            tables["dec_fwd"] = np.where(dec_mask, dec_fwd, 0.0)
+            tables["dec_bwd"] = np.where(dec_mask, dec_bwd, 0.0)
+            tables["dec_act"] = np.where(dec_mask, dec_act, 0.0)
         return tables
 
     def _assignment_costs(

@@ -16,6 +16,13 @@ implementation) and the batched :meth:`GridInterpolator.query_many`, which
 evaluates thousands of points in a handful of numpy operations and is the
 entry point of the planner's vectorized cost-model fast path.  Both paths
 produce bit-identical results.
+
+The values may carry one trailing *channel* axis: several profiled
+quantities sampled on the same grid (a layer's forward time, backward time
+and activation bytes).  ``query_many`` then brackets each coordinate and
+computes each corner weight once for all channels, and returns one column
+per channel, each bit-identical to a single-channel interpolator over that
+channel's values.  The scalar ``__call__`` takes single-channel grids only.
 """
 
 from __future__ import annotations
@@ -32,7 +39,9 @@ class GridInterpolator:
     Args:
         axes: One strictly-increasing coordinate array per dimension.
         values: Array of shape ``tuple(len(a) for a in axes)`` holding the
-            profiled value at each grid point.
+            profiled value at each grid point, optionally followed by one
+            channel axis (``(*grid, channels)``) holding several values per
+            point.
     """
 
     def __init__(self, axes: Sequence[Sequence[float]], values: np.ndarray) -> None:
@@ -45,11 +54,20 @@ class GridInterpolator:
             if len(axis) > 1 and not np.all(np.diff(axis) > 0):
                 raise ValueError(f"axis {dim} must be strictly increasing")
         self.values = np.asarray(values, dtype=float)
-        expected_shape = tuple(len(axis) for axis in self.axes)
-        if self.values.shape != expected_shape:
+        grid_shape = tuple(len(axis) for axis in self.axes)
+        shape = self.values.shape
+        if shape[: len(grid_shape)] != grid_shape or len(shape) > len(grid_shape) + 1:
             raise ValueError(
-                f"values shape {self.values.shape} does not match axes shape {expected_shape}"
+                f"values shape {shape} does not match axes shape {grid_shape} "
+                "(plus at most one channel axis)"
             )
+        # Batched-query geometry: cell widths per axis, and the values as one
+        # row per channel over the flattened grid, with each axis's stride.
+        self._spans = [np.diff(axis) for axis in self.axes]
+        self._channels = np.ascontiguousarray(
+            self.values.reshape(int(np.prod(grid_shape)), -1).T
+        )
+        self._strides = [int(np.prod(grid_shape[dim + 1 :])) for dim in range(len(grid_shape))]
 
     def _bracket(self, dim: int, x: float) -> tuple[int, int, float]:
         """Return (low index, high index, fraction) bracketing ``x`` on ``dim``.
@@ -77,6 +95,8 @@ class GridInterpolator:
             raise ValueError(
                 f"expected {len(self.axes)} coordinates, got {len(coords)}"
             )
+        if self.values.ndim != len(self.axes):
+            raise ValueError("the scalar query takes single-channel grids only")
         brackets = [self._bracket(dim, float(c)) for dim, c in enumerate(coords)]
         total = 0.0
         corners = 1 << len(self.axes)
@@ -94,18 +114,16 @@ class GridInterpolator:
                 total += weight * float(self.values[tuple(index)])
         return total
 
-    def _bracket_many(self, dim: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorized :meth:`_bracket`: arrays of (low, high, fraction)."""
+    def _bracket_many(self, dim: int, x: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
+        """Vectorized :meth:`_bracket` on ``dim``: the low indices, the step
+        to the high index, and the fractions."""
         axis = self.axes[dim]
         if len(axis) == 1:
-            zeros = np.zeros(len(x), dtype=np.intp)
-            return zeros, zeros, np.zeros(len(x))
-        idx = np.searchsorted(axis, x, side="left")
-        np.clip(idx, 1, len(axis) - 1, out=idx)
-        lo = idx - 1
-        span = axis[idx] - axis[lo]
-        frac = (x - axis[lo]) / span
-        return lo, idx, frac
+            return np.zeros(len(x), dtype=np.intp), 0, np.zeros(len(x))
+        # Searching the interior points only clamps to the outermost cells.
+        lo = np.searchsorted(axis[1:-1], x, side="left")
+        frac = (x - axis.take(lo)) / self._spans[dim].take(lo)
+        return lo, 1, frac
 
     def query_many(self, coords: np.ndarray) -> np.ndarray:
         """Interpolated values for a batch of points in one numpy pass.
@@ -116,30 +134,32 @@ class GridInterpolator:
 
         Returns:
             Array of ``num_points`` interpolated values, bit-identical to
-            calling the scalar ``__call__`` on each row.
+            calling the scalar ``__call__`` on each row; ``(num_points,
+            channels)`` for channel grids, each column bit-identical to a
+            single-channel interpolator over that channel.
         """
         coords = np.asarray(coords, dtype=float)
         if coords.ndim != 2 or coords.shape[1] != len(self.axes):
             raise ValueError(
                 f"expected coords of shape (n, {len(self.axes)}), got {coords.shape}"
             )
-        brackets = [
-            self._bracket_many(dim, coords[:, dim]) for dim in range(len(self.axes))
-        ]
-        total = np.zeros(coords.shape[0])
-        corners = 1 << len(self.axes)
-        for corner in range(corners):
-            weight = np.ones(coords.shape[0])
-            index = []
-            for dim, (lo, hi, frac) in enumerate(brackets):
-                if corner >> dim & 1:
-                    weight = weight * frac
-                    index.append(hi)
-                else:
-                    weight = weight * (1.0 - frac)
-                    index.append(lo)
-            total += weight * self.values[tuple(index)]
-        return total
+        # Corner ``c`` takes the high bracket on dimension ``d`` iff bit ``d``
+        # of ``c`` is set.  Its weight multiplies the per-dimension factors
+        # in dimension order, as the scalar path does, and ``points`` holds
+        # its grid point's flat index.
+        weights: list = [1.0]
+        points: list = [0]
+        for dim, stride in enumerate(self._strides):
+            lo, step, frac = self._bracket_many(dim, coords[:, dim])
+            rest = 1.0 - frac
+            low = lo * stride
+            high = low + step * stride
+            weights = [w * rest for w in weights] + [w * frac for w in weights]
+            points = [p + low for p in points] + [p + high for p in points]
+        total = np.zeros((len(self._channels), coords.shape[0]))
+        for weight, point in zip(weights, points):
+            total += weight * self._channels.take(point, axis=1)
+        return total.T if self.values.ndim > len(self.axes) else total[0]
 
     def max_value(self) -> float:
         """Maximum profiled value (useful for sanity checks)."""

@@ -14,6 +14,12 @@ Profiles are stored per layer kind:
   over (micro-batch size, sequence length).
 * ``decoder`` — T5 decoder layers with cross-attention; a 3-D grid over
   (micro-batch size, target length, source length).
+
+Each :class:`LayerProfile` keeps one interpolator per quantity (forward
+time, and backward time and activation bytes per recomputation mode) for
+the scalar queries and serialisation, and also stacks each mode's three
+grids into one channel interpolator, so the batched
+:meth:`LayerProfile.query_many` interpolates all three in one pass.
 """
 
 from __future__ import annotations
@@ -64,6 +70,13 @@ class LayerProfile:
     The interpolators map grid coordinates to milliseconds (time) or bytes
     (activation memory).  Keys of the per-mode dictionaries are
     :class:`~repro.model.memory.RecomputeMode`.
+
+    Construction also stacks, per mode, the forward, backward and activation
+    grids into one channel interpolator, so :meth:`query_many` brackets a
+    batch of coordinates once for all three quantities.
+
+    Raises:
+        ValueError: If a mode's three grids do not share their axes.
     """
 
     kind: str
@@ -71,6 +84,26 @@ class LayerProfile:
     backward_ms: dict[RecomputeMode, GridInterpolator]
     activation_bytes: dict[RecomputeMode, GridInterpolator]
     dims: int = 2
+    _stacked: dict[RecomputeMode, GridInterpolator] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        axes = self.forward_ms.axes
+        self._stacked = {}
+        for mode, backward in self.backward_ms.items():
+            grids = (self.forward_ms, backward, self.activation_bytes[mode])
+            for grid in grids[1:]:
+                if len(grid.axes) != len(axes) or not all(
+                    np.array_equal(a, b) for a, b in zip(grid.axes, axes)
+                ):
+                    raise ValueError(
+                        f"{self.kind} profile: the {mode.value} grids do not share "
+                        "the forward grid's axes"
+                    )
+            self._stacked[mode] = GridInterpolator(
+                axes, np.stack([grid.values for grid in grids], axis=-1)
+            )
 
     def query_forward(self, *coords: float) -> float:
         """Interpolated forward time in milliseconds."""
@@ -84,22 +117,14 @@ class LayerProfile:
         """Interpolated activation bytes under ``mode``."""
         return max(self.activation_bytes[mode](*coords), 0.0)
 
-    # -------------------------------------------------------------- batched
-    # Vectorized counterparts used by the planner fast path: one numpy pass
-    # over ``coords`` of shape (num_points, dims), bit-identical to the
-    # scalar queries above.
-
-    def query_forward_many(self, coords: np.ndarray) -> np.ndarray:
-        """Batched :meth:`query_forward` over ``(num_points, dims)`` coords."""
-        return np.maximum(self.forward_ms.query_many(coords), 0.0)
-
-    def query_backward_many(self, mode: RecomputeMode, coords: np.ndarray) -> np.ndarray:
-        """Batched :meth:`query_backward` over ``(num_points, dims)`` coords."""
-        return np.maximum(self.backward_ms[mode].query_many(coords), 0.0)
-
-    def query_activation_many(self, mode: RecomputeMode, coords: np.ndarray) -> np.ndarray:
-        """Batched :meth:`query_activation` over ``(num_points, dims)`` coords."""
-        return np.maximum(self.activation_bytes[mode].query_many(coords), 0.0)
+    def query_many(
+        self, mode: RecomputeMode, coords: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Batched ``(forward, backward, activation)`` over ``(num_points, dims)``
+        coords in one interpolation pass, each array bit-identical to the
+        scalar query of its quantity on every row."""
+        clamped = np.maximum(self._stacked[mode].query_many(coords), 0.0)
+        return clamped[:, 0], clamped[:, 1], clamped[:, 2]
 
 
 @dataclass

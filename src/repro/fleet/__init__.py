@@ -35,7 +35,7 @@ from repro.fleet.faults import (
     rack_outage,
     random_fault_plan,
 )
-from repro.fleet.gang import DeviceGang, GangAllocator
+from repro.fleet.gang import DeviceGang, GangAllocator, GangInvariantError
 from repro.fleet.job import JobAttempt, JobCheckpoint, JobRecord, JobSpec, JobState
 from repro.fleet.metrics import CapacityEvent, FleetReport, JobSummary, summarize_job
 from repro.fleet.policies import (
@@ -80,6 +80,7 @@ __all__ = [
     "FleetReport",
     "FleetScheduler",
     "GangAllocator",
+    "GangInvariantError",
     "JobAttempt",
     "JobCheckpoint",
     "JobExecution",

@@ -18,7 +18,8 @@ into four disjoint sets:
 cluster's device set and the four sets are pairwise disjoint — checked by
 :meth:`GangAllocator.check_consistent`, which is what the fleet tests lean
 on to prove that preemption, repair, elastic shrinking and regrowth never
-leak or double-own a device.  Release-and-regrow bookkeeping rests on the
+leak or double-own a device; a violation raises :class:`GangInvariantError`,
+under ``python -O`` too.  Release-and-regrow bookkeeping rests on the
 same invariant: releasing a gang returns only its still-alive devices, a
 repair resurrects a device *only* through the explicit failed → free
 transition, and an absent device can neither fail nor be allocated before
@@ -39,6 +40,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.cluster.topology import ClusterTopology
+
+
+class GangInvariantError(RuntimeError):
+    """The allocator's device partition or its cached counts are corrupt."""
 
 
 @dataclass(frozen=True)
@@ -425,7 +430,12 @@ class GangAllocator:
     # ------------------------------------------------------------------ invariants
 
     def check_consistent(self) -> None:
-        """Assert free/allocated/failed/absent partition the cluster."""
+        """Check that free/allocated/failed/absent partition the cluster.
+
+        Raises:
+            GangInvariantError: If a device is leaked or double-owned, or a
+                cached count disagrees with the masks.
+        """
         free = set(np.flatnonzero(self._free_mask).tolist())
         allocated = set(np.flatnonzero(self._owner >= 0).tolist())
         failed = set(np.flatnonzero(self._failed_mask).tolist())
@@ -435,15 +445,24 @@ class GangAllocator:
         for i, a in enumerate(names):
             for b in names[i + 1 :]:
                 overlap = sets[a] & sets[b]
-                assert not overlap, f"devices both {a} and {b}: {overlap}"
+                if overlap:
+                    raise GangInvariantError(f"devices both {a} and {b}: {overlap}")
         union = free | allocated | failed | absent
         expected = set(range(self.num_devices))
-        assert union == expected, f"device leak: missing {expected - union}, extra {union - expected}"
-        assert self._free_count == len(free), "free count out of sync"
-        assert self._failed_count == len(failed), "failed count out of sync"
-        assert self._absent_count == len(absent), "absent count out of sync"
-        assert self._busy_count == len(allocated), "busy count out of sync"
-        assert self._busy_count == sum(self._owned_count.values()), "slot counts out of sync"
+        if union != expected:
+            raise GangInvariantError(
+                f"device leak: missing {expected - union}, extra {union - expected}"
+            )
+        counts = (
+            (self._free_count, len(free), "free count out of sync"),
+            (self._failed_count, len(failed), "failed count out of sync"),
+            (self._absent_count, len(absent), "absent count out of sync"),
+            (self._busy_count, len(allocated), "busy count out of sync"),
+            (self._busy_count, sum(self._owned_count.values()), "slot counts out of sync"),
+        )
+        for cached, actual, message in counts:
+            if cached != actual:
+                raise GangInvariantError(message)
 
 
 #: Former name of :class:`GangAllocator`, still resolved by the end-to-end

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from repro.batching.metrics import PaddingStats, padding_stats
 from repro.comm.deadlock import check_comm_order
+from repro.core.microbatch_ordering import cluster_and_order
 from repro.core.planner import DynaPipePlanner, PlannerConfig
+from repro.core.replica_balance import karmarkar_karp_partition
 from repro.core.recomputation import OutOfMemoryError
 from repro.core.adaptive_schedule import ScheduleKind
 from repro.core.ordering import OrderingMethod
@@ -265,3 +269,107 @@ class TestDynamicRecomputation:
                     peaks = replica.plan.metadata.predicted_peak_memory_bytes
                     assert peaks == replica.simulation.peak_activation_bytes
                     assert all(peak <= device_memory * (1 + 1e-9) for peak in peaks)
+
+
+def _reference_padding(micro_batches):
+    """Padding statistics by the per-micro-batch accessors, one sum each."""
+    decoder_only = micro_batches[0].decoder_only
+    actual = sum(mb.actual_tokens() for mb in micro_batches)
+    padded = sum(mb.padded_tokens() for mb in micro_batches)
+    enc_actual = sum(mb.actual_enc_tokens() for mb in micro_batches)
+    enc_padded = sum(mb.batch_size * mb.enc_seq_len for mb in micro_batches)
+    decoder_eff = None
+    if not decoder_only:
+        dec_actual = sum(mb.actual_dec_tokens() for mb in micro_batches)
+        dec_padded = sum(mb.batch_size * mb.dec_seq_len for mb in micro_batches)
+        decoder_eff = dec_actual / dec_padded if dec_padded else 0.0
+    return PaddingStats(
+        actual_tokens=actual,
+        padded_tokens=padded,
+        encoder_efficiency=enc_actual / enc_padded if enc_padded else 0.0,
+        decoder_efficiency=decoder_eff,
+        overall_efficiency=actual / padded if padded else 0.0,
+    )
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+class TestShapeAndTimeReuse:
+    """Each micro-batch's shape and time are derived once per iteration, and
+    the balance, the order search and the plans all see those values."""
+
+    @pytest.mark.parametrize("kind", list(ScheduleKind))
+    @pytest.mark.parametrize("data_parallel", [1, 2])
+    @pytest.mark.parametrize("arch", ["gpt", "t5"])
+    def test_shapes_and_times_match_cost_model(
+        self, arch, data_parallel, kind, gpt_cost_model, t5_cost_model,
+        flan_samples_gpt, flan_samples, monkeypatch,
+    ):
+        import repro.core.planner as planner_module
+
+        cost_model, samples = (
+            (gpt_cost_model, flan_samples_gpt) if arch == "gpt" else (t5_cost_model, flan_samples)
+        )
+        planner = DynaPipePlanner(
+            cost_model,
+            data_parallel_size=data_parallel,
+            config=PlannerConfig(schedule_kind=kind, order_search=True, tmax_sample_count=8),
+        )
+        partitions, balanced, searched = [], [], []
+        partition = planner._partition
+
+        def record_partition(batch, mode):
+            result = partition(batch, mode)
+            partitions.append((mode, result[0]))
+            return result
+
+        def record_balance(values, num_parts):
+            balanced.append(list(values))
+            return karmarkar_karp_partition(values, num_parts)
+
+        def record_search(times, *args, **kwargs):
+            searched.append(list(times))
+            return cluster_and_order(times, *args, **kwargs)
+
+        monkeypatch.setattr(planner, "_partition", record_partition)
+        monkeypatch.setattr(planner_module, "karmarkar_karp_partition", record_balance)
+        monkeypatch.setattr(planner_module, "cluster_and_order", record_search)
+        plan = planner.plan(samples[:90])
+
+        mode, micro_batches = partitions[-1]
+        assert mode is plan.recompute
+        shapes = [mb.shape() for mb in micro_batches]
+        assert _bits(balanced[-1]) == _bits(cost_model.microbatch_times_ms(shapes, mode))
+        position = {id(mb): index for index, mb in enumerate(micro_batches)}
+        search_times = iter(searched)
+        for replica in plan.replicas:
+            replica_shapes = [mb.shape() for mb in replica.micro_batches]
+            assert replica.plan.microbatch_shapes == replica_shapes
+            assert all(id(mb) in position for mb in replica.micro_batches)
+            if kind is not ScheduleKind.ONE_F_ONE_B and len(replica.micro_batches) > 1:
+                assert _bits(next(search_times)) == _bits(
+                    cost_model.microbatch_times_ms(replica_shapes, mode)
+                )
+        assert next(search_times, None) is None
+        assert sorted(position[id(mb)] for mb in plan.all_micro_batches()) == list(
+            range(len(micro_batches))
+        )
+        assert plan.padding == _reference_padding(plan.all_micro_batches())
+
+    def test_rebalance_returns_index_groups(self, gpt_cost_model):
+        planner = DynaPipePlanner(gpt_cost_model, data_parallel_size=2)
+        assert planner._rebalance_nonempty([3.0, 1.0, 2.0, 0.5]) == [[0, 3], [2, 1]]
+
+
+@pytest.mark.parametrize("decoder_only", [True, False])
+def test_padding_stats_match_reference_on_packed_rows(flan_samples, decoder_only):
+    """Packed rows hold several samples and pad to a fixed length."""
+    from repro.batching.packing import PackingBatching
+
+    packed = PackingBatching(
+        max_seq_len=1024, micro_batch_size=4, decoder_only=decoder_only
+    ).split(flan_samples[:120])
+    assert any(len(row) > 1 for mb in packed.micro_batches for row in mb.rows)
+    assert padding_stats(packed.micro_batches) == _reference_padding(packed.micro_batches)

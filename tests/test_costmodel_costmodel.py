@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.costmodel.cost_model import CostModel
@@ -208,3 +209,20 @@ class TestBatchedQueriesAndCaches:
         del cm
         gc.collect()
         assert ref() is None
+
+
+class TestLayerProfileQueryMany:
+    def test_matches_scalar_queries_bit_for_bit(self, gpt_cost_model, t5_cost_model):
+        """One stacked pass per mode gives the clamped forward, backward and
+        activation values of the scalar queries, inside and beyond the grid."""
+        rng = np.random.default_rng(0)
+        for cm in (gpt_cost_model, t5_cost_model):
+            for profile in cm.database.profiles.values():
+                high = [axis[-1] for axis in profile.forward_ms.axes]
+                coords = np.floor(rng.uniform(0, 2, size=(40, profile.dims)) * high)
+                for mode in RecomputeMode:
+                    forward, backward, activation = profile.query_many(mode, coords)
+                    for i, row in enumerate(coords):
+                        assert forward[i] == profile.query_forward(*row)
+                        assert backward[i] == profile.query_backward(mode, *row)
+                        assert activation[i] == profile.query_activation(mode, *row)

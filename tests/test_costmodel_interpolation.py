@@ -165,3 +165,126 @@ class TestQueryMany:
     def test_empty_batch(self):
         interp = GridInterpolator([[0, 1]], np.array([0.0, 1.0]))
         assert interp.query_many(np.zeros((0, 1))).shape == (0,)
+
+
+def _bits(array) -> np.ndarray:
+    """The IEEE-754 bit patterns of a float array (``-0.0 != 0.0``)."""
+    return np.ascontiguousarray(array, dtype=float).view(np.uint64)
+
+
+@st.composite
+def _stacked_cases(draw):
+    """A channel grid of 1–3 dimensions (1-point axes included), and query
+    points inside and beyond both ends of every axis (possibly none)."""
+    dims = draw(st.integers(1, 3))
+    axes = [
+        sorted(draw(st.sets(st.integers(1, 4096), min_size=1, max_size=4)))
+        for _ in range(dims)
+    ]
+    channels = draw(st.integers(1, 3))
+    shape = tuple(len(axis) for axis in axes) + (channels,)
+    values = np.array(
+        draw(
+            st.lists(
+                st.floats(-1e6, 1e6, allow_nan=False),
+                min_size=int(np.prod(shape)),
+                max_size=int(np.prod(shape)),
+            )
+        )
+    ).reshape(shape)
+    coordinate = st.floats(-8192, 12288, allow_nan=False)
+    points = draw(st.lists(st.lists(coordinate, min_size=dims, max_size=dims), max_size=12))
+    return axes, values, np.array(points, dtype=float).reshape(len(points), dims)
+
+
+class TestStackedQueryMany:
+    """A channel grid answers every channel in one pass, each bit-identical
+    to the scalar reference over that channel alone."""
+
+    @given(case=_stacked_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_every_channel_matches_scalar(self, case):
+        axes, values, points = case
+        stacked = GridInterpolator(axes, values).query_many(points)
+        assert stacked.shape == (len(points), values.shape[-1])
+        for channel in range(values.shape[-1]):
+            single = GridInterpolator(axes, values[..., channel])
+            scalar = np.array([single(*row) for row in points], dtype=float)
+            np.testing.assert_array_equal(_bits(stacked[:, channel]), _bits(scalar))
+            np.testing.assert_array_equal(_bits(single.query_many(points)), _bits(scalar))
+
+    def test_one_point_axes_and_both_ends(self):
+        axes = [[5], [1, 2, 8]]
+        values = np.arange(6, dtype=float).reshape(1, 3, 2) - 2.5
+        points = np.array([[0.0, -100.0], [5.0, 1.5], [99.0, 50.0], [5.0, 8.0]])
+        stacked = GridInterpolator(axes, values).query_many(points)
+        for channel in range(2):
+            single = GridInterpolator(axes, values[..., channel])
+            np.testing.assert_array_equal(
+                _bits(stacked[:, channel]), _bits([single(*row) for row in points])
+            )
+
+    def test_empty_batch(self):
+        interp = GridInterpolator([[0, 1], [2, 4]], np.zeros((2, 2, 3)))
+        assert interp.query_many(np.zeros((0, 2))).shape == (0, 3)
+
+    def test_scalar_call_rejects_channel_grid(self):
+        interp = GridInterpolator([[0, 1]], np.zeros((2, 3)))
+        with pytest.raises(ValueError, match="single-channel"):
+            interp(0.5)
+
+    @pytest.mark.parametrize("shape", [(2, 2, 3, 1), (3, 2), (2, 3, 3)])
+    def test_channel_shape_mismatch_rejected(self, shape):
+        with pytest.raises(ValueError):
+            GridInterpolator([[0, 1], [0, 1]], np.zeros(shape))
+
+
+class TestLayerProfileAxes:
+    """A layer profile stacks each mode's forward, backward and activation
+    grids, so all three must share their axes."""
+
+    @staticmethod
+    def _profile(backward_axes):
+        from repro.costmodel.profiler import LayerProfile
+        from repro.model.memory import RecomputeMode
+
+        axes = [[1, 2], [32, 64]]
+        grid = np.ones((2, 2))
+        return LayerProfile(
+            kind="encoder",
+            forward_ms=GridInterpolator(axes, grid),
+            backward_ms={m: GridInterpolator(backward_axes, grid) for m in RecomputeMode},
+            activation_bytes={m: GridInterpolator(axes, grid) for m in RecomputeMode},
+        )
+
+    def test_matching_axes_accepted(self):
+        self._profile([[1, 2], [32, 64]])
+
+    @pytest.mark.parametrize(
+        "backward_axes", [[[1, 2], [32, 128]], [[1, 4], [32, 64]]]
+    )
+    def test_differing_axes_rejected(self, backward_axes):
+        with pytest.raises(ValueError, match="do not share"):
+            self._profile(backward_axes)
+
+    def test_differing_dimensions_rejected(self):
+        from repro.costmodel.profiler import LayerProfile
+        from repro.model.memory import RecomputeMode
+
+        flat = GridInterpolator([[1, 2]], np.ones(2))
+        with pytest.raises(ValueError, match="do not share"):
+            LayerProfile(
+                kind="encoder",
+                forward_ms=GridInterpolator([[1, 2], [32, 64]], np.ones((2, 2))),
+                backward_ms={m: flat for m in RecomputeMode},
+                activation_bytes={m: flat for m in RecomputeMode},
+            )
+
+    def test_differing_axes_rejected_on_load(self, gpt_cost_model):
+        from repro.costmodel.serialization import cost_model_from_dict, cost_model_to_dict
+
+        payload = cost_model_to_dict(gpt_cost_model)
+        grid = payload["database"]["profiles"]["encoder"]["activation_bytes"]["full"]
+        grid["axes"][1] = [2 * x for x in grid["axes"][1]]
+        with pytest.raises(ValueError, match="full grids do not share"):
+            cost_model_from_dict(payload)

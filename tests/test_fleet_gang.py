@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cluster.topology import ClusterTopology
 from repro.core.planner import PlannerConfig
-from repro.fleet.gang import GangAllocator
+from repro.fleet.gang import GangAllocator, GangInvariantError
 from repro.fleet.job import JobCheckpoint, JobRecord, JobSpec
 from repro.fleet.policies import FifoPolicy, ShortestRemainingWorkPolicy, make_policy
 from repro.parallel.config import ParallelConfig
@@ -236,6 +241,58 @@ class TestRestoreValidation:
         for query in (allocator.owner_of, allocator.is_failed, allocator.is_absent):
             with pytest.raises(ValueError, match=f"device {device} out of range"):
                 query(device)
+
+
+class TestInvariantCheck:
+    """check_consistent raises a typed error, not an ``assert`` that
+    ``python -O`` strips."""
+
+    @pytest.mark.parametrize(
+        "counter, message",
+        [
+            ("_free_count", "free count out of sync"),
+            ("_busy_count", "busy count out of sync"),
+        ],
+    )
+    def test_corrupted_count_raises(self, counter, message):
+        allocator = make_allocator(4)
+        allocator.allocate("a", 1, 2, 1)
+        setattr(allocator, counter, getattr(allocator, counter) + 1)
+        with pytest.raises(GangInvariantError, match=message):
+            allocator.check_consistent()
+
+    def test_double_owned_device_raises(self):
+        allocator = make_allocator(4)
+        allocator.allocate("a", 1, 2, 1)  # devices (0, 1)
+        allocator._free_mask[0] = True
+        with pytest.raises(GangInvariantError, match=r"devices both allocated and free: \{0\}"):
+            allocator.check_consistent()
+
+    def test_is_a_runtime_error(self):
+        assert issubclass(GangInvariantError, RuntimeError)
+        assert not issubclass(GangInvariantError, AssertionError)
+
+    def test_checks_under_optimized_python(self):
+        code = (
+            "from repro.cluster.topology import ClusterTopology\n"
+            "from repro.fleet.gang import GangAllocator, GangInvariantError\n"
+            "allocator = GangAllocator(ClusterTopology.for_num_gpus(4))\n"
+            "allocator._free_count += 1\n"
+            "try:\n"
+            "    allocator.check_consistent()\n"
+            "except GangInvariantError as exc:\n"
+            "    print(exc)\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        result = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=60,
+            check=True,
+        )
+        assert result.stdout.strip() == "free count out of sync"
 
 
 def _record(spec: JobSpec, sequence: int, measured: list[float] | None = None) -> JobRecord:
