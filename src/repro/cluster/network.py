@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Any
 
+import numpy as np
+
 from repro.utils.validation import check_non_negative, check_positive
 
 
@@ -37,9 +39,17 @@ class LinkSpec:
         check_positive("bandwidth", self.bandwidth)
         check_non_negative("latency_ms", self.latency_ms)
 
-    def transfer_time_ms(self, nbytes: float) -> float:
-        """Time to move ``nbytes`` across this link, in milliseconds."""
-        check_non_negative("nbytes", nbytes)
+    def transfer_time_ms(self, nbytes: float | np.ndarray) -> float | np.ndarray:
+        """Time to move ``nbytes`` across this link, in milliseconds.
+
+        An array of sizes gives the array of their times, each bit-identical
+        to the scalar call; a negative entry raises the scalar call's error.
+        """
+        if np.ndim(nbytes):
+            nbytes = np.asarray(nbytes, dtype=float)
+            check_non_negative("nbytes", float(np.min(nbytes, initial=0.0)))
+        else:
+            check_non_negative("nbytes", nbytes)
         return self.latency_ms + nbytes / self.bandwidth * 1e3
 
 
@@ -70,9 +80,9 @@ class NetworkModel:
         """Return the link class connecting two devices."""
         return self.intra_node if same_node else self.inter_node
 
-    def p2p_time_ms(self, nbytes: float, same_node: bool) -> float:
+    def p2p_time_ms(self, nbytes: float | np.ndarray, same_node: bool) -> float | np.ndarray:
         """Point-to-point transfer time (activations / gradients between
-        pipeline stages)."""
+        pipeline stages), elementwise for an array of sizes."""
         return self.link_for(same_node).transfer_time_ms(nbytes)
 
     def allreduce_time_ms(self, nbytes: float, participants: int, same_node: bool) -> float:

@@ -76,33 +76,25 @@ class AdaptiveScheduler:
     def activation_matrix(
         self, shapes: Sequence[MicroBatchShape], recompute: RecomputeMode
     ) -> list[list[float]]:
-        """Per-(micro-batch, stage) activation footprints.
-
-        Uses the cost model's batched per-stage queries, so repeated builds
-        over the same shapes (e.g. the injection-order search) hit the
-        shape-keyed cache instead of re-querying the interpolators.
-        """
-        shapes = list(shapes)
-        per_stage = [
-            self.cost_model.stage_costs_many(stage, shapes, recompute)
-            for stage in range(self.cost_model.num_stages)
-        ]
-        return [
-            [per_stage[stage][index].activation_bytes for stage in range(len(per_stage))]
-            for index in range(len(shapes))
-        ]
+        """Per-(micro-batch, stage) activation footprints, from one
+        :meth:`~repro.costmodel.cost_model.CostModel.stage_costs_many` query
+        over all stages."""
+        return self.cost_model.stage_costs_many(shapes, recompute)[2].tolist()
 
     def duration_map(
         self, shapes: Sequence[MicroBatchShape], recompute: RecomputeMode
     ) -> dict[ComputeOp, float]:
-        """Modelled duration of every compute op of the iteration."""
-        shapes = list(shapes)
+        """Modelled duration of every compute op of the iteration, from one
+        :meth:`~repro.costmodel.cost_model.CostModel.stage_costs_many` query
+        over all stages."""
+        forward, backward, _ = self.cost_model.stage_costs_many(shapes, recompute)
         durations: dict[ComputeOp, float] = {}
-        for stage in range(self.cost_model.num_stages):
-            costs = self.cost_model.stage_costs_many(stage, shapes, recompute)
-            for microbatch, cost in enumerate(costs):
-                durations[ComputeOp(microbatch, stage, OpType.FORWARD)] = cost.forward_ms
-                durations[ComputeOp(microbatch, stage, OpType.BACKWARD)] = cost.backward_ms
+        for stage, (stage_forward, stage_backward) in enumerate(
+            zip(forward.T.tolist(), backward.T.tolist())
+        ):
+            for microbatch, (fwd, bwd) in enumerate(zip(stage_forward, stage_backward)):
+                durations[ComputeOp(microbatch, stage, OpType.FORWARD)] = fwd
+                durations[ComputeOp(microbatch, stage, OpType.BACKWARD)] = bwd
         return durations
 
     def memory_limits(self) -> list[float]:

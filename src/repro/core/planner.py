@@ -163,8 +163,11 @@ class ReplicaPipeline:
     """One data-parallel replica, from micro-batch shapes to its plan.
 
     Every replica plan the planner and the MLM+DS baseline emit is built
-    here.  The constructor prices each (micro-batch, stage) op and
-    inter-stage transfer once into :attr:`simulator`, which schedules
+    here.  The constructor prices every (micro-batch, stage) op with one
+    :meth:`~repro.costmodel.cost_model.CostModel.stage_costs_many` query and
+    every inter-stage transfer with one array
+    :meth:`~repro.cluster.network.NetworkModel.p2p_time_ms` call into
+    :attr:`simulator`, which schedules
     ``kind`` (cyclic kinds per injection order, 1F1B on its fixed
     sequences) and times and memory-checks any injection order;
     :meth:`lower` turns the chosen order into the replica's instruction
@@ -202,26 +205,18 @@ class ReplicaPipeline:
         self.transfer_shapes = TransferShapes.from_cost_model(cost_model, self.shapes)
         num_stages = cost_model.num_stages
         num_microbatches = len(self.shapes)
-        forward_ms = np.empty((num_microbatches, num_stages))
-        backward_ms = np.empty((num_microbatches, num_stages))
-        activation = np.empty((num_microbatches, num_stages))
-        for stage in range(num_stages):
-            costs = cost_model.stage_costs_many(stage, self.shapes, mode)
-            for index, cost in enumerate(costs):
-                forward_ms[index, stage] = cost.forward_ms
-                backward_ms[index, stage] = cost.backward_ms
-                activation[index, stage] = cost.activation_bytes
+        forward_ms, backward_ms, activation = cost_model.stage_costs_many(self.shapes, mode)
+        # Activations go from stage j to j + 1 (the last stage sends none),
+        # gradients from j back to j - 1 (the first stage sends none).
+        act_bytes, grad_bytes = np.array(
+            [self.transfer_shapes.activation_bytes, self.transfer_shapes.gradient_bytes],
+            dtype=float,
+        ).reshape(2, num_microbatches, num_stages)
         act_comm = np.zeros((num_microbatches, num_stages))
         grad_comm = np.zeros((num_microbatches, num_stages))
-        for microbatch in range(num_microbatches):
-            for src in range(num_stages - 1):
-                act_comm[microbatch, src] = network.p2p_time_ms(
-                    self.transfer_shapes.act_bytes(microbatch, src), same_node=stages_same_node
-                )
-            for src in range(1, num_stages):
-                grad_comm[microbatch, src] = network.p2p_time_ms(
-                    self.transfer_shapes.grad_bytes(microbatch, src), same_node=stages_same_node
-                )
+        act_comm[:, :-1], grad_comm[:, 1:] = network.p2p_time_ms(
+            np.stack([act_bytes[:, :-1], grad_bytes[:, 1:]]), same_node=stages_same_node
+        )
         limits = None
         if self.kind is ScheduleKind.MEMORY_AWARE_ADAPTIVE:
             limits = [
@@ -413,9 +408,9 @@ class DynaPipePlanner:
                 f"{self.device_memory_bytes / 1e9:.1f} GB; increase pipeline or "
                 "tensor parallelism"
             )
-        # One batcher for all iterations and recomputation-mode retries: its
-        # window-shape geometry cache and the cost model's shape-keyed caches
-        # make retries and repeated iterations reuse all prior cost queries.
+        # One batcher for all iterations and recomputation-mode retries: a
+        # retry reuses its window-maxima tables, which do not depend on the
+        # mode; every cost query is recomputed.
         self._batcher = DynamicMicroBatcher(
             self.cost_model,
             ordering=self.config.ordering_method,

@@ -16,23 +16,23 @@ terms.  The same object also provides the Eq. 1 iteration-time estimate used
 by the micro-batch DP and the communication tensor sizes used by the
 communication planner.
 
-Batched fast path
------------------
+Array queries
+-------------
 
-The planner evaluates thousands of candidate micro-batch shapes per
-iteration, so it never walks the scalar query chain (:meth:`stage_cost`,
-one interpolator call per quantity per stage per shape), which stays as the
-reference.  It prices shapes through two batched entry points:
-:meth:`CostModel.window_costs_arrays` for the DP's window table (uncached
-coordinate arrays; the DP's micro-batch times come from it) and
-:meth:`CostModel.stage_costs_many` for each replica's per-stage op costs.
-:meth:`CostModel.microbatch_times_ms` /
-:meth:`CostModel.microbatch_activation_bytes_many` answer bottleneck values
-for other callers.  All but the first are memoised in per-instance
-shape-keyed caches.  Each batch costs one
+The planner prices thousands of candidate micro-batch shapes per iteration,
+so it never walks the scalar query chain (:meth:`CostModel.stage_cost`, one
+interpolator call per quantity per stage per shape), which stays as the
+independent reference.  It asks two array questions instead, recomputed on
+every call:
+:meth:`CostModel.stage_costs_many` gives every stage's forward, backward and
+activation cost of a list of shapes (one replica's ops), and
+:meth:`CostModel.window_costs_arrays` gives the bottleneck stage's time and
+activation of raw coordinate arrays (the DP's window table).  Both make one
 :meth:`~repro.costmodel.profiler.LayerProfile.query_many` pass per layer
-profile: the forward, backward and activation grids of a mode are
-interpolated together, bit-identical to the scalar path.
+profile, which interpolates a mode's forward, backward and activation grids
+together, and cost each distinct layer assignment once; every value is
+bit-identical to the scalar path.  The remaining aggregates are a few lines
+over these two.
 """
 
 from __future__ import annotations
@@ -53,10 +53,16 @@ from repro.model.transformer import (
     assign_layers,
 )
 
-#: Soft cap on the per-instance shape caches; a long-lived planner sees a
-#: bounded set of padded shapes in practice, so this only guards pathological
-#: workloads from unbounded memory growth.
-_CACHE_LIMIT = 1 << 20
+
+def _shape_arrays(
+    shapes: Sequence[MicroBatchShape],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(batch, enc, dec)`` coordinate arrays of ``shapes``."""
+    return (
+        np.array([s.batch_size for s in shapes], dtype=float),
+        np.array([s.enc_seq_len for s in shapes], dtype=float),
+        np.array([s.dec_seq_len for s in shapes], dtype=float),
+    )
 
 
 @dataclass(frozen=True)
@@ -119,22 +125,15 @@ class CostModel:
                 max_batch_size=max_profile_batch_size, max_seq_len=max_profile_seq_len
             )
         self.database = database
-        # Per-instance caches (a dict rather than ``lru_cache`` on methods,
-        # which would pin every CostModel instance in the global cache).
-        self._stage_cost_cache: dict[
-            tuple[int, MicroBatchShape, RecomputeMode], StageCost
-        ] = {}
-        #: (shape, mode) -> (bottleneck total_ms, activation_bytes)
-        self._bottleneck_cache: dict[
-            tuple[MicroBatchShape, RecomputeMode], tuple[float, float]
-        ] = {}
+        # Layer counts of each distinct assignment, and each stage's index
+        # into them: stages sharing an assignment have identical costs.
+        layers = [(a.encoder_layers, a.decoder_layers) for a in self.assignments]
+        distinct = list(dict.fromkeys(layers))
+        self._layer_counts = np.array(distinct, dtype=float)
+        self._stage_assignment = [distinct.index(counts) for counts in layers]
+        # A per-instance dict: memoising the method with ``functools`` would
+        # pin every CostModel instance in a module-global table.
         self._static_bytes_cache: dict[int, float] = {}
-        # One-slot (key, tables) memo for the stage-independent per-layer
-        # interpolation pass: per-stage loops (duration_map, activation
-        # matrices, peak memory) query the same shape batch once per stage,
-        # and the tables depend only on (shapes, mode).  A single tuple slot
-        # keeps replacement atomic for concurrent planners.
-        self._layer_tables_memo: tuple[tuple, dict[str, np.ndarray | None]] | None = None
 
     # ------------------------------------------------------------------ stage costs
 
@@ -144,11 +143,11 @@ class CostModel:
         shape: MicroBatchShape,
         recompute: RecomputeMode = RecomputeMode.NONE,
     ) -> StageCost:
-        """Forward/backward time and activation memory of ``shape`` on ``stage``."""
-        key = (stage, shape, recompute)
-        cached = self._stage_cost_cache.get(key)
-        if cached is not None:
-            return cached
+        """Forward/backward time and activation memory of ``shape`` on ``stage``.
+
+        The scalar reference of :meth:`stage_costs_many`: one interpolator
+        call per quantity, recomputed on every call.
+        """
         assignment = self._assignment(stage)
         forward = 0.0
         backward = 0.0
@@ -188,168 +187,66 @@ class CostModel:
                         recompute, *coords
                     )
 
-        cost = StageCost(forward_ms=forward, backward_ms=backward, activation_bytes=activation)
-        self._cache_guard(self._stage_cost_cache)
-        self._stage_cost_cache[key] = cost
-        return cost
+        return StageCost(forward_ms=forward, backward_ms=backward, activation_bytes=activation)
 
     def _assignment(self, stage: int) -> LayerAssignment:
         if not 0 <= stage < self.num_stages:
             raise ValueError(f"stage {stage} out of range [0, {self.num_stages})")
         return self.assignments[stage]
 
-    @staticmethod
-    def _cache_guard(cache: dict) -> None:
-        if len(cache) >= _CACHE_LIMIT:
-            cache.clear()
+    # ------------------------------------------------------------------ array queries
 
-    # ------------------------------------------------------------------ batched queries
-
-    def _layer_tables(
-        self, shapes: Sequence[MicroBatchShape], recompute: RecomputeMode
-    ) -> dict[str, np.ndarray | None]:
-        """Per-layer cost arrays for a batch of :class:`MicroBatchShape`."""
-        key = (tuple(shapes), recompute)
-        memo = self._layer_tables_memo
-        if memo is not None and memo[0] == key:
-            return memo[1]
-        tables = self._layer_tables_arrays(
-            np.array([s.batch_size for s in shapes], dtype=float),
-            np.array([s.enc_seq_len for s in shapes], dtype=float),
-            np.array([s.dec_seq_len for s in shapes], dtype=float),
-            recompute,
-        )
-        self._layer_tables_memo = (key, tables)
-        return tables
-
-    def _layer_tables_arrays(
+    def _assignment_costs(
         self,
         batch: np.ndarray,
         enc: np.ndarray,
         dec: np.ndarray,
         recompute: RecomputeMode,
-    ) -> dict[str, np.ndarray | None]:
-        """Per-layer forward/backward/activation arrays for a batch of shapes.
+    ) -> np.ndarray:
+        """``costs[q, a, i]``: quantity ``q`` (forward ms, backward ms,
+        activation bytes) of shape ``i`` under distinct assignment ``a``.
 
-        ``enc_*`` entries cover encoder (and GPT decoder-only) layers,
-        ``dec_*`` entries cover T5 decoder layers (``None`` for decoder-only
-        models, whose decoder layers share the encoder profile).  Entries for
-        shapes whose relevant sequence length is zero are zeroed, mirroring
-        the scalar guards in :meth:`stage_cost`.
+        One ``query_many`` pass per layer profile.  Encoder (and GPT
+        decoder-only) layers read the encoder profile, T5 decoder layers the
+        decoder profile; a shape whose relevant sequence length is zero costs
+        nothing there, mirroring the scalar guards in :meth:`stage_cost`.
+        Each assignment adds its encoder then decoder terms in the scalar
+        order (a zero layer count adds an exact ``0.0`` to the finite,
+        non-negative profile values), so every value is bit-identical to
+        :meth:`stage_cost`.
         """
         batch = np.asarray(batch, dtype=float)
         enc = np.asarray(enc, dtype=float)
         dec = np.asarray(dec, dtype=float)
-        enc_mask = enc > 0
-        enc_fwd, enc_bwd, enc_act = self.database.get("encoder").query_many(
+        per_layer = self.database.get("encoder").query_many(
             recompute, np.stack([batch, enc], axis=1)
         )
-        tables: dict[str, np.ndarray | None] = {
-            "enc_fwd": np.where(enc_mask, enc_fwd, 0.0),
-            "enc_bwd": np.where(enc_mask, enc_bwd, 0.0),
-            "enc_act": np.where(enc_mask, enc_act, 0.0),
-            "dec_fwd": None,
-            "dec_bwd": None,
-            "dec_act": None,
-        }
+        enc_costs = np.where(enc > 0, np.stack(per_layer), 0.0)
+        dec_costs = enc_costs
         if self.config.is_encoder_decoder:
-            dec_mask = dec > 0
-            dec_fwd, dec_bwd, dec_act = self.database.get("decoder").query_many(
+            per_layer = self.database.get("decoder").query_many(
                 recompute, np.stack([batch, dec, enc], axis=1)
             )
-            tables["dec_fwd"] = np.where(dec_mask, dec_fwd, 0.0)
-            tables["dec_bwd"] = np.where(dec_mask, dec_bwd, 0.0)
-            tables["dec_act"] = np.where(dec_mask, dec_act, 0.0)
-        return tables
-
-    def _assignment_costs(
-        self,
-        assignment: LayerAssignment,
-        tables: dict[str, np.ndarray | None],
-        count: int,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(forward, backward, activation) arrays of one stage assignment.
-
-        Accumulates the encoder then decoder contributions in the same order
-        as the scalar :meth:`stage_cost`, so results are bit-identical.
-        """
-        forward = np.zeros(count)
-        backward = np.zeros(count)
-        activation = np.zeros(count)
-        if assignment.encoder_layers:
-            forward = forward + assignment.encoder_layers * tables["enc_fwd"]
-            backward = backward + assignment.encoder_layers * tables["enc_bwd"]
-            activation = activation + assignment.encoder_layers * tables["enc_act"]
-        if assignment.decoder_layers:
-            if self.config.is_encoder_decoder:
-                forward = forward + assignment.decoder_layers * tables["dec_fwd"]
-                backward = backward + assignment.decoder_layers * tables["dec_bwd"]
-                activation = activation + assignment.decoder_layers * tables["dec_act"]
-            else:
-                forward = forward + assignment.decoder_layers * tables["enc_fwd"]
-                backward = backward + assignment.decoder_layers * tables["enc_bwd"]
-                activation = activation + assignment.decoder_layers * tables["enc_act"]
-        return forward, backward, activation
+            dec_costs = np.where(dec > 0, np.stack(per_layer), 0.0)
+        layers = self._layer_counts
+        return (
+            layers[:, 0, None] * enc_costs[:, None, :] + layers[:, 1, None] * dec_costs[:, None, :]
+        )
 
     def stage_costs_many(
         self,
-        stage: int,
         shapes: Sequence[MicroBatchShape],
         recompute: RecomputeMode = RecomputeMode.NONE,
-    ) -> list[StageCost]:
-        """Batched :meth:`stage_cost` for many shapes on one stage.
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every stage's cost of every shape: ``(forward_ms, backward_ms,
+        activation_bytes)``, each of shape ``(len(shapes), num_stages)``.
 
-        Cached results are reused; the remaining shapes are evaluated in one
-        vectorized interpolator pass.
+        Recomputed on every call; element ``[i, j]`` is bit-identical to
+        ``stage_cost(j, shapes[i], recompute)``.
         """
-        assignment = self._assignment(stage)
-        results: dict[MicroBatchShape, StageCost] = {}
-        missing: list[MicroBatchShape] = []
-        for shape in shapes:
-            if shape in results:
-                continue
-            cached = self._stage_cost_cache.get((stage, shape, recompute))
-            if cached is not None:
-                results[shape] = cached
-            else:
-                results[shape] = StageCost(0.0, 0.0, 0.0)  # placeholder
-                missing.append(shape)
-        if missing:
-            tables = self._layer_tables(missing, recompute)
-            forward, backward, activation = self._assignment_costs(
-                assignment, tables, len(missing)
-            )
-            self._cache_guard(self._stage_cost_cache)
-            for i, shape in enumerate(missing):
-                cost = StageCost(
-                    forward_ms=float(forward[i]),
-                    backward_ms=float(backward[i]),
-                    activation_bytes=float(activation[i]),
-                )
-                results[shape] = cost
-                self._stage_cost_cache[(stage, shape, recompute)] = cost
-        return [results[shape] for shape in shapes]
-
-    def _bottleneck_arrays(
-        self,
-        batch: np.ndarray,
-        enc: np.ndarray,
-        dec: np.ndarray,
-        recompute: RecomputeMode,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(total_ms, activation_bytes) bottleneck arrays."""
-        tables = self._layer_tables_arrays(batch, enc, dec, recompute)
-        # Stages sharing a layer assignment have identical costs, so the
-        # bottleneck max only needs one evaluation per distinct assignment.
-        distinct = {(a.encoder_layers, a.decoder_layers): a for a in self.assignments}
-        totals, activations = [], []
-        for assignment in distinct.values():
-            forward, backward, activation = self._assignment_costs(
-                assignment, tables, len(batch)
-            )
-            totals.append(forward + backward)
-            activations.append(activation)
-        return np.max(totals, axis=0), np.max(activations, axis=0)
+        costs = self._assignment_costs(*_shape_arrays(shapes), recompute)
+        forward, backward, activation = costs[:, self._stage_assignment, :].transpose(0, 2, 1)
+        return forward, backward, activation
 
     def window_costs_arrays(
         self,
@@ -358,43 +255,17 @@ class CostModel:
         dec: np.ndarray,
         recompute: RecomputeMode = RecomputeMode.NONE,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Bottleneck (time_ms, activation_bytes) for raw shape coordinate arrays.
+        """Bottleneck ``(time_ms, activation_bytes)`` of raw shape coordinate
+        arrays: the largest per-stage forward-plus-backward time and the
+        largest per-stage activation of each shape.
 
-        The uncached bulk entry point of the planner fast path: the DP's
-        window-shape table holds tens of thousands of unique shapes per
-        mini-batch, for which per-shape cache bookkeeping costs more than the
-        batched interpolation itself.
+        Recomputed on every call: the DP's window-shape table holds tens of
+        thousands of unique shapes per mini-batch.
         """
-        return self._bottleneck_arrays(batch, enc, dec, recompute)
+        forward, backward, activation = self._assignment_costs(batch, enc, dec, recompute)
+        return (forward + backward).max(axis=0), activation.max(axis=0)
 
-    def _bottleneck_many(
-        self, shapes: Sequence[MicroBatchShape], recompute: RecomputeMode
-    ) -> list[tuple[float, float]]:
-        """(total_ms, activation_bytes) bottleneck pairs (cached)."""
-        results: dict[MicroBatchShape, tuple[float, float]] = {}
-        missing: list[MicroBatchShape] = []
-        for shape in shapes:
-            if shape in results:
-                continue
-            cached = self._bottleneck_cache.get((shape, recompute))
-            if cached is not None:
-                results[shape] = cached
-            else:
-                results[shape] = (0.0, 0.0)  # placeholder
-                missing.append(shape)
-        if missing:
-            total, activation = self._bottleneck_arrays(
-                np.array([s.batch_size for s in missing], dtype=float),
-                np.array([s.enc_seq_len for s in missing], dtype=float),
-                np.array([s.dec_seq_len for s in missing], dtype=float),
-                recompute,
-            )
-            self._cache_guard(self._bottleneck_cache)
-            for i, shape in enumerate(missing):
-                pair = (float(total[i]), float(activation[i]))
-                results[shape] = pair
-                self._bottleneck_cache[(shape, recompute)] = pair
-        return [results[shape] for shape in shapes]
+    # ------------------------------------------------------------------ aggregates
 
     def microbatch_times_ms(
         self,
@@ -402,17 +273,7 @@ class CostModel:
         recompute: RecomputeMode = RecomputeMode.NONE,
     ) -> np.ndarray:
         """Batched :meth:`microbatch_time_ms`: ``t(M)`` for many shapes."""
-        return np.array([t for t, _ in self._bottleneck_many(shapes, recompute)])
-
-    def microbatch_activation_bytes_many(
-        self,
-        shapes: Sequence[MicroBatchShape],
-        recompute: RecomputeMode = RecomputeMode.NONE,
-    ) -> np.ndarray:
-        """Batched :meth:`microbatch_activation_bytes` for many shapes."""
-        return np.array([a for _, a in self._bottleneck_many(shapes, recompute)])
-
-    # ------------------------------------------------------------------ aggregates
+        return self.window_costs_arrays(*_shape_arrays(shapes), recompute)[0]
 
     def microbatch_time_ms(
         self, shape: MicroBatchShape, recompute: RecomputeMode = RecomputeMode.NONE
@@ -424,13 +285,13 @@ class CostModel:
         stages are close, and using the maximum keeps the estimate an upper
         bound.
         """
-        return self._bottleneck_many([shape], recompute)[0][0]
+        return float(self.microbatch_times_ms([shape], recompute)[0])
 
     def microbatch_activation_bytes(
         self, shape: MicroBatchShape, recompute: RecomputeMode = RecomputeMode.NONE
     ) -> float:
         """Largest per-stage activation footprint of ``shape``."""
-        return self._bottleneck_many([shape], recompute)[0][1]
+        return float(self.window_costs_arrays(*_shape_arrays([shape]), recompute)[1][0])
 
     def iteration_time_ms(
         self,
@@ -443,16 +304,16 @@ class CostModel:
         """
         if not shapes:
             return 0.0
-        times = [t for t, _ in self._bottleneck_many(shapes, recompute)]
+        times = self.microbatch_times_ms(shapes, recompute).tolist()
         return (self.num_stages - 1) * max(times) + sum(times)
 
     # ------------------------------------------------------------------ memory
 
     def stage_static_bytes(self, stage: int) -> float:
         """Static memory (weights, grads, optimizer state, workspace) of ``stage``."""
-        cached = self._static_bytes_cache.get(stage)
-        if cached is not None:
-            return cached
+        known = self._static_bytes_cache.get(stage)
+        if known is not None:
+            return known
         assignment = self._assignment(stage)
         value = static_stage_bytes(
             self.config,
@@ -492,14 +353,11 @@ class CostModel:
             return max(self.stage_static_bytes(s) for s in range(self.num_stages))
         window = in_flight if in_flight is not None else self.num_stages
         window = max(1, min(window, len(shapes)))
+        _, _, activation = self.stage_costs_many(shapes, recompute)
         peak = 0.0
-        for stage in range(self.num_stages):
-            costs = self.stage_costs_many(stage, shapes, recompute)
-            footprints = sorted(
-                (cost.activation_bytes for cost in costs), reverse=True
-            )
-            stage_peak = self.stage_static_bytes(stage) + sum(footprints[:window])
-            peak = max(peak, stage_peak)
+        for stage, footprints in enumerate(activation.T.tolist()):
+            footprints.sort(reverse=True)
+            peak = max(peak, self.stage_static_bytes(stage) + sum(footprints[:window]))
         return peak
 
     # ------------------------------------------------------------------ communication

@@ -51,6 +51,7 @@ from repro.fleet.scheduler import (
     DeviceRepairEvent,
     FleetConfig,
     FleetScheduler,
+    SchedulerInvariantError,
 )
 from repro.fleet.session import JobExecution, JobPlanningError
 from repro.fleet.workloads import (
@@ -91,6 +92,7 @@ __all__ = [
     "JobSummary",
     "MODEL_CATALOG",
     "PreemptivePriorityPolicy",
+    "SchedulerInvariantError",
     "SchedulerKilled",
     "SchedulingPolicy",
     "ShortestRemainingWorkPolicy",

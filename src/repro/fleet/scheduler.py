@@ -233,6 +233,10 @@ class FleetConfig:
             )
 
 
+class SchedulerInvariantError(RuntimeError):
+    """The scheduler's event loop reached a state its bookkeeping rules out."""
+
+
 @dataclass
 class _RunningJob:
     """Scheduler-side state of one admitted attempt."""
@@ -765,7 +769,8 @@ class FleetScheduler:
             if t_completion <= t_event:
                 heapq.heappop(self._completion_heap)
                 self._clock = clock = t_completion
-                assert next_completion is not None
+                if next_completion is None:
+                    raise SchedulerInvariantError("a completion was popped with no running job")
                 self._complete_iteration(next_completion, clock)
                 if t_completion == t_event:
                     # A capacity/ready/failure event shares this instant;
@@ -998,7 +1003,10 @@ class FleetScheduler:
         running below its requested replica count regrows if repaired or
         arrived capacity now fits a larger gang.
         """
-        assert running.pending is not None
+        if running.pending is None:
+            raise SchedulerInvariantError(
+                f"job {running.record.spec.name} completed an iteration with none in flight"
+            )
         record_, stats = running.pending
         running.pending = None
         running.record.checkpoint.commit(
@@ -1212,7 +1220,8 @@ class FleetScheduler:
             spec.parallel.pipeline_parallel,
             spec.parallel.tensor_parallel,
         )
-        assert gang is not None, "regrowth allocation must fit the freed budget"
+        if gang is None:
+            raise SchedulerInvariantError("regrowth allocation must fit the freed budget")
         self._start_attempt(record, gang, clock)
         return True
 
@@ -1511,7 +1520,8 @@ class FleetScheduler:
 
     def _build_report(self, clock: float) -> FleetReport:
         self.allocator.check_consistent()
-        assert not self._running, "jobs still running after the event loop"
+        if self._running:
+            raise SchedulerInvariantError("jobs still running after the event loop")
         dead_device_ms = self._dead_device_ms + sum(
             clock - since for since in self._down_since.values()
         )

@@ -350,29 +350,53 @@ def _check_sequences(num_stages: int, sequences: list[list[int]]) -> None:
     """Raise the :class:`SimulationError` of sequences that cannot run, in
     this order: the op with the lowest negative micro-batch index, the first
     op listed twice, the first op whose dependency never appears (all
-    stage-major), then the walk's verdict on circular or misordered ones."""
-    ops = [
-        (encoded >> 1, stage, bool(encoded & 1))
-        for stage, sequence in enumerate(sequences)
-        for encoded in sequence
-    ]
-    if ops:
-        lowest = min(ops, key=lambda op: op[0])
-        if lowest[0] < 0:
-            raise SimulationError(f"{_op_name(*lowest)} has a negative micro-batch index")
-    seen: set[tuple[int, int, bool]] = set()
-    for op in ops:
-        if op in seen:
-            raise SimulationError(f"{_op_name(*op)} appears twice in the schedule")
-        seen.add(op)
-    for op in ops:
-        dependency = _dependency(*op, num_stages)
-        if dependency is not None and dependency not in seen:
-            raise SimulationError(
-                "simulation cannot make progress: "
-                f"{_op_name(*op)} depends on {_op_name(*dependency)}, "
-                "which never appears in the schedule"
-            )
+    stage-major), then the walk's verdict on circular or misordered ones.
+
+    The checks run on the encoded ints with one set per stage; only a
+    failing check scans its stage for the op to name.
+    """
+    lowest = min((min(sequence) for sequence in sequences if sequence), default=0) >> 1
+    if lowest < 0:
+        stage, encoded = next(
+            (stage, encoded)
+            for stage, sequence in enumerate(sequences)
+            for encoded in sequence
+            if encoded >> 1 == lowest
+        )
+        raise SimulationError(
+            f"{_op_name(lowest, stage, bool(encoded & 1))} has a negative micro-batch index"
+        )
+    stage_ops = [set(sequence) for sequence in sequences]
+    for stage, (sequence, ops) in enumerate(zip(sequences, stage_ops)):
+        if len(ops) != len(sequence):
+            seen: set[int] = set()
+            for encoded in sequence:
+                if encoded in seen:
+                    name = _op_name(encoded >> 1, stage, bool(encoded & 1))
+                    raise SimulationError(f"{name} appears twice in the schedule")
+                seen.add(encoded)
+    last = num_stages - 1
+    for stage, ops in enumerate(stage_ops):
+        # A forward waits for its forward on the previous stage, a backward
+        # for its backward on the next stage, or for its own forward on the
+        # last stage.
+        if not (
+            (stage and any(e & 1 for e in ops - stage_ops[stage - 1]))
+            or (stage < last and any(not e & 1 for e in ops - stage_ops[stage + 1]))
+            or (stage == last and {e | 1 for e in ops} - ops)
+        ):
+            continue
+        for encoded in sequences[stage]:
+            op = (encoded >> 1, stage, bool(encoded & 1))
+            dependency = _dependency(*op, num_stages)
+            if dependency is not None and (
+                ((dependency[0] << 1) | dependency[2]) not in stage_ops[dependency[1]]
+            ):
+                raise SimulationError(
+                    "simulation cannot make progress: "
+                    f"{_op_name(*op)} depends on {_op_name(*dependency)}, "
+                    "which never appears in the schedule"
+                )
     walk_timeline(num_stages, sequences)
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.cluster.network import EFA_400GBPS, NVSWITCH, LinkSpec, NetworkModel
@@ -37,6 +38,25 @@ class TestNetworkModel:
         net = NetworkModel()
         assert net.link_for(same_node=True) is net.intra_node
         assert net.link_for(same_node=False) is net.inter_node
+
+    def test_p2p_array_matches_scalar_bit_for_bit(self):
+        net = NetworkModel()
+        sizes = np.array([[0.0, 1.0, 3e5], [7.25e6, 1e9, 123456789.0]])
+        for same_node in (True, False):
+            times = net.p2p_time_ms(sizes, same_node=same_node)
+            assert times.shape == sizes.shape
+            assert times.tolist() == [
+                [net.p2p_time_ms(float(n), same_node=same_node) for n in row] for row in sizes
+            ]
+        assert net.p2p_time_ms(np.zeros((0, 3)), same_node=True).shape == (0, 3)
+
+    def test_p2p_array_rejects_a_negative_entry_as_the_scalar_does(self):
+        net = NetworkModel()
+        with pytest.raises(ValueError) as scalar:
+            net.p2p_time_ms(-2.5, same_node=True)
+        with pytest.raises(ValueError) as batched:
+            net.p2p_time_ms(np.array([4.0, -2.5, 1.0]), same_node=True)
+        assert str(batched.value) == str(scalar.value) == "nbytes must be >= 0, got -2.5"
 
     def test_p2p_intra_node_faster(self):
         net = NetworkModel()

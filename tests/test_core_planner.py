@@ -358,6 +358,35 @@ class TestShapeAndTimeReuse:
         )
         assert plan.padding == _reference_padding(plan.all_micro_batches())
 
+    def test_replica_prices_all_stages_in_one_query(self, gpt_cost_model, monkeypatch):
+        """A replica makes one ``stage_costs_many`` call and one array
+        transfer-time call, and no scalar ``p2p_time_ms`` call."""
+        from repro.cluster.network import NetworkModel
+        from repro.core.planner import ReplicaPipeline
+        from repro.model.transformer import MicroBatchShape
+
+        calls = {"stage_costs_many": 0, "array p2p": 0, "scalar p2p": 0}
+        stage_costs_many = CostModel.stage_costs_many
+
+        def counting_stage_costs_many(self, *args, **kwargs):
+            calls["stage_costs_many"] += 1
+            return stage_costs_many(self, *args, **kwargs)
+
+        class CountingNetwork(NetworkModel):
+            def p2p_time_ms(self, nbytes, same_node):
+                calls["array p2p" if np.ndim(nbytes) else "scalar p2p"] += 1
+                return super().p2p_time_ms(nbytes, same_node)
+
+        monkeypatch.setattr(CostModel, "stage_costs_many", counting_stage_costs_many)
+        shapes = [MicroBatchShape(2, 256), MicroBatchShape(1, 512), MicroBatchShape(4, 64)]
+        for kind in ScheduleKind:
+            ReplicaPipeline(
+                gpt_cost_model, shapes, RecomputeMode.NONE, kind,
+                gpt_cost_model.device_spec.memory_capacity, CountingNetwork(),
+            )
+        runs = len(ScheduleKind)
+        assert calls == {"stage_costs_many": runs, "array p2p": runs, "scalar p2p": 0}
+
     def test_rebalance_returns_index_groups(self, gpt_cost_model):
         planner = DynaPipePlanner(gpt_cost_model, data_parallel_size=2)
         assert planner._rebalance_nonempty([3.0, 1.0, 2.0, 0.5]) == [[0, 3], [2, 1]]

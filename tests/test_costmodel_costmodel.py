@@ -139,60 +139,85 @@ class TestExternalDatabase:
         assert model.stage_cost(0, MicroBatchShape(2, 128)).forward_ms > 0
 
 
+def _batched_cases(config, device):
+    """Cost models of ``config`` at tp 1 and 4 with 1–4 stages, one profile
+    database per tp degree."""
+    from repro.costmodel.profiler import LayerProfiler
+
+    for tensor_parallel in (1, 4):
+        database = LayerProfiler(config, tensor_parallel, device).build_database(
+            max_batch_size=8, max_seq_len=512
+        )
+        for num_stages in (1, 2, 3, 4):
+            yield CostModel(
+                config,
+                num_stages=num_stages,
+                tensor_parallel=tensor_parallel,
+                device_spec=device,
+                database=database,
+            )
+
+
 class TestBatchedQueriesAndCaches:
-    def test_batched_matches_scalar(self, gpt_cost_model, t5_cost_model):
-        """Batched per-stage and bottleneck queries are bit-identical to the
-        scalar reference chain."""
-        for cm, shapes in (
+    def test_batched_matches_scalar(self, tiny_gpt_config, tiny_t5_config, small_device):
+        """The array queries are bit-identical to the scalar reference on
+        every stage, mode, tp degree and stage count, inside and beyond the
+        profiled grid, with repeated shapes, T5 shapes without a target and
+        an empty batch."""
+        shape_sets = (
             (
-                gpt_cost_model,
-                [MicroBatchShape(b, e) for b, e in [(1, 33), (4, 700), (16, 2048), (2, 8)]],
-            ),
-            (
-                t5_cost_model,
+                tiny_gpt_config,
                 [
-                    MicroBatchShape(b, e, d)
-                    for b, e, d in [(1, 33, 17), (4, 700, 120), (16, 2048, 300)]
+                    MicroBatchShape(b, e)
+                    for b, e in [(1, 33), (4, 700), (16, 2048), (2, 8), (4, 700), (3, 0)]
                 ],
             ),
-        ):
-            for mode in (RecomputeMode.NONE, RecomputeMode.FULL):
-                times = cm.microbatch_times_ms(shapes, mode)
-                acts = cm.microbatch_activation_bytes_many(shapes, mode)
-                for i, shape in enumerate(shapes):
-                    scalar_time = max(
-                        cm.stage_cost(stage, shape, mode).total_ms
-                        for stage in range(cm.num_stages)
-                    )
-                    scalar_act = max(
-                        cm.stage_cost(stage, shape, mode).activation_bytes
-                        for stage in range(cm.num_stages)
-                    )
-                    assert times[i] == scalar_time
-                    assert acts[i] == scalar_act
-                for stage in range(cm.num_stages):
-                    batched = cm.stage_costs_many(stage, shapes, mode)
-                    for shape, cost in zip(shapes, batched):
-                        assert cost == cm.stage_cost(stage, shape, mode)
-
-    def test_cache_guard_clear_keeps_results_consistent(self, tiny_gpt_config, monkeypatch):
-        """When the soft cache cap fires mid-query, previously cached shapes
-        must still be returned (regression: the clear used to cause KeyError)."""
-        import repro.costmodel.cost_model as cost_model_module
-
-        monkeypatch.setattr(cost_model_module, "_CACHE_LIMIT", 3)
-        cm = CostModel(
-            tiny_gpt_config, num_stages=2, max_profile_batch_size=4, max_profile_seq_len=64
+            (
+                tiny_t5_config,
+                [
+                    MicroBatchShape(b, e, d)
+                    for b, e, d in [
+                        (1, 33, 17), (4, 700, 120), (16, 2048, 300), (2, 64, 0),
+                        (4, 700, 120), (1, 0, 40),
+                    ]
+                ],
+            ),
         )
-        cached = [MicroBatchShape(1, 32), MicroBatchShape(2, 32), MicroBatchShape(3, 32)]
-        expected_times = cm.microbatch_times_ms(cached)
-        expected_stage = cm.stage_costs_many(0, cached)
-        fresh = [MicroBatchShape(4, 48), MicroBatchShape(4, 64)]
-        mixed = cached + fresh
-        times = cm.microbatch_times_ms(mixed)
-        assert list(times[: len(cached)]) == list(expected_times)
-        stage_costs = cm.stage_costs_many(0, mixed)
-        assert stage_costs[: len(cached)] == expected_stage
+        for config, shapes in shape_sets:
+            for cm in _batched_cases(config, small_device):
+                for mode in RecomputeMode:
+                    forward, backward, activation = cm.stage_costs_many(shapes, mode)
+                    scalar = [
+                        [cm.stage_cost(stage, shape, mode) for stage in range(cm.num_stages)]
+                        for shape in shapes
+                    ]
+                    for got, field in (
+                        (forward, "forward_ms"),
+                        (backward, "backward_ms"),
+                        (activation, "activation_bytes"),
+                    ):
+                        expected = np.array(
+                            [[getattr(cost, field) for cost in row] for row in scalar]
+                        )
+                        assert got.shape == (len(shapes), cm.num_stages)
+                        assert got.tobytes() == expected.tobytes(), (cm.num_stages, mode, field)
+                    times, acts = cm.window_costs_arrays(
+                        *(
+                            np.array([getattr(s, name) for s in shapes], dtype=float)
+                            for name in ("batch_size", "enc_seq_len", "dec_seq_len")
+                        ),
+                        mode,
+                    )
+                    assert times.tobytes() == (forward + backward).max(axis=1).tobytes()
+                    assert acts.tobytes() == activation.max(axis=1).tobytes()
+                    assert times.tolist() == [max(c.total_ms for c in row) for row in scalar]
+                    assert cm.microbatch_times_ms(shapes, mode).tobytes() == times.tobytes()
+                    for i, shape in enumerate(shapes):
+                        assert cm.microbatch_time_ms(shape, mode) == times[i]
+                        assert cm.microbatch_activation_bytes(shape, mode) == acts[i]
+                    empty = cm.stage_costs_many([], mode)
+                    assert [a.shape for a in empty] == [(0, cm.num_stages)] * 3
+                    assert cm.window_costs_arrays(*[np.zeros(0)] * 3, mode)[0].shape == (0,)
 
     def test_static_bytes_cache_is_per_instance(self, tiny_gpt_config):
         """stage_static_bytes no longer uses lru_cache on the method, which

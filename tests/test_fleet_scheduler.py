@@ -8,11 +8,22 @@ runs and preempted jobs matching their checkpoint-boundary restarts.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cluster.topology import ClusterTopology
 from repro.core.planner import PlannerConfig
-from repro.fleet import FleetConfig, FleetScheduler, JobSpec, JobState
+from repro.fleet import (
+    FleetConfig,
+    FleetScheduler,
+    JobSpec,
+    JobState,
+    SchedulerInvariantError,
+)
 from repro.fleet.job import JobCheckpoint, JobRecord
 from repro.parallel.config import ParallelConfig
 from repro.training.trainer import TrainingSession
@@ -374,3 +385,39 @@ class TestCheckpoint:
         assert len(report.records) == record.spec.num_iterations
         assert report.throughput_tokens_per_s > 0
         assert report.encoder_padding_efficiency > 0
+
+
+class TestInvariantErrors:
+    """Broken event-loop bookkeeping raises a typed error, not an ``assert``
+    that ``python -O`` strips."""
+
+    def test_report_with_running_jobs_raises(self):
+        scheduler = FleetScheduler(ClusterTopology.for_num_gpus(2), FleetConfig(policy="fifo"))
+        scheduler._running["ghost"] = None
+        message = "jobs still running after the event loop"
+        with pytest.raises(SchedulerInvariantError, match=message):
+            scheduler._build_report(0.0)
+        assert issubclass(SchedulerInvariantError, RuntimeError)
+        assert not issubclass(SchedulerInvariantError, AssertionError)
+
+    def test_report_with_running_jobs_raises_under_optimized_python(self):
+        code = (
+            "from repro.cluster.topology import ClusterTopology\n"
+            "from repro.fleet import FleetConfig, FleetScheduler, SchedulerInvariantError\n"
+            "scheduler = FleetScheduler(ClusterTopology.for_num_gpus(2), FleetConfig())\n"
+            "scheduler._running['ghost'] = None\n"
+            "try:\n"
+            "    scheduler._build_report(0.0)\n"
+            "except SchedulerInvariantError as exc:\n"
+            "    print(exc)\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        result = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=60,
+            check=True,
+        )
+        assert result.stdout.strip() == "jobs still running after the event loop"

@@ -230,6 +230,25 @@ class TestVectorScalarBitIdentity:
                 )
         assert outcomes[0] == outcomes[1]
 
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_check_precedence_matches_the_compiled_oracle(self, seed):
+        """With up to four mutations at once, the first failing check in
+        precedence order names the same op as the compiled oracle."""
+        rng = random.Random(seed)
+        schedule, durations, _, _, _ = _random_case(rng, malformed=True)
+        for _ in range(rng.randint(1, 3)):
+            _mutate(rng, schedule)
+        messages = []
+        for engine in (simulate_schedule, simulate_schedule_compiled):
+            try:
+                engine(schedule, lambda op: 1.0)
+            except SimulationError as exc:
+                messages.append(str(exc))
+            else:
+                messages.append(None)
+        assert messages[0] == messages[1]
+
     @settings(max_examples=80, deadline=None)
     @given(
         seed=st.integers(min_value=0, max_value=2**32 - 1), malformed=st.booleans()
